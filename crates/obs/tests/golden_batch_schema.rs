@@ -7,7 +7,7 @@
 //! golden_batch_schema`; renames and removals also require bumping
 //! [`netart_obs::BATCH_SCHEMA_VERSION`].
 
-use std::path::PathBuf;
+mod support;
 
 use netart_obs::{BatchManifest, JobRecord, JobStatus, QuarantineReport, RunReport};
 
@@ -85,23 +85,10 @@ fn exemplar() -> BatchManifest {
 
 #[test]
 fn batch_manifest_matches_golden() {
-    let golden =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/batch_manifest.json");
-    let rendered = exemplar().to_json_string();
-
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&golden, &rendered).expect("write golden");
-        return;
-    }
-
-    let expected = std::fs::read_to_string(&golden)
-        .expect("golden file missing; regenerate with UPDATE_GOLDEN=1");
-    assert_eq!(
-        rendered,
-        expected,
-        "BatchManifest JSON schema drifted from tests/golden/batch_manifest.json;\n\
-         if the change is intentional, regenerate with UPDATE_GOLDEN=1 and\n\
-         bump BATCH_SCHEMA_VERSION when members were renamed or removed"
+    support::assert_golden(
+        "batch_manifest.json",
+        &exemplar().to_json_string(),
+        "BATCH_SCHEMA_VERSION",
     );
 }
 

@@ -7,7 +7,7 @@
 //! netart-obs --test golden_serve_schema`; renames and removals also
 //! require bumping [`netart_obs::SERVE_SCHEMA_VERSION`].
 
-use std::path::PathBuf;
+mod support;
 
 use netart_obs::{Json, ServeStats};
 
@@ -41,22 +41,10 @@ fn exemplar() -> ServeStats {
 
 #[test]
 fn serve_stats_match_golden() {
-    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serve_stats.json");
-    let rendered = exemplar().to_json_string();
-
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&golden, &rendered).expect("write golden");
-        return;
-    }
-
-    let expected = std::fs::read_to_string(&golden)
-        .expect("golden file missing; regenerate with UPDATE_GOLDEN=1");
-    assert_eq!(
-        rendered,
-        expected,
-        "ServeStats JSON schema drifted from tests/golden/serve_stats.json;\n\
-         if the change is intentional, regenerate with UPDATE_GOLDEN=1 and\n\
-         bump SERVE_SCHEMA_VERSION when members were renamed or removed"
+    support::assert_golden(
+        "serve_stats.json",
+        &exemplar().to_json_string(),
+        "SERVE_SCHEMA_VERSION",
     );
 }
 
