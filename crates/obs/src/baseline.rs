@@ -16,7 +16,7 @@
 //!   baseline, which is what `baselines/*.json` commit) opts out of
 //!   time comparison entirely.
 
-use crate::json::Json;
+use crate::json::{json_enum, json_record, Json, JsonField};
 use crate::metrics::Histogram;
 use crate::report::RunReport;
 
@@ -36,42 +36,35 @@ impl Default for DiffConfig {
     }
 }
 
-/// How one differing metric affects the verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiffSeverity {
-    /// The current run is worse; the gate fails.
-    Regression,
-    /// The current run is better; bless a new baseline to keep it.
-    Improvement,
-    /// A difference with no quality direction (tool name, …).
-    Info,
-}
-
-impl DiffSeverity {
-    /// Lower-case name used in JSON and text output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DiffSeverity::Regression => "regression",
-            DiffSeverity::Improvement => "improvement",
-            DiffSeverity::Info => "info",
-        }
+json_enum! {
+    /// How one differing metric affects the verdict.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum DiffSeverity("diff severity") {
+        /// The current run is worse; the gate fails.
+        Regression = "regression",
+        /// The current run is better; bless a new baseline to keep it.
+        Improvement = "improvement",
+        /// A difference with no quality direction (tool name, …).
+        Info = "info",
     }
 }
 
-/// One differing metric between baseline and current.
-#[derive(Debug, Clone)]
-pub struct DiffEntry {
-    /// Dotted metric path (`quality.total_bends`,
-    /// `nets.clk.nodes_expanded`, `phase.route.wall_ns`, …).
-    pub metric: String,
-    /// The baseline value.
-    pub baseline: Json,
-    /// The current value.
-    pub current: Json,
-    /// Verdict for this metric.
-    pub severity: DiffSeverity,
-    /// Human-readable explanation.
-    pub note: String,
+json_record! {
+    /// One differing metric between baseline and current.
+    #[derive(Debug, Clone)]
+    pub struct DiffEntry {
+        /// Dotted metric path (`quality.total_bends`,
+        /// `nets.clk.nodes_expanded`, `phase.route.wall_ns`, …).
+        pub metric: String,
+        /// Verdict for this metric.
+        pub severity: DiffSeverity,
+        /// The baseline value.
+        pub baseline: Json,
+        /// The current value.
+        pub current: Json,
+        /// Human-readable explanation.
+        pub note: String,
+    }
 }
 
 /// The result of diffing two reports: every differing metric,
@@ -119,22 +112,7 @@ impl ReportDiff {
     pub fn to_json(&self) -> Json {
         Json::obj()
             .with("regression", self.is_regression())
-            .with(
-                "entries",
-                Json::Arr(
-                    self.entries
-                        .iter()
-                        .map(|e| {
-                            Json::obj()
-                                .with("metric", e.metric.as_str())
-                                .with("severity", e.severity.as_str())
-                                .with("baseline", e.baseline.clone())
-                                .with("current", e.current.clone())
-                                .with("note", e.note.as_str())
-                        })
-                        .collect(),
-                ),
-            )
+            .with("entries", self.entries.to_json())
     }
 
     /// A short human-readable summary, one line per entry.

@@ -12,126 +12,106 @@
 //! compared byte-for-byte once [`BatchManifest::normalized`] has
 //! stripped the wall-clock quantities.
 
-use crate::json::Json;
+use crate::json::{expect_schema_version, json_enum, json_record, Json};
 use crate::report::RunReport;
 
 /// Version of the manifest shape. Bump when members are renamed,
 /// removed, or change meaning.
 pub const BATCH_SCHEMA_VERSION: u32 = 1;
 
-/// Terminal status of one batch job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum JobStatus {
-    /// Pipeline ran clean on some attempt.
-    Ok,
-    /// Pipeline finished but needed fallbacks (salvage, doctor
-    /// repairs, emit retries, …).
-    Degraded,
-    /// Permanent failure (parse/IO error, or cancelled mid-flight
-    /// during drain) — retrying would not help.
-    Failed,
-    /// Circuit breaker: the input failed every retry with transient
-    /// symptoms (panic, injected fault, budget exhaustion) and was
-    /// quarantined so it cannot starve the rest of the batch.
-    Quarantined,
-    /// Never started: the job was still queued when the batch drained.
-    Skipped,
-}
-
-impl JobStatus {
-    /// The status as its manifest string.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            JobStatus::Ok => "ok",
-            JobStatus::Degraded => "degraded",
-            JobStatus::Failed => "failed",
-            JobStatus::Quarantined => "quarantined",
-            JobStatus::Skipped => "skipped",
-        }
-    }
-
-    /// Parses a manifest status string.
-    pub fn parse(s: &str) -> Option<JobStatus> {
-        match s {
-            "ok" => Some(JobStatus::Ok),
-            "degraded" => Some(JobStatus::Degraded),
-            "failed" => Some(JobStatus::Failed),
-            "quarantined" => Some(JobStatus::Quarantined),
-            "skipped" => Some(JobStatus::Skipped),
-            _ => None,
-        }
+json_enum! {
+    /// Terminal status of one batch job.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum JobStatus("job status") {
+        /// Pipeline ran clean on some attempt.
+        Ok = "ok",
+        /// Pipeline finished but needed fallbacks (salvage, doctor
+        /// repairs, emit retries, …).
+        Degraded = "degraded",
+        /// Permanent failure (parse/IO error, or cancelled mid-flight
+        /// during drain) — retrying would not help.
+        Failed = "failed",
+        /// Circuit breaker: the input failed every retry with transient
+        /// symptoms (panic, injected fault, budget exhaustion) and was
+        /// quarantined so it cannot starve the rest of the batch.
+        Quarantined = "quarantined",
+        /// Never started: the job was still queued when the batch drained.
+        Skipped = "skipped",
     }
 }
 
-/// Why the circuit breaker quarantined a job: which symptom burned
-/// the final attempt, and how many attempts it took to trip. Present
-/// exactly on [`JobStatus::Quarantined`] records, so batch and serve
-/// consumers can report breaker decisions without re-deriving them
-/// from free-text errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuarantineReport {
-    /// Attempts burned before the breaker tripped.
-    pub after_attempts: u32,
-    /// The transient symptom of the final attempt (panic message,
-    /// injected fault, budget exhaustion, …).
-    pub symptom: String,
-}
+json_record! {
+    /// Why the circuit breaker quarantined a job: which symptom burned
+    /// the final attempt, and how many attempts it took to trip. Present
+    /// exactly on [`JobStatus::Quarantined`] records, so batch and serve
+    /// consumers can report breaker decisions without re-deriving them
+    /// from free-text errors.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct QuarantineReport {
+        /// Attempts burned before the breaker tripped.
+        pub after_attempts: u32,
+        /// The transient symptom of the final attempt (panic message,
+        /// injected fault, budget exhaustion, …).
+        pub symptom: String,
+    }
 
-/// One input's journey through the batch engine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobRecord {
-    /// The job's input path (the manifest's ordering key).
-    pub input: String,
-    /// Terminal status.
-    pub status: JobStatus,
-    /// Pipeline attempts made (0 for skipped jobs).
-    pub attempts: u32,
-    /// Wall-clock nanoseconds across all attempts (zeroed by
-    /// [`BatchManifest::normalized`]).
-    pub duration_ns: u64,
-    /// Degradations recorded by the final attempt's run report.
-    pub degradations: usize,
-    /// The last failure message, for failed/quarantined jobs.
-    pub error: Option<String>,
-    /// The breaker's decision context, for quarantined jobs.
-    pub quarantine: Option<QuarantineReport>,
-    /// The final attempt's run report, when the pipeline produced one.
-    pub report: Option<RunReport>,
-}
+    /// One input's journey through the batch engine.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct JobRecord {
+        /// The job's input path (the manifest's ordering key).
+        pub input: String,
+        /// Terminal status.
+        pub status: JobStatus,
+        /// Pipeline attempts made (0 for skipped jobs).
+        pub attempts: u32,
+        /// Wall-clock nanoseconds across all attempts (zeroed by
+        /// [`BatchManifest::normalized`]).
+        pub duration_ns: u64,
+        /// Degradations recorded by the final attempt's run report.
+        pub degradations: usize,
+        /// The last failure message, for failed/quarantined jobs.
+        pub error: Option<String>,
+        /// The breaker's decision context, for quarantined jobs.
+        pub quarantine: Option<QuarantineReport>,
+        /// The final attempt's run report, when the pipeline produced one.
+        pub report: Option<RunReport>,
+    }
 
-/// Aggregate counts over a manifest's jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchSummary {
-    /// Jobs per terminal status.
-    pub ok: usize,
-    /// See [`JobStatus::Degraded`].
-    pub degraded: usize,
-    /// See [`JobStatus::Failed`].
-    pub failed: usize,
-    /// See [`JobStatus::Quarantined`].
-    pub quarantined: usize,
-    /// See [`JobStatus::Skipped`].
-    pub skipped: usize,
-    /// Pipeline attempts across all jobs (retries included).
-    pub total_attempts: u32,
-    /// Batch wall-clock nanoseconds (zeroed by
-    /// [`BatchManifest::normalized`]).
-    pub duration_ns: u64,
-}
+    /// Aggregate counts over a manifest's jobs.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct BatchSummary {
+        /// Jobs per terminal status.
+        pub ok: usize,
+        /// See [`JobStatus::Degraded`].
+        pub degraded: usize,
+        /// See [`JobStatus::Failed`].
+        pub failed: usize,
+        /// See [`JobStatus::Quarantined`].
+        pub quarantined: usize,
+        /// See [`JobStatus::Skipped`].
+        pub skipped: usize,
+        /// Pipeline attempts across all jobs (retries included).
+        pub total_attempts: u32,
+        /// Batch wall-clock nanoseconds (zeroed by
+        /// [`BatchManifest::normalized`]).
+        pub duration_ns: u64,
+    }
 
-/// Everything one batch run reports, in a stable JSON shape.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct BatchManifest {
-    /// Which tool produced the manifest (`netart batch`).
-    pub tool: String,
-    /// Worker threads the batch ran with.
-    pub jobs_in_flight: u32,
-    /// Whether the batch drained early on a signal.
-    pub drained: bool,
-    /// One record per input, sorted by input path.
-    pub jobs: Vec<JobRecord>,
-    /// Aggregate counts.
-    pub summary: BatchSummary,
+    document
+    /// Everything one batch run reports, in a stable JSON shape.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct BatchManifest {
+        /// Which tool produced the manifest (`netart batch`).
+        pub tool: String,
+        /// Worker threads the batch ran with.
+        pub jobs_in_flight: u32,
+        /// Whether the batch drained early on a signal.
+        pub drained: bool,
+        /// One record per input, sorted by input path.
+        pub jobs: Vec<JobRecord>,
+        /// Aggregate counts.
+        pub summary: BatchSummary,
+    }
 }
 
 impl BatchManifest {
@@ -176,44 +156,9 @@ impl BatchManifest {
 
     /// The manifest as a JSON tree.
     pub fn to_json(&self) -> Json {
-        let jobs = Json::Arr(
-            self.jobs
-                .iter()
-                .map(|j| {
-                    Json::obj()
-                        .with("input", j.input.as_str())
-                        .with("status", j.status.as_str())
-                        .with("attempts", j.attempts)
-                        .with("duration_ns", j.duration_ns)
-                        .with("degradations", j.degradations)
-                        .with("error", j.error.as_deref().map(Json::from))
-                        .with(
-                            "quarantine",
-                            j.quarantine.as_ref().map(|q| {
-                                Json::obj()
-                                    .with("after_attempts", q.after_attempts)
-                                    .with("symptom", q.symptom.as_str())
-                            }),
-                        )
-                        .with("report", j.report.as_ref().map(RunReport::to_json))
-                })
-                .collect(),
-        );
-        let summary = Json::obj()
-            .with("ok", self.summary.ok)
-            .with("degraded", self.summary.degraded)
-            .with("failed", self.summary.failed)
-            .with("quarantined", self.summary.quarantined)
-            .with("skipped", self.summary.skipped)
-            .with("total_attempts", self.summary.total_attempts)
-            .with("duration_ns", self.summary.duration_ns);
-        Json::obj()
-            .with("schema_version", BATCH_SCHEMA_VERSION)
-            .with("tool", self.tool.as_str())
-            .with("jobs_in_flight", self.jobs_in_flight)
-            .with("drained", self.drained)
-            .with("jobs", jobs)
-            .with("summary", summary)
+        let mut json = Json::obj().with("schema_version", BATCH_SCHEMA_VERSION);
+        self.write_members(&mut json);
+        json
     }
 
     /// The pretty-printed JSON document (what `netart batch
@@ -224,64 +169,15 @@ impl BatchManifest {
 
     /// Reads a manifest back from its [`BatchManifest::to_json`]
     /// shape, with the same error discipline as
-    /// [`RunReport::from_json`].
+    /// [`RunReport::from_json`]. The summary counts are recomputed
+    /// from the jobs; only its duration is taken from the document.
     pub fn from_json(json: &Json) -> Result<BatchManifest, String> {
-        if json.as_obj().is_none() {
-            return Err("manifest is not a JSON object".to_owned());
-        }
-        crate::json::expect_schema_version(json, BATCH_SCHEMA_VERSION, BATCH_SCHEMA_VERSION)?;
-        let mut jobs = Vec::new();
-        if let Some(arr) = json.get("jobs").and_then(Json::as_arr) {
-            for j in arr {
-                let status_str = j.get("status").and_then(Json::as_str).unwrap_or_default();
-                let status = JobStatus::parse(status_str)
-                    .ok_or_else(|| format!("unknown job status {status_str:?}"))?;
-                let report = match j.get("report") {
-                    Some(Json::Null) | None => None,
-                    Some(r) => Some(RunReport::from_json(r)?),
-                };
-                jobs.push(JobRecord {
-                    input: j
-                        .get("input")
-                        .and_then(Json::as_str)
-                        .unwrap_or_default()
-                        .to_owned(),
-                    status,
-                    attempts: j.get("attempts").and_then(Json::as_u64).unwrap_or(0) as u32,
-                    duration_ns: j.get("duration_ns").and_then(Json::as_u64).unwrap_or(0),
-                    degradations: j.get("degradations").and_then(Json::as_u64).unwrap_or(0)
-                        as usize,
-                    error: j.get("error").and_then(Json::as_str).map(str::to_owned),
-                    quarantine: j.get("quarantine").and_then(|q| {
-                        q.as_obj()?;
-                        Some(QuarantineReport {
-                            after_attempts: q
-                                .get("after_attempts")
-                                .and_then(Json::as_u64)
-                                .unwrap_or(0) as u32,
-                            symptom: q
-                                .get("symptom")
-                                .and_then(Json::as_str)
-                                .unwrap_or_default()
-                                .to_owned(),
-                        })
-                    }),
-                    report,
-                });
-            }
-        }
-        let mut manifest = BatchManifest::new(
-            json.get("tool").and_then(Json::as_str).unwrap_or_default(),
-            json.get("jobs_in_flight").and_then(Json::as_u64).unwrap_or(0) as u32,
-            json.get("drained").and_then(Json::as_bool).unwrap_or(false),
-            jobs,
-        );
-        // Keep the on-disk summary durations (recomputation only
-        // covers counts).
-        if let Some(summary) = json.get("summary") {
-            manifest.summary.duration_ns =
-                summary.get("duration_ns").and_then(Json::as_u64).unwrap_or(0);
-        }
+        json.as_obj().ok_or("manifest is not a JSON object")?;
+        expect_schema_version(json, BATCH_SCHEMA_VERSION, BATCH_SCHEMA_VERSION)?;
+        let read = Self::read_members(json)?;
+        let mut manifest =
+            BatchManifest::new(&read.tool, read.jobs_in_flight, read.drained, read.jobs);
+        manifest.summary.duration_ns = read.summary.duration_ns;
         Ok(manifest)
     }
 

@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use tracing::{Event, Level, SpanRecord, Subscriber};
 
-use crate::json::{expect_schema_version, Json};
+use crate::json::{expect_schema_version, json_record, Json, JsonField};
 use crate::subscribe::fields_json;
 
 /// Version of the blackbox dump shape. Bump when members are renamed,
@@ -34,66 +34,60 @@ pub const BLACKBOX_SCHEMA_VERSION: u32 = 1;
 /// How many recent degradation notes a dump carries.
 const DEGRADATION_RING: usize = 16;
 
-/// One record in the flight ring: a span close or an event, with
-/// enough context to reconstruct a timeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightRecord {
-    /// Monotonic sequence number since the recorder was built; gaps
-    /// never occur, so `seq` of the first retained record tells how
-    /// many older records the ring has forgotten.
-    pub seq: u64,
-    /// Microseconds since the recorder was constructed.
-    pub ts_us: f64,
-    /// Ordinal of the recording thread.
-    pub tid: u64,
-    /// The record's level.
-    pub level: Level,
-    /// `span` for a span close, `event` for an event.
-    pub kind: &'static str,
-    /// Span name or event message.
-    pub name: String,
-    /// Span wall time (span closes only).
-    pub elapsed_ns: Option<u64>,
-    /// Structured fields, as a JSON object.
-    pub fields: Json,
+json_record! {
+    /// One record in the flight ring: a span close or an event, with
+    /// enough context to reconstruct a timeline.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FlightRecord {
+        /// Monotonic sequence number since the recorder was built; gaps
+        /// never occur, so `seq` of the first retained record tells how
+        /// many older records the ring has forgotten.
+        pub seq: u64,
+        /// Microseconds since the recorder was constructed.
+        pub ts_us: f64,
+        /// Ordinal of the recording thread.
+        pub tid: u64,
+        /// The record's level.
+        pub level: Level,
+        /// `span` for a span close, `event` for an event.
+        pub kind: &'static str,
+        /// Span name or event message.
+        pub name: String,
+        /// Span wall time (span closes only).
+        pub elapsed_ns: Option<u64>,
+        /// Structured fields, as a JSON object.
+        pub fields: Json,
+    }
 }
 
-impl FlightRecord {
+/// A record's `level`; an unknown level string reads as `INFO`.
+impl JsonField for Level {
     fn to_json(&self) -> Json {
-        Json::obj()
-            .with("seq", self.seq)
-            .with("ts_us", self.ts_us)
-            .with("tid", self.tid)
-            .with("level", self.level.as_str())
-            .with("kind", self.kind)
-            .with("name", self.name.as_str())
-            .with("elapsed_ns", self.elapsed_ns.map(Json::from))
-            .with("fields", self.fields.clone())
+        Json::from(self.as_str())
     }
 
-    fn from_json(json: &Json) -> FlightRecord {
-        let kind = match json.get("kind").and_then(Json::as_str) {
-            Some("span") => "span",
-            _ => "event",
-        };
-        FlightRecord {
-            seq: json.get("seq").and_then(Json::as_u64).unwrap_or(0),
-            ts_us: json.get("ts_us").and_then(Json::as_f64).unwrap_or(0.0),
-            tid: json.get("tid").and_then(Json::as_u64).unwrap_or(0),
-            level: json
-                .get("level")
-                .and_then(Json::as_str)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(Level::INFO),
-            kind,
-            name: json
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_owned(),
-            elapsed_ns: json.get("elapsed_ns").and_then(Json::as_u64),
-            fields: json.get("fields").cloned().unwrap_or_else(Json::obj),
-        }
+    fn read(json: &Json) -> Result<Option<Self>, String> {
+        Ok(json.as_str().and_then(|s| s.parse().ok()))
+    }
+
+    fn absent() -> Result<Self, String> {
+        Ok(Level::INFO)
+    }
+}
+
+/// A record's `kind`: `span`, and `event` for anything else.
+impl JsonField for &'static str {
+    fn to_json(&self) -> Json {
+        Json::from(*self)
+    }
+
+    fn read(json: &Json) -> Result<Option<Self>, String> {
+        let span = json.as_str() == Some("span");
+        Ok(Some(if span { "span" } else { "event" }))
+    }
+
+    fn absent() -> Result<Self, String> {
+        Ok("event")
     }
 }
 
@@ -248,47 +242,35 @@ impl Subscriber for FlightRecorder {
     }
 }
 
-/// A frozen flight ring: what `blackbox.json` holds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlackboxDump {
-    /// What triggered the dump: `panic`, `deadline`, `fault`,
-    /// `signal`, `quarantine`, or `debug`.
-    pub reason: String,
-    /// The request being dumped about, when there is one.
-    pub rid: Option<String>,
-    /// Microseconds the recorder had been alive at dump time.
-    pub uptime_us: f64,
-    /// Records the ring had already forgotten.
-    pub dropped: u64,
-    /// Span stack of the dumping thread, outermost first.
-    pub active_spans: Vec<String>,
-    /// The most recent degradation notes, oldest first.
-    pub degradations: Vec<String>,
-    /// Retained records, oldest first.
-    pub records: Vec<FlightRecord>,
+json_record! {
+    document
+    /// A frozen flight ring: what `blackbox.json` holds.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BlackboxDump {
+        /// What triggered the dump: `panic`, `deadline`, `fault`,
+        /// `signal`, `quarantine`, or `debug`.
+        pub reason: String,
+        /// The request being dumped about, when there is one.
+        pub rid: Option<String>,
+        /// Microseconds the recorder had been alive at dump time.
+        pub uptime_us: f64,
+        /// Records the ring had already forgotten.
+        pub dropped: u64,
+        /// Span stack of the dumping thread, outermost first.
+        pub active_spans: Vec<String>,
+        /// The most recent degradation notes, oldest first.
+        pub degradations: Vec<String>,
+        /// Retained records, oldest first.
+        pub records: Vec<FlightRecord>,
+    }
 }
 
 impl BlackboxDump {
     /// The dump as a JSON tree.
     pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("schema_version", BLACKBOX_SCHEMA_VERSION)
-            .with("reason", self.reason.as_str())
-            .with("rid", self.rid.as_deref().map(Json::from))
-            .with("uptime_us", self.uptime_us)
-            .with("dropped", self.dropped)
-            .with(
-                "active_spans",
-                Json::Arr(self.active_spans.iter().map(|s| Json::from(s.as_str())).collect()),
-            )
-            .with(
-                "degradations",
-                Json::Arr(self.degradations.iter().map(|s| Json::from(s.as_str())).collect()),
-            )
-            .with(
-                "records",
-                Json::Arr(self.records.iter().map(FlightRecord::to_json).collect()),
-            )
+        let mut json = Json::obj().with("schema_version", BLACKBOX_SCHEMA_VERSION);
+        self.write_members(&mut json);
+        json
     }
 
     /// The pretty-printed dump document (what `blackbox.json` holds).
@@ -303,38 +285,9 @@ impl BlackboxDump {
     /// A message naming the problem when the document is not an
     /// object or carries an unsupported `schema_version`.
     pub fn from_json(json: &Json) -> Result<BlackboxDump, String> {
-        if json.as_obj().is_none() {
-            return Err("blackbox dump is not a JSON object".to_owned());
-        }
+        json.as_obj().ok_or("blackbox dump is not a JSON object")?;
         expect_schema_version(json, BLACKBOX_SCHEMA_VERSION, BLACKBOX_SCHEMA_VERSION)?;
-        let strings = |name: &str| -> Vec<String> {
-            json.get(name)
-                .and_then(Json::as_arr)
-                .map(|a| {
-                    a.iter()
-                        .filter_map(Json::as_str)
-                        .map(str::to_owned)
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        Ok(BlackboxDump {
-            reason: json
-                .get("reason")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_owned(),
-            rid: json.get("rid").and_then(Json::as_str).map(str::to_owned),
-            uptime_us: json.get("uptime_us").and_then(Json::as_f64).unwrap_or(0.0),
-            dropped: json.get("dropped").and_then(Json::as_u64).unwrap_or(0),
-            active_spans: strings("active_spans"),
-            degradations: strings("degradations"),
-            records: json
-                .get("records")
-                .and_then(Json::as_arr)
-                .map(|a| a.iter().map(FlightRecord::from_json).collect())
-                .unwrap_or_default(),
-        })
+        Self::read_members(json)
     }
 
     /// Renders the dump as a human-readable timeline (what `netart

@@ -6,7 +6,13 @@
 //! stable across runs and platforms. [`Json::parse`] reads documents
 //! back — the baseline differ and the trace-file tests consume the
 //! same files the writers produce.
+//!
+//! The schemas themselves are declared once with `json_record!`: a
+//! struct definition whose field list drives both the writer and the
+//! reader through [`JsonField`], so a member's name is written exactly
+//! once, in the struct.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -584,6 +590,229 @@ pub fn expect_schema_version(json: &Json, min: u32, max: u32) -> Result<u64, Str
     }
     Ok(version)
 }
+
+/// A value that is one member of a `json_record!` schema. A member
+/// that is absent, or present with the wrong kind, reads as
+/// [`JsonField::absent`], so documents from older writers still load.
+pub trait JsonField: Sized {
+    /// The value as JSON.
+    fn to_json(&self) -> Json;
+
+    /// Reads a present member: `Ok(None)` when it has the wrong kind,
+    /// an error naming the value when it cannot be read at all (an
+    /// enum string outside the enum).
+    fn read(json: &Json) -> Result<Option<Self>, String>;
+
+    /// The value of an absent member (an error for the enums).
+    fn absent() -> Result<Self, String>;
+}
+
+/// Reads member `key` of `json`, falling back to [`JsonField::absent`].
+pub(crate) fn read_member<T: JsonField>(json: &Json, key: &str) -> Result<T, String> {
+    match json.get(key).map(T::read).transpose()?.flatten() {
+        Some(value) => Ok(value),
+        None => T::absent(),
+    }
+}
+
+macro_rules! leaf {
+    ($($ty:ty => $read:expr, $absent:expr;)*) => {$(
+        impl JsonField for $ty {
+            fn to_json(&self) -> Json {
+                Json::from(self.clone())
+            }
+
+            fn read(json: &Json) -> Result<Option<Self>, String> {
+                Ok($read(json))
+            }
+
+            fn absent() -> Result<Self, String> {
+                Ok($absent)
+            }
+        }
+    )*};
+}
+
+leaf! {
+    u32 => |j: &Json| j.as_u64().map(|n| n as u32), 0;
+    u64 => Json::as_u64, 0;
+    usize => |j: &Json| j.as_u64().map(|n| n as usize), 0;
+    i64 => Json::as_i64, 0;
+    f64 => Json::as_f64, 0.0;
+    bool => Json::as_bool, false;
+    String => |j: &Json| j.as_str().map(str::to_owned), String::new();
+    // A free-form member: any value is kept; absent reads as `{}`.
+    Json => |j: &Json| Some(j.clone()), Json::obj();
+}
+
+/// `null` and absent both read as `None`.
+impl<T: JsonField> JsonField for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+
+    fn read(json: &Json) -> Result<Option<Self>, String> {
+        match json {
+            Json::Null => Ok(Some(None)),
+            _ => T::read(json).map(Some),
+        }
+    }
+
+    fn absent() -> Result<Self, String> {
+        Ok(None)
+    }
+}
+
+/// Items of the wrong kind are skipped.
+impl<T: JsonField> JsonField for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+
+    fn read(json: &Json) -> Result<Option<Self>, String> {
+        let item = |item| T::read(item).transpose();
+        json.as_arr()
+            .map(|items| items.iter().filter_map(item).collect())
+            .transpose()
+    }
+
+    fn absent() -> Result<Self, String> {
+        Ok(Vec::new())
+    }
+}
+
+/// An object keyed by name; entries of the wrong kind are skipped.
+impl<T: JsonField> JsonField for BTreeMap<String, T> {
+    fn to_json(&self) -> Json {
+        Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+    }
+
+    fn read(json: &Json) -> Result<Option<Self>, String> {
+        let entry = |(key, value): &(String, Json)| {
+            Some(T::read(value).transpose()?.map(|v| (key.clone(), v)))
+        };
+        json.as_obj()
+            .map(|members| members.iter().filter_map(entry).collect())
+            .transpose()
+    }
+
+    fn absent() -> Result<Self, String> {
+        Ok(BTreeMap::new())
+    }
+}
+
+/// Declares schema records: each struct exactly as written (doc
+/// comments, derives, fields), plus a private writer and reader,
+/// `write_members` and `read_members`, keyed by each field's name in
+/// declaration order.
+///
+/// A plain record also implements [`JsonField`] as an object: anything
+/// else reads as absent, and an absent record reads with every member
+/// absent. A struct prefixed with `document` is a top-level schema; its
+/// own public `to_json`/`from_json` add and check `schema_version`.
+macro_rules! json_record {
+    () => {};
+    (@struct $(#[$meta:meta])* $vis:vis struct $name:ident {
+        $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty),* $(,)?
+    }) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty,)*
+        }
+
+        impl $name {
+            fn write_members(&self, out: &mut $crate::json::Json) {
+                $(out.set(stringify!($field), $crate::json::JsonField::to_json(&self.$field));)*
+            }
+
+            fn read_members(json: &$crate::json::Json) -> Result<Self, String> {
+                Ok($name {
+                    $($field: $crate::json::read_member(json, stringify!($field))?,)*
+                })
+            }
+        }
+    };
+    (document $(#[$meta:meta])* $vis:vis struct $name:ident $body:tt $($rest:tt)*) => {
+        $crate::json::json_record!(@struct $(#[$meta])* $vis struct $name $body);
+        $crate::json::json_record!($($rest)*);
+    };
+    ($(#[$meta:meta])* $vis:vis struct $name:ident $body:tt $($rest:tt)*) => {
+        $crate::json::json_record!(@struct $(#[$meta])* $vis struct $name $body);
+
+        impl $crate::json::JsonField for $name {
+            fn to_json(&self) -> $crate::json::Json {
+                let mut out = $crate::json::Json::obj();
+                self.write_members(&mut out);
+                out
+            }
+
+            fn read(json: &$crate::json::Json) -> Result<Option<Self>, String> {
+                match json.as_obj() {
+                    Some(_) => Self::read_members(json).map(Some),
+                    None => Ok(None),
+                }
+            }
+
+            fn absent() -> Result<Self, String> {
+                Self::read_members(&$crate::json::Json::obj())
+            }
+        }
+
+        $crate::json::json_record!($($rest)*);
+    };
+}
+pub(crate) use json_record;
+
+/// Declares a string enum: the enum as written, each variant followed
+/// by `= "its JSON string"`, plus `as_str`, `parse` and a [`JsonField`]
+/// impl. An unknown or absent string is an error naming the string
+/// and the enum, as `$what`.
+macro_rules! json_enum {
+    ($(#[$meta:meta])* $vis:vis enum $name:ident($what:literal) {
+        $($(#[$vmeta:meta])* $variant:ident = $text:literal),* $(,)?
+    }) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $variant,)*
+        }
+
+        impl $name {
+            /// The value as its JSON string.
+            pub fn as_str(&self) -> &'static str {
+                match self {
+                    $($name::$variant => $text,)*
+                }
+            }
+
+            /// Parses a JSON string; `None` for strings outside the enum.
+            pub fn parse(s: &str) -> Option<$name> {
+                match s {
+                    $($text => Some($name::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+
+        impl $crate::json::JsonField for $name {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::from(self.as_str())
+            }
+
+            fn read(json: &$crate::json::Json) -> Result<Option<Self>, String> {
+                let s = json.as_str().unwrap_or_default();
+                match $name::parse(s) {
+                    Some(value) => Ok(Some(value)),
+                    None => Err(format!(concat!("unknown ", $what, " {:?}"), s)),
+                }
+            }
+
+            fn absent() -> Result<Self, String> {
+                Err(concat!("unknown ", $what, " \"\"").to_owned())
+            }
+        }
+    };
+}
+pub(crate) use json_enum;
 
 #[cfg(test)]
 mod tests {

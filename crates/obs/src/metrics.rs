@@ -12,7 +12,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
+use crate::json::json_record;
+#[cfg(test)]
+use crate::json::{Json, JsonField};
 
 /// Log-2 bucketed histogram of `u64` observations (nanoseconds, node
 /// counts). Fixed buckets keep recording allocation-free and the
@@ -136,24 +138,26 @@ impl Histogram {
     }
 }
 
-/// The exported shape of one histogram: totals plus coarse quantile
-/// bounds (bucket upper limits, clamped to the observed maximum).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HistogramSummary {
-    /// Observations recorded.
-    pub count: u64,
-    /// Sum of all observations.
-    pub sum: u64,
-    /// Smallest observation (0 when empty).
-    pub min: u64,
-    /// Largest observation.
-    pub max: u64,
-    /// Upper bound on the median observation.
-    pub p50: u64,
-    /// Upper bound on the 90th-percentile observation.
-    pub p90: u64,
-    /// Upper bound on the 95th-percentile observation.
-    pub p95: u64,
+json_record! {
+    /// The exported shape of one histogram: totals plus coarse quantile
+    /// bounds (bucket upper limits, clamped to the observed maximum).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct HistogramSummary {
+        /// Observations recorded.
+        pub count: u64,
+        /// Sum of all observations.
+        pub sum: u64,
+        /// Smallest observation (0 when empty).
+        pub min: u64,
+        /// Largest observation.
+        pub max: u64,
+        /// Upper bound on the median observation.
+        pub p50: u64,
+        /// Upper bound on the 90th-percentile observation.
+        pub p90: u64,
+        /// Upper bound on the 95th-percentile observation.
+        pub p95: u64,
+    }
 }
 
 impl HistogramSummary {
@@ -163,34 +167,6 @@ impl HistogramSummary {
             0.0
         } else {
             self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The JSON shape used inside snapshots and reports.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("count", self.count)
-            .with("sum", self.sum)
-            .with("min", self.min)
-            .with("max", self.max)
-            .with("p50", self.p50)
-            .with("p90", self.p90)
-            .with("p95", self.p95)
-    }
-
-    /// Reads a summary back from its [`HistogramSummary::to_json`]
-    /// shape. Missing members default to zero (older schema versions
-    /// lacked `p90`).
-    pub fn from_json(json: &Json) -> HistogramSummary {
-        let field = |name: &str| json.get(name).and_then(Json::as_u64).unwrap_or(0);
-        HistogramSummary {
-            count: field("count"),
-            sum: field("sum"),
-            min: field("min"),
-            max: field("max"),
-            p50: field("p50"),
-            p90: field("p90"),
-            p95: field("p95"),
         }
     }
 }
@@ -248,53 +224,16 @@ impl Metrics {
     }
 }
 
-/// A frozen [`Metrics`]: plain maps, ready for comparison or export.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MetricsSnapshot {
-    /// Counter values by name. Deterministic for a given input.
-    pub counters: BTreeMap<String, u64>,
-    /// Histogram summaries by name. Timing histograms vary run to run.
-    pub histograms: BTreeMap<String, HistogramSummary>,
-}
-
-impl MetricsSnapshot {
-    /// The JSON shape used inside a `RunReport`.
-    pub fn to_json(&self) -> Json {
-        let mut counters = Json::obj();
-        for (k, v) in &self.counters {
-            counters.set(k, *v);
-        }
-        let mut histograms = Json::obj();
-        for (k, v) in &self.histograms {
-            histograms.set(k, v.to_json());
-        }
-        Json::obj()
-            .with("counters", counters)
-            .with("histograms", histograms)
-    }
-
-    /// Reads a snapshot back from its [`MetricsSnapshot::to_json`]
-    /// shape; non-numeric counters and malformed histograms are
-    /// skipped rather than rejected.
-    pub fn from_json(json: &Json) -> MetricsSnapshot {
-        let mut snapshot = MetricsSnapshot::default();
-        if let Some(members) = json.get("counters").and_then(Json::as_obj) {
-            for (name, value) in members {
-                if let Some(v) = value.as_u64() {
-                    snapshot.counters.insert(name.clone(), v);
-                }
-            }
-        }
-        if let Some(members) = json.get("histograms").and_then(Json::as_obj) {
-            for (name, value) in members {
-                if value.as_obj().is_some() {
-                    snapshot
-                        .histograms
-                        .insert(name.clone(), HistogramSummary::from_json(value));
-                }
-            }
-        }
-        snapshot
+json_record! {
+    /// A frozen [`Metrics`]: plain maps, ready for comparison or export.
+    /// Reading one back skips non-numeric counters and malformed
+    /// histograms rather than rejecting them.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct MetricsSnapshot {
+        /// Counter values by name. Deterministic for a given input.
+        pub counters: BTreeMap<String, u64>,
+        /// Histogram summaries by name. Timing histograms vary run to run.
+        pub histograms: BTreeMap<String, HistogramSummary>,
     }
 }
 

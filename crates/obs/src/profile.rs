@@ -14,7 +14,7 @@
 //! semantics of [`ReportDiff`](crate::ReportDiff), and a self-diff is
 //! empty.
 
-use crate::json::Json;
+use crate::json::{expect_schema_version, json_record, read_member, Json, JsonField};
 use crate::report::{NetworkReport, RunReport};
 
 /// Version of the profile shape. Bump when members are renamed,
@@ -25,95 +25,68 @@ pub const PROFILE_SCHEMA_VERSION: u32 = 1;
 /// from run reports in `report diff` inputs.
 pub const PROFILE_KIND: &str = "profile";
 
-/// One non-empty grid cell of the heat map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProfileCell {
-    /// Column index, 0-based from the left edge of the bounds.
-    pub col: u32,
-    /// Row index, 0-based from the top edge of the bounds.
-    pub row: u32,
-    /// Search nodes expanded attributed to this cell.
-    pub expansions: u64,
-    /// Rip-up victims attributed to this cell.
-    pub ripup_victims: u64,
-    /// Nets whose salvage cascade settled in this cell.
-    pub salvaged: u64,
-    /// Nets touching this cell.
-    pub nets: u64,
-}
+json_record! {
+    /// One non-empty grid cell of the heat map.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct ProfileCell {
+        /// Column index, 0-based from the left edge of the bounds.
+        pub col: u32,
+        /// Row index, 0-based from the top edge of the bounds.
+        pub row: u32,
+        /// Search nodes expanded attributed to this cell.
+        pub expansions: u64,
+        /// Rip-up victims attributed to this cell.
+        pub ripup_victims: u64,
+        /// Nets whose salvage cascade settled in this cell.
+        pub salvaged: u64,
+        /// Nets touching this cell.
+        pub nets: u64,
+    }
 
-/// Whole-diagram totals (the sums of the per-net counters, before any
-/// grid attribution — cell counts sum back to these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProfileTotals {
-    /// Nets profiled.
-    pub nets: u64,
-    /// Nets that ended with a real route.
-    pub routed: u64,
-    /// Search nodes expanded across all nets and passes.
-    pub expansions: u64,
-    /// Routed victims ripped up while salvaging.
-    pub ripup_victims: u64,
-    /// Nets settled by the salvage cascade.
-    pub salvaged: u64,
-}
+    /// Whole-diagram totals (the sums of the per-net counters, before any
+    /// grid attribution — cell counts sum back to these).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct ProfileTotals {
+        /// Nets profiled.
+        pub nets: u64,
+        /// Nets that ended with a real route.
+        pub routed: u64,
+        /// Search nodes expanded across all nets and passes.
+        pub expansions: u64,
+        /// Routed victims ripped up while salvaging.
+        pub ripup_victims: u64,
+        /// Nets settled by the salvage cascade.
+        pub salvaged: u64,
+    }
 
-/// A spatial congestion profile of one routing run.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ProfileReport {
-    /// Which tool produced the profile (`netart profile`).
-    pub tool: String,
-    /// Grid columns.
-    pub cols: u32,
-    /// Grid rows.
-    pub rows: u32,
-    /// Diagram-coordinate bounds the grid covers: `(x0, y0, x1, y1)`,
-    /// inclusive of `x0`/`y0`, exclusive of `x1`/`y1`.
-    pub bounds: (i64, i64, i64, i64),
-    /// Whole-run totals.
-    pub totals: ProfileTotals,
-    /// Non-empty cells in row-major order.
-    pub cells: Vec<ProfileCell>,
+    document
+    /// A spatial congestion profile of one routing run.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct ProfileReport {
+        /// Which tool produced the profile (`netart profile`).
+        pub tool: String,
+        /// Grid columns.
+        pub cols: u32,
+        /// Grid rows.
+        pub rows: u32,
+        /// Diagram-coordinate bounds the grid covers: `(x0, y0, x1, y1)`,
+        /// inclusive of `x0`/`y0`, exclusive of `x1`/`y1`.
+        pub bounds: (i64, i64, i64, i64),
+        /// Whole-run totals.
+        pub totals: ProfileTotals,
+        /// Non-empty cells in row-major order.
+        pub cells: Vec<ProfileCell>,
+    }
 }
 
 impl ProfileReport {
     /// The profile as a JSON tree.
     pub fn to_json(&self) -> Json {
-        let cells = Json::Arr(
-            self.cells
-                .iter()
-                .map(|c| {
-                    Json::obj()
-                        .with("col", c.col)
-                        .with("row", c.row)
-                        .with("expansions", c.expansions)
-                        .with("ripup_victims", c.ripup_victims)
-                        .with("salvaged", c.salvaged)
-                        .with("nets", c.nets)
-                })
-                .collect(),
-        );
-        let (x0, y0, x1, y1) = self.bounds;
-        Json::obj()
+        let mut json = Json::obj()
             .with("schema_version", PROFILE_SCHEMA_VERSION)
-            .with("kind", PROFILE_KIND)
-            .with("tool", self.tool.as_str())
-            .with("cols", self.cols)
-            .with("rows", self.rows)
-            .with(
-                "bounds",
-                Json::obj().with("x0", x0).with("y0", y0).with("x1", x1).with("y1", y1),
-            )
-            .with(
-                "totals",
-                Json::obj()
-                    .with("nets", self.totals.nets)
-                    .with("routed", self.totals.routed)
-                    .with("expansions", self.totals.expansions)
-                    .with("ripup_victims", self.totals.ripup_victims)
-                    .with("salvaged", self.totals.salvaged),
-            )
-            .with("cells", cells)
+            .with("kind", PROFILE_KIND);
+        self.write_members(&mut json);
+        json
     }
 
     /// The pretty-printed JSON document (what `--heat-json` writes).
@@ -129,48 +102,12 @@ impl ProfileReport {
 
     /// Reads a profile back from its [`ProfileReport::to_json`] shape.
     pub fn from_json(json: &Json) -> Result<ProfileReport, String> {
-        if json.as_obj().is_none() {
-            return Err("profile is not a JSON object".to_owned());
-        }
-        crate::json::expect_schema_version(json, PROFILE_SCHEMA_VERSION, PROFILE_SCHEMA_VERSION)?;
+        json.as_obj().ok_or("profile is not a JSON object")?;
+        expect_schema_version(json, PROFILE_SCHEMA_VERSION, PROFILE_SCHEMA_VERSION)?;
         if !Self::is_profile_json(json) {
             return Err("document kind is not \"profile\"".to_owned());
         }
-        let u = |node: &Json, name: &str| node.get(name).and_then(Json::as_u64).unwrap_or(0);
-        let bounds = json.get("bounds").cloned().unwrap_or_else(Json::obj);
-        let i = |name: &str| bounds.get(name).and_then(Json::as_i64).unwrap_or(0);
-        let totals_json = json.get("totals").cloned().unwrap_or_else(Json::obj);
-        let mut report = ProfileReport {
-            tool: json
-                .get("tool")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_owned(),
-            cols: u(json, "cols") as u32,
-            rows: u(json, "rows") as u32,
-            bounds: (i("x0"), i("y0"), i("x1"), i("y1")),
-            totals: ProfileTotals {
-                nets: u(&totals_json, "nets"),
-                routed: u(&totals_json, "routed"),
-                expansions: u(&totals_json, "expansions"),
-                ripup_victims: u(&totals_json, "ripup_victims"),
-                salvaged: u(&totals_json, "salvaged"),
-            },
-            cells: Vec::new(),
-        };
-        if let Some(cells) = json.get("cells").and_then(Json::as_arr) {
-            for c in cells {
-                report.cells.push(ProfileCell {
-                    col: u(c, "col") as u32,
-                    row: u(c, "row") as u32,
-                    expansions: u(c, "expansions"),
-                    ripup_victims: u(c, "ripup_victims"),
-                    salvaged: u(c, "salvaged"),
-                    nets: u(c, "nets"),
-                });
-            }
-        }
-        Ok(report)
+        Self::read_members(json)
     }
 
     /// The heat map as ASCII art: one character per cell on an
@@ -253,6 +190,24 @@ impl ProfileReport {
             counters.insert(format!("{cell}.nets"), c.nets);
         }
         report
+    }
+}
+
+/// The `bounds` member: the `(x0, y0, x1, y1)` tuple renders as an
+/// object with one member per corner coordinate.
+impl JsonField for (i64, i64, i64, i64) {
+    fn to_json(&self) -> Json {
+        let (x0, y0, x1, y1) = *self;
+        Json::obj().with("x0", x0).with("y0", y0).with("x1", x1).with("y1", y1)
+    }
+
+    fn read(json: &Json) -> Result<Option<Self>, String> {
+        let corner = |key| read_member::<i64>(json, key);
+        Ok(Some((corner("x0")?, corner("y0")?, corner("x1")?, corner("y1")?)))
+    }
+
+    fn absent() -> Result<Self, String> {
+        Ok((0, 0, 0, 0))
     }
 }
 

@@ -7,7 +7,7 @@
 //! adding members is allowed within a version, renaming or removing
 //! them requires a bump.
 
-use crate::json::Json;
+use crate::json::{expect_schema_version, json_record, Json, JsonField};
 use crate::metrics::MetricsSnapshot;
 
 /// Version of the report shape. Bump when members are renamed,
@@ -20,127 +20,130 @@ use crate::metrics::MetricsSnapshot;
 /// unless the binary was built with the `alloc-profile` feature).
 pub const SCHEMA_VERSION: u32 = 3;
 
-/// Size of the input network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NetworkReport {
-    /// Module instances.
-    pub modules: usize,
-    /// Nets.
-    pub nets: usize,
-    /// System terminals.
-    pub system_terminals: usize,
-}
+json_record! {
+    /// Size of the input network.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct NetworkReport {
+        /// Module instances.
+        pub modules: usize,
+        /// Nets.
+        pub nets: usize,
+        /// System terminals.
+        pub system_terminals: usize,
+    }
 
-/// One pipeline phase and its wall time.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PhaseReport {
-    /// Phase name: `parse`, `place`, `route`, `emit`.
-    pub name: String,
-    /// Wall-clock nanoseconds spent in the phase.
-    pub wall_ns: u64,
-    /// Median of the phase's timing histogram (`phase.<name>_ns`),
-    /// when the run recorded one.
-    pub p50_ns: Option<u64>,
-    /// 90th percentile of the phase's timing histogram.
-    pub p90_ns: Option<u64>,
-    /// Largest observation in the phase's timing histogram.
-    pub max_ns: Option<u64>,
-    /// Heap allocations attributed to the phase (`alloc-profile`
-    /// builds only; `None` otherwise).
-    pub alloc_count: Option<u64>,
-    /// Bytes allocated while the phase was current.
-    pub alloc_bytes: Option<u64>,
-    /// Peak live heap bytes observed while the phase was current.
-    pub peak_bytes: Option<u64>,
-}
+    /// One pipeline phase and its wall time.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct PhaseReport {
+        /// Phase name: `parse`, `place`, `route`, `emit`.
+        pub name: String,
+        /// Wall-clock nanoseconds spent in the phase.
+        pub wall_ns: u64,
+        /// Median of the phase's timing histogram (`phase.<name>_ns`),
+        /// when the run recorded one.
+        pub p50_ns: Option<u64>,
+        /// 90th percentile of the phase's timing histogram.
+        pub p90_ns: Option<u64>,
+        /// Largest observation in the phase's timing histogram.
+        pub max_ns: Option<u64>,
+        /// Heap allocations attributed to the phase (`alloc-profile`
+        /// builds only; `None` otherwise).
+        pub alloc_count: Option<u64>,
+        /// Bytes allocated while the phase was current.
+        pub alloc_bytes: Option<u64>,
+        /// Peak live heap bytes observed while the phase was current.
+        pub peak_bytes: Option<u64>,
+    }
 
-/// Router effort and outcome for one net (the per-net span data,
-/// frozen).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetReport {
-    /// The net's name.
-    pub net: String,
-    /// Whether the net ended with a real route.
-    pub routed: bool,
-    /// Whether the route was taken verbatim from the input diagram.
-    pub prerouted: bool,
-    /// Search nodes expanded on this net across all passes.
-    pub nodes_expanded: u64,
-    /// Whether any pass breached the net's budget.
-    pub over_budget: bool,
-    /// Whether the claim-lifted retry pass ran for this net.
-    pub retried: bool,
-    /// Salvage-cascade stage that settled the net, if any:
-    /// `rip_up_retry`, `lee_fallback` or `ghost_wire`.
-    pub salvage: Option<String>,
-    /// Routed victims ripped up while salvaging this net.
-    pub ripup_victims: u32,
-}
+    /// Router effort and outcome for one net (the per-net span data,
+    /// frozen).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct NetReport {
+        /// The net's name.
+        pub net: String,
+        /// Whether the net ended with a real route.
+        pub routed: bool,
+        /// Whether the route was taken verbatim from the input diagram.
+        pub prerouted: bool,
+        /// Search nodes expanded on this net across all passes.
+        pub nodes_expanded: u64,
+        /// Whether any pass breached the net's budget.
+        pub over_budget: bool,
+        /// Whether the claim-lifted retry pass ran for this net.
+        pub retried: bool,
+        /// Salvage-cascade stage that settled the net, if any:
+        /// `rip_up_retry`, `lee_fallback` or `ghost_wire`.
+        pub salvage: Option<String>,
+        /// Routed victims ripped up while salvaging this net.
+        pub ripup_victims: u32,
+    }
 
-/// One degradation with its context — not just the variant, but which
-/// net, at which stage, and in what budget state it happened.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DegradationReport {
-    /// Kind: `placement_recovered`, `routing_aborted`, `net_salvaged`,
-    /// `net_unrouted`, `doctor_repair`, `parse_recovered`,
-    /// `emit_retried`.
-    pub kind: String,
-    /// The net involved, for per-net kinds.
-    pub net: Option<String>,
-    /// The salvage stage reached (`net_salvaged` only).
-    pub stage: Option<String>,
-    /// Whether a real route resulted (`net_salvaged` only).
-    pub routed: Option<bool>,
-    /// Whether the original failure was a budget breach.
-    pub over_budget: Option<bool>,
-    /// Search nodes spent on the net before it was given up on.
-    pub nodes_expanded: Option<u64>,
-    /// Free-form detail (panic message for phase-level kinds).
-    pub detail: Option<String>,
-}
+    /// One degradation with its context — not just the variant, but which
+    /// net, at which stage, and in what budget state it happened.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct DegradationReport {
+        /// Kind: `placement_recovered`, `routing_aborted`, `net_salvaged`,
+        /// `net_unrouted`, `doctor_repair`, `parse_recovered`,
+        /// `emit_retried`.
+        pub kind: String,
+        /// The net involved, for per-net kinds.
+        pub net: Option<String>,
+        /// The salvage stage reached (`net_salvaged` only).
+        pub stage: Option<String>,
+        /// Whether a real route resulted (`net_salvaged` only).
+        pub routed: Option<bool>,
+        /// Whether the original failure was a budget breach.
+        pub over_budget: Option<bool>,
+        /// Search nodes spent on the net before it was given up on.
+        pub nodes_expanded: Option<u64>,
+        /// Free-form detail (panic message for phase-level kinds).
+        pub detail: Option<String>,
+    }
 
-/// Final diagram quality, the quantities of the paper's §4.4 and
-/// table 6.1.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct QualityReport {
-    /// Nets with a routed path.
-    pub routed_nets: usize,
-    /// Nets without a routed path.
-    pub unrouted_nets: usize,
-    /// Sum of wire lengths over all routed nets.
-    pub total_length: u64,
-    /// Sum of bends over all routed nets.
-    pub total_bends: u64,
-    /// Crossing points between different nets.
-    pub crossovers: u64,
-    /// Branching nodes over all routed nets.
-    pub branch_points: u64,
-    /// Area of the placement bounding box.
-    pub bounding_area: u64,
-    /// Fraction of nets routed, in `[0, 1]`.
-    pub completion: f64,
-}
+    /// Final diagram quality, the quantities of the paper's §4.4 and
+    /// table 6.1.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct QualityReport {
+        /// Nets with a routed path.
+        pub routed_nets: usize,
+        /// Nets without a routed path.
+        pub unrouted_nets: usize,
+        /// Sum of wire lengths over all routed nets.
+        pub total_length: u64,
+        /// Sum of bends over all routed nets.
+        pub total_bends: u64,
+        /// Crossing points between different nets.
+        pub crossovers: u64,
+        /// Branching nodes over all routed nets.
+        pub branch_points: u64,
+        /// Area of the placement bounding box.
+        pub bounding_area: u64,
+        /// Fraction of nets routed, in `[0, 1]`.
+        pub completion: f64,
+    }
 
-/// Everything one pipeline run reports, in a stable JSON shape.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RunReport {
-    /// Which tool produced the report (`netart`, `eureka`, a bench
-    /// label, …).
-    pub tool: String,
-    /// Input network size.
-    pub network: NetworkReport,
-    /// Phases in execution order with wall times.
-    pub phases: Vec<PhaseReport>,
-    /// Per-net router records, in net-definition order.
-    pub nets: Vec<NetReport>,
-    /// Everything that went wrong without stopping the run.
-    pub degradations: Vec<DegradationReport>,
-    /// Final diagram quality.
-    pub quality: QualityReport,
-    /// The run's metrics snapshot.
-    pub metrics: MetricsSnapshot,
-    /// `true` when the run needed no fallbacks at all.
-    pub is_clean: bool,
+    document
+    /// Everything one pipeline run reports, in a stable JSON shape.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct RunReport {
+        /// Which tool produced the report (`netart`, `eureka`, a bench
+        /// label, …).
+        pub tool: String,
+        /// Input network size.
+        pub network: NetworkReport,
+        /// Phases in execution order with wall times.
+        pub phases: Vec<PhaseReport>,
+        /// Per-net router records, in net-definition order.
+        pub nets: Vec<NetReport>,
+        /// Everything that went wrong without stopping the run.
+        pub degradations: Vec<DegradationReport>,
+        /// Final diagram quality.
+        pub quality: QualityReport,
+        /// The run's metrics snapshot.
+        pub metrics: MetricsSnapshot,
+        /// `true` when the run needed no fallbacks at all.
+        pub is_clean: bool,
+    }
 }
 
 impl RunReport {
@@ -197,76 +200,9 @@ impl RunReport {
 
     /// The report as a JSON tree.
     pub fn to_json(&self) -> Json {
-        let network = Json::obj()
-            .with("modules", self.network.modules)
-            .with("nets", self.network.nets)
-            .with("system_terminals", self.network.system_terminals);
-        let phases = Json::Arr(
-            self.phases
-                .iter()
-                .map(|p| {
-                    Json::obj()
-                        .with("name", p.name.as_str())
-                        .with("wall_ns", p.wall_ns)
-                        .with("p50_ns", p.p50_ns.map(Json::from))
-                        .with("p90_ns", p.p90_ns.map(Json::from))
-                        .with("max_ns", p.max_ns.map(Json::from))
-                        .with("alloc_count", p.alloc_count.map(Json::from))
-                        .with("alloc_bytes", p.alloc_bytes.map(Json::from))
-                        .with("peak_bytes", p.peak_bytes.map(Json::from))
-                })
-                .collect(),
-        );
-        let nets = Json::Arr(
-            self.nets
-                .iter()
-                .map(|n| {
-                    Json::obj()
-                        .with("net", n.net.as_str())
-                        .with("routed", n.routed)
-                        .with("prerouted", n.prerouted)
-                        .with("nodes_expanded", n.nodes_expanded)
-                        .with("over_budget", n.over_budget)
-                        .with("retried", n.retried)
-                        .with("salvage", n.salvage.as_deref().map(Json::from))
-                        .with("ripup_victims", n.ripup_victims)
-                })
-                .collect(),
-        );
-        let degradations = Json::Arr(
-            self.degradations
-                .iter()
-                .map(|d| {
-                    Json::obj()
-                        .with("kind", d.kind.as_str())
-                        .with("net", d.net.as_deref().map(Json::from))
-                        .with("stage", d.stage.as_deref().map(Json::from))
-                        .with("routed", d.routed.map(Json::from))
-                        .with("over_budget", d.over_budget.map(Json::from))
-                        .with("nodes_expanded", d.nodes_expanded.map(Json::from))
-                        .with("detail", d.detail.as_deref().map(Json::from))
-                })
-                .collect(),
-        );
-        let quality = Json::obj()
-            .with("routed_nets", self.quality.routed_nets)
-            .with("unrouted_nets", self.quality.unrouted_nets)
-            .with("total_length", self.quality.total_length)
-            .with("total_bends", self.quality.total_bends)
-            .with("crossovers", self.quality.crossovers)
-            .with("branch_points", self.quality.branch_points)
-            .with("bounding_area", self.quality.bounding_area)
-            .with("completion", self.quality.completion);
-        Json::obj()
-            .with("schema_version", SCHEMA_VERSION)
-            .with("tool", self.tool.as_str())
-            .with("network", network)
-            .with("phases", phases)
-            .with("nets", nets)
-            .with("degradations", degradations)
-            .with("quality", quality)
-            .with("metrics", self.metrics.to_json())
-            .with("is_clean", self.is_clean)
+        let mut json = Json::obj().with("schema_version", SCHEMA_VERSION);
+        self.write_members(&mut json);
+        json
     }
 
     /// The pretty-printed JSON document (what `--report-json` writes).
@@ -282,85 +218,9 @@ impl RunReport {
     /// wrong, so the `report diff` CLI can point at the offending
     /// file.
     pub fn from_json(json: &Json) -> Result<RunReport, String> {
-        if json.as_obj().is_none() {
-            return Err("report is not a JSON object".to_owned());
-        }
-        crate::json::expect_schema_version(json, 1, SCHEMA_VERSION)?;
-        let mut report = RunReport {
-            tool: json
-                .get("tool")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_owned(),
-            is_clean: json.get("is_clean").and_then(Json::as_bool).unwrap_or(false),
-            ..RunReport::default()
-        };
-        if let Some(network) = json.get("network") {
-            let field = |name: &str| network.get(name).and_then(Json::as_u64).unwrap_or(0) as usize;
-            report.network = NetworkReport {
-                modules: field("modules"),
-                nets: field("nets"),
-                system_terminals: field("system_terminals"),
-            };
-        }
-        if let Some(phases) = json.get("phases").and_then(Json::as_arr) {
-            for p in phases {
-                report.phases.push(PhaseReport {
-                    name: p.get("name").and_then(Json::as_str).unwrap_or_default().to_owned(),
-                    wall_ns: p.get("wall_ns").and_then(Json::as_u64).unwrap_or(0),
-                    p50_ns: p.get("p50_ns").and_then(Json::as_u64),
-                    p90_ns: p.get("p90_ns").and_then(Json::as_u64),
-                    max_ns: p.get("max_ns").and_then(Json::as_u64),
-                    alloc_count: p.get("alloc_count").and_then(Json::as_u64),
-                    alloc_bytes: p.get("alloc_bytes").and_then(Json::as_u64),
-                    peak_bytes: p.get("peak_bytes").and_then(Json::as_u64),
-                });
-            }
-        }
-        if let Some(nets) = json.get("nets").and_then(Json::as_arr) {
-            for n in nets {
-                report.nets.push(NetReport {
-                    net: n.get("net").and_then(Json::as_str).unwrap_or_default().to_owned(),
-                    routed: n.get("routed").and_then(Json::as_bool).unwrap_or(false),
-                    prerouted: n.get("prerouted").and_then(Json::as_bool).unwrap_or(false),
-                    nodes_expanded: n.get("nodes_expanded").and_then(Json::as_u64).unwrap_or(0),
-                    over_budget: n.get("over_budget").and_then(Json::as_bool).unwrap_or(false),
-                    retried: n.get("retried").and_then(Json::as_bool).unwrap_or(false),
-                    salvage: n.get("salvage").and_then(Json::as_str).map(str::to_owned),
-                    ripup_victims: n.get("ripup_victims").and_then(Json::as_u64).unwrap_or(0) as u32,
-                });
-            }
-        }
-        if let Some(degradations) = json.get("degradations").and_then(Json::as_arr) {
-            for d in degradations {
-                report.degradations.push(DegradationReport {
-                    kind: d.get("kind").and_then(Json::as_str).unwrap_or_default().to_owned(),
-                    net: d.get("net").and_then(Json::as_str).map(str::to_owned),
-                    stage: d.get("stage").and_then(Json::as_str).map(str::to_owned),
-                    routed: d.get("routed").and_then(Json::as_bool),
-                    over_budget: d.get("over_budget").and_then(Json::as_bool),
-                    nodes_expanded: d.get("nodes_expanded").and_then(Json::as_u64),
-                    detail: d.get("detail").and_then(Json::as_str).map(str::to_owned),
-                });
-            }
-        }
-        if let Some(quality) = json.get("quality") {
-            let field = |name: &str| quality.get(name).and_then(Json::as_u64).unwrap_or(0);
-            report.quality = QualityReport {
-                routed_nets: field("routed_nets") as usize,
-                unrouted_nets: field("unrouted_nets") as usize,
-                total_length: field("total_length"),
-                total_bends: field("total_bends"),
-                crossovers: field("crossovers"),
-                branch_points: field("branch_points"),
-                bounding_area: field("bounding_area"),
-                completion: quality.get("completion").and_then(Json::as_f64).unwrap_or(0.0),
-            };
-        }
-        if let Some(metrics) = json.get("metrics") {
-            report.metrics = MetricsSnapshot::from_json(metrics);
-        }
-        Ok(report)
+        json.as_obj().ok_or("report is not a JSON object")?;
+        expect_schema_version(json, 1, SCHEMA_VERSION)?;
+        Self::read_members(json)
     }
 
     /// The report with every wall-clock quantity zeroed: phase times
@@ -379,6 +239,22 @@ impl RunReport {
         }
         report.metrics.histograms.retain(|name, _| !name.ends_with("_ns"));
         report
+    }
+}
+
+/// A report embedded in another document (a batch job, a serve
+/// response) keeps its own `schema_version`.
+impl JsonField for RunReport {
+    fn to_json(&self) -> Json {
+        RunReport::to_json(self)
+    }
+
+    fn read(json: &Json) -> Result<Option<Self>, String> {
+        RunReport::from_json(json).map(Some)
+    }
+
+    fn absent() -> Result<Self, String> {
+        Ok(RunReport::default())
     }
 }
 

@@ -13,100 +13,65 @@
 //! contained) plus point-in-time gauges. Counters are cumulative and
 //! monotone; gauges are racy snapshots.
 
-use crate::json::Json;
+use crate::json::{expect_schema_version, json_enum, json_record, Json};
 use crate::report::RunReport;
 
 /// Version of the serve response shape. Bump when members are
 /// renamed, removed, or change meaning.
 pub const SERVE_SCHEMA_VERSION: u32 = 1;
 
-/// The response-level status taxonomy, mirroring the CLI exit codes:
-/// clean run → `0`, degraded-but-emitted → `2`, failed → `1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeStatus {
-    /// The pipeline ran clean; artifacts are present.
-    Clean,
-    /// The pipeline emitted artifacts but needed fallbacks (salvage,
-    /// doctor repairs, a deadline cancellation mid-route, …).
-    Degraded,
-    /// No artifacts: the input was rejected or the pipeline failed.
-    Failed,
-}
-
-impl ServeStatus {
-    /// The status as its response string.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ServeStatus::Clean => "clean",
-            ServeStatus::Degraded => "degraded",
-            ServeStatus::Failed => "failed",
-        }
-    }
-
-    /// Parses a response status string.
-    pub fn parse(s: &str) -> Option<ServeStatus> {
-        match s {
-            "clean" => Some(ServeStatus::Clean),
-            "degraded" => Some(ServeStatus::Degraded),
-            "failed" => Some(ServeStatus::Failed),
-            _ => None,
-        }
+json_enum! {
+    /// The response-level status taxonomy, mirroring the CLI exit codes:
+    /// clean run → `0`, degraded-but-emitted → `2`, failed → `1`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ServeStatus("serve status") {
+        /// The pipeline ran clean; artifacts are present.
+        Clean = "clean",
+        /// The pipeline emitted artifacts but needed fallbacks (salvage,
+        /// doctor repairs, a deadline cancellation mid-route, …).
+        Degraded = "degraded",
+        /// No artifacts: the input was rejected or the pipeline failed.
+        Failed = "failed",
     }
 }
 
-/// How the artifact cache treated one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// Served from the cache without recomputing.
-    Hit,
-    /// Computed fresh (and, when cacheable, inserted).
-    Miss,
-    /// Coalesced onto a concurrent identical request's computation
-    /// (single-flight follower).
-    Coalesced,
-}
-
-impl CacheOutcome {
-    /// The outcome as its response string.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            CacheOutcome::Hit => "hit",
-            CacheOutcome::Miss => "miss",
-            CacheOutcome::Coalesced => "coalesced",
-        }
-    }
-
-    /// Parses a response cache-outcome string.
-    pub fn parse(s: &str) -> Option<CacheOutcome> {
-        match s {
-            "hit" => Some(CacheOutcome::Hit),
-            "miss" => Some(CacheOutcome::Miss),
-            "coalesced" => Some(CacheOutcome::Coalesced),
-            _ => None,
-        }
+json_enum! {
+    /// How the artifact cache treated one request.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum CacheOutcome("cache outcome") {
+        /// Served from the cache without recomputing.
+        Hit = "hit",
+        /// Computed fresh (and, when cacheable, inserted).
+        Miss = "miss",
+        /// Coalesced onto a concurrent identical request's computation
+        /// (single-flight follower).
+        Coalesced = "coalesced",
     }
 }
 
-/// One diagram request's response body.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeReport {
-    /// Response status (`clean`/`degraded`/`failed`).
-    pub status: ServeStatus,
-    /// How the cache treated the request.
-    pub cache: CacheOutcome,
-    /// The content address of the artifact: a stable hash of the
-    /// doctored-normalized input plus the rendering options. Two
-    /// requests with the same artifact id receive byte-identical
-    /// bodies. Empty on failed requests.
-    pub artifact: String,
-    /// The ESCHER diagram text. Empty on failed requests.
-    pub escher: String,
-    /// The SVG rendering. Empty on failed requests.
-    pub svg: String,
-    /// The failure message, for failed requests.
-    pub error: Option<String>,
-    /// The pipeline's run report, when one was produced.
-    pub report: Option<RunReport>,
+json_record! {
+    document
+    /// One diagram request's response body.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ServeReport {
+        /// Response status (`clean`/`degraded`/`failed`).
+        pub status: ServeStatus,
+        /// How the cache treated the request.
+        pub cache: CacheOutcome,
+        /// The content address of the artifact: a stable hash of the
+        /// doctored-normalized input plus the rendering options. Two
+        /// requests with the same artifact id receive byte-identical
+        /// bodies. Empty on failed requests.
+        pub artifact: String,
+        /// The ESCHER diagram text. Empty on failed requests.
+        pub escher: String,
+        /// The SVG rendering. Empty on failed requests.
+        pub svg: String,
+        /// The failure message, for failed requests.
+        pub error: Option<String>,
+        /// The pipeline's run report, when one was produced.
+        pub report: Option<RunReport>,
+    }
 }
 
 impl ServeReport {
@@ -125,15 +90,9 @@ impl ServeReport {
 
     /// The response as a JSON tree.
     pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("schema_version", SERVE_SCHEMA_VERSION)
-            .with("status", self.status.as_str())
-            .with("cache", self.cache.as_str())
-            .with("artifact", self.artifact.as_str())
-            .with("escher", self.escher.as_str())
-            .with("svg", self.svg.as_str())
-            .with("error", self.error.as_deref().map(Json::from))
-            .with("report", self.report.as_ref().map(RunReport::to_json))
+        let mut json = Json::obj().with("schema_version", SERVE_SCHEMA_VERSION);
+        self.write_members(&mut json);
+        json
     }
 
     /// The rendered JSON document (one response body).
@@ -143,123 +102,73 @@ impl ServeReport {
 
     /// Reads a response back from its [`ServeReport::to_json`] shape.
     pub fn from_json(json: &Json) -> Result<ServeReport, String> {
-        if json.as_obj().is_none() {
-            return Err("serve report is not a JSON object".to_owned());
-        }
-        crate::json::expect_schema_version(json, SERVE_SCHEMA_VERSION, SERVE_SCHEMA_VERSION)?;
-        let status_str = json.get("status").and_then(Json::as_str).unwrap_or_default();
-        let status = ServeStatus::parse(status_str)
-            .ok_or_else(|| format!("unknown serve status {status_str:?}"))?;
-        let cache_str = json.get("cache").and_then(Json::as_str).unwrap_or_default();
-        let cache = CacheOutcome::parse(cache_str)
-            .ok_or_else(|| format!("unknown cache outcome {cache_str:?}"))?;
-        let report = match json.get("report") {
-            Some(Json::Null) | None => None,
-            Some(r) => Some(RunReport::from_json(r)?),
-        };
-        Ok(ServeReport {
-            status,
-            cache,
-            artifact: json
-                .get("artifact")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_owned(),
-            escher: json
-                .get("escher")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_owned(),
-            svg: json
-                .get("svg")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_owned(),
-            error: json.get("error").and_then(Json::as_str).map(str::to_owned),
-            report,
-        })
+        json.as_obj().ok_or("serve report is not a JSON object")?;
+        expect_schema_version(json, SERVE_SCHEMA_VERSION, SERVE_SCHEMA_VERSION)?;
+        Self::read_members(json)
     }
 }
 
-/// The `/stats` endpoint's body: lifetime counters and current
-/// gauges of one serve process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServeStats {
-    /// Requests that reached admission (every `POST /v1/diagram`).
-    pub requests: u64,
-    /// Responses per status.
-    pub clean: u64,
-    /// See [`ServeStatus::Degraded`].
-    pub degraded: u64,
-    /// See [`ServeStatus::Failed`].
-    pub failed: u64,
-    /// Requests shed with `429` because the queue was full.
-    pub shed: u64,
-    /// Requests refused with `413` for an oversized body.
-    pub too_large: u64,
-    /// Requests refused with `503` during drain.
-    pub drain_rejects: u64,
-    /// Requests whose deadline cancelled the pipeline mid-run.
-    pub deadline_cancelled: u64,
-    /// Requests whose handler panicked (contained, answered `500`).
-    pub panics: u64,
-    /// Artifact-cache hits.
-    pub cache_hits: u64,
-    /// Artifact-cache misses (fresh computes).
-    pub cache_misses: u64,
-    /// Requests coalesced onto a concurrent identical computation.
-    pub coalesced: u64,
-    /// Artifact-cache bytes resident (gauge).
-    pub cache_bytes: u64,
-    /// Artifact-cache entries resident (gauge).
-    pub cache_entries: u64,
-    /// Requests executing right now (gauge).
-    pub in_flight: u64,
-    /// Requests admitted but not yet started (gauge).
-    pub queued: u64,
-    /// Sharded serving only: shards currently live, per the latest
-    /// supervisor broadcast (gauge; 0 when not sharded).
-    pub shard_live: u64,
-    /// Sharded serving only: cumulative worker respawns across the
-    /// fleet (0 when not sharded).
-    pub shard_restarts: u64,
-    /// Requests observed inside the rolling latency window.
-    pub win_latency_count: u64,
-    /// Windowed median request latency (bucket upper bound, ns).
-    pub win_latency_p50_ns: u64,
-    /// Windowed 90th-percentile request latency (ns).
-    pub win_latency_p90_ns: u64,
-    /// Windowed 99th-percentile request latency (ns).
-    pub win_latency_p99_ns: u64,
+json_record! {
+    document
+    /// The `/stats` endpoint's body: lifetime counters and current
+    /// gauges of one serve process.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct ServeStats {
+        /// Requests that reached admission (every `POST /v1/diagram`).
+        pub requests: u64,
+        /// Responses per status.
+        pub clean: u64,
+        /// See [`ServeStatus::Degraded`].
+        pub degraded: u64,
+        /// See [`ServeStatus::Failed`].
+        pub failed: u64,
+        /// Requests shed with `429` because the queue was full.
+        pub shed: u64,
+        /// Requests refused with `413` for an oversized body.
+        pub too_large: u64,
+        /// Requests refused with `503` during drain.
+        pub drain_rejects: u64,
+        /// Requests whose deadline cancelled the pipeline mid-run.
+        pub deadline_cancelled: u64,
+        /// Requests whose handler panicked (contained, answered `500`).
+        pub panics: u64,
+        /// Artifact-cache hits.
+        pub cache_hits: u64,
+        /// Artifact-cache misses (fresh computes).
+        pub cache_misses: u64,
+        /// Requests coalesced onto a concurrent identical computation.
+        pub coalesced: u64,
+        /// Artifact-cache bytes resident (gauge).
+        pub cache_bytes: u64,
+        /// Artifact-cache entries resident (gauge).
+        pub cache_entries: u64,
+        /// Requests executing right now (gauge).
+        pub in_flight: u64,
+        /// Requests admitted but not yet started (gauge).
+        pub queued: u64,
+        /// Sharded serving only: shards currently live, per the latest
+        /// supervisor broadcast (gauge; 0 when not sharded).
+        pub shard_live: u64,
+        /// Sharded serving only: cumulative worker respawns across the
+        /// fleet (0 when not sharded).
+        pub shard_restarts: u64,
+        /// Requests observed inside the rolling latency window.
+        pub win_latency_count: u64,
+        /// Windowed median request latency (bucket upper bound, ns).
+        pub win_latency_p50_ns: u64,
+        /// Windowed 90th-percentile request latency (ns).
+        pub win_latency_p90_ns: u64,
+        /// Windowed 99th-percentile request latency (ns).
+        pub win_latency_p99_ns: u64,
+    }
 }
 
 impl ServeStats {
     /// The stats as a JSON tree.
     pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("schema_version", SERVE_SCHEMA_VERSION)
-            .with("requests", self.requests)
-            .with("clean", self.clean)
-            .with("degraded", self.degraded)
-            .with("failed", self.failed)
-            .with("shed", self.shed)
-            .with("too_large", self.too_large)
-            .with("drain_rejects", self.drain_rejects)
-            .with("deadline_cancelled", self.deadline_cancelled)
-            .with("panics", self.panics)
-            .with("cache_hits", self.cache_hits)
-            .with("cache_misses", self.cache_misses)
-            .with("coalesced", self.coalesced)
-            .with("cache_bytes", self.cache_bytes)
-            .with("cache_entries", self.cache_entries)
-            .with("in_flight", self.in_flight)
-            .with("queued", self.queued)
-            .with("shard_live", self.shard_live)
-            .with("shard_restarts", self.shard_restarts)
-            .with("win_latency_count", self.win_latency_count)
-            .with("win_latency_p50_ns", self.win_latency_p50_ns)
-            .with("win_latency_p90_ns", self.win_latency_p90_ns)
-            .with("win_latency_p99_ns", self.win_latency_p99_ns)
+        let mut json = Json::obj().with("schema_version", SERVE_SCHEMA_VERSION);
+        self.write_members(&mut json);
+        json
     }
 
     /// The rendered JSON document (the `/stats` body).
@@ -272,35 +181,9 @@ impl ServeStats {
     /// version, missing counters read as zero so additions stay
     /// compatible.
     pub fn from_json(json: &Json) -> Result<ServeStats, String> {
-        if json.as_obj().is_none() {
-            return Err("serve stats is not a JSON object".to_owned());
-        }
-        crate::json::expect_schema_version(json, SERVE_SCHEMA_VERSION, SERVE_SCHEMA_VERSION)?;
-        let field = |name: &str| json.get(name).and_then(Json::as_u64).unwrap_or(0);
-        Ok(ServeStats {
-            requests: field("requests"),
-            clean: field("clean"),
-            degraded: field("degraded"),
-            failed: field("failed"),
-            shed: field("shed"),
-            too_large: field("too_large"),
-            drain_rejects: field("drain_rejects"),
-            deadline_cancelled: field("deadline_cancelled"),
-            panics: field("panics"),
-            cache_hits: field("cache_hits"),
-            cache_misses: field("cache_misses"),
-            coalesced: field("coalesced"),
-            cache_bytes: field("cache_bytes"),
-            cache_entries: field("cache_entries"),
-            in_flight: field("in_flight"),
-            queued: field("queued"),
-            shard_live: field("shard_live"),
-            shard_restarts: field("shard_restarts"),
-            win_latency_count: field("win_latency_count"),
-            win_latency_p50_ns: field("win_latency_p50_ns"),
-            win_latency_p90_ns: field("win_latency_p90_ns"),
-            win_latency_p99_ns: field("win_latency_p99_ns"),
-        })
+        json.as_obj().ok_or("serve stats is not a JSON object")?;
+        expect_schema_version(json, SERVE_SCHEMA_VERSION, SERVE_SCHEMA_VERSION)?;
+        Self::read_members(json)
     }
 }
 
