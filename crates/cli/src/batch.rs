@@ -29,13 +29,13 @@ use netart::diagram::svg;
 use netart::netlist::doctor::{DoctorCode, InputPolicy};
 use netart::netlist::ingest::{self, IngestBudgets, IngestError};
 use netart::netlist::Library;
-use netart::obs::{BatchManifest, FlightRecorder};
+use netart::obs::{AllocSnapshot, BatchManifest, FlightRecorder};
 use netart::route::{CancelToken, RouteConfig};
 use netart::place::PlaceConfig;
 use netart_engine::{EngineConfig, JobContext, JobFailure, JobSuccess};
 
 use crate::commands::{
-    arm_faults, budget_from_args, budgets_from_args, checked_escher, exhausted_output,
+    arm_faults, budget_from_args, budgets_from_args, emit_artifacts, exhausted_output,
     input_policy, install_subscriber, install_subscriber_with, load_library, load_network_files,
     ns, stdout_claimed, write_or_stdout, CliError, RunOutput,
 };
@@ -329,7 +329,11 @@ fn attempt_job(
             JobFailure::permanent(e.to_string())
         }
     };
+    // Heap attribution window for this attempt (a no-op stub unless
+    // built with `--features alloc-profile`; exact with `--jobs 1`).
+    let alloc_base = AllocSnapshot::capture();
     let t_parse = Instant::now();
+    let parse_tag = netart::obs::enter_phase("parse");
     // Fresh per-job budgets with the configured limits: a finished
     // job's network charges must not starve the jobs after it.
     let budgets = ingest_budgets.fresh();
@@ -342,6 +346,7 @@ fn attempt_job(
         &budgets,
     )
     .map_err(classify)?;
+    drop(parse_tag);
     let parse_ns = ns(t_parse.elapsed());
 
     // Retries escalate the routing budget, like the salvage cascade
@@ -368,21 +373,21 @@ fn attempt_job(
         )));
     }
 
-    let t_emit = Instant::now();
-    let esc = checked_escher(&job.stem, &outcome.diagram, &mut cli_degs).map_err(classify)?;
-    write_atomic(&out_dir.join(format!("{}.esc", job.stem)), &esc).map_err(classify)?;
-    write_atomic(
-        &out_dir.join(format!("{}.svg", job.stem)),
-        &svg::render_with_structure(&outcome.diagram),
+    let artifacts = emit_artifacts(
+        &outcome,
+        "netart",
+        &job.stem,
+        svg::render_with_structure,
+        ("parse", parse_ns),
+        &alloc_base,
+        &mut cli_degs,
     )
     .map_err(classify)?;
-
-    let mut report = outcome.run_report("netart");
-    report.push_phase_front("parse", parse_ns);
-    report.push_phase("emit", ns(t_emit.elapsed()));
-    for d in &cli_degs {
-        report.push_degradation(d.clone());
-    }
+    let esc_path = out_dir.join(format!("{}.esc", job.stem));
+    write_atomic(&esc_path, &artifacts.escher).map_err(classify)?;
+    let svg_path = out_dir.join(format!("{}.svg", job.stem));
+    write_atomic(&svg_path, &artifacts.svg).map_err(classify)?;
+    let report = artifacts.report;
     let degradations = report.degradations.len();
     if strict_inputs && degradations > 0 && !ctx.last_attempt {
         // `--strict` batches treat any degradation as retry-worthy

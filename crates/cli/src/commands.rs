@@ -14,13 +14,13 @@ use netart::netlist::ingest::{self, IngestBudgets, IngestError, Record};
 use netart::netlist::{Library, Network};
 use netart_govern::MemBudget;
 use netart::obs::{
-    DegradationReport, DiffConfig, FanoutSubscriber, Json, JsonLinesSubscriber, ProfileReport,
-    ReportDiff, RunReport, TextSubscriber, TraceBuffer, TraceEventSubscriber,
+    AllocSnapshot, DegradationReport, DiffConfig, FanoutSubscriber, Json, JsonLinesSubscriber,
+    ProfileReport, ReportDiff, RunReport, TextSubscriber, TraceBuffer, TraceEventSubscriber,
 };
 use netart_fault::FaultKind;
 use netart::place::{Pablo, PlaceConfig};
 use netart::route::{Budget, NetOrder, RouteConfig};
-use netart::Generator;
+use netart::{Generator, Outcome};
 
 use crate::{ArgError, ParsedArgs};
 
@@ -255,6 +255,19 @@ impl RunOutput {
             (true, false) => ExitCode::from(2),
             (true, true) => ExitCode::FAILURE,
         }
+    }
+}
+
+/// The `--order def|most|few` net ordering (default `def`).
+pub(crate) fn order_from_args(args: &ParsedArgs) -> Result<NetOrder, ArgError> {
+    match args.value("order").unwrap_or("def") {
+        "def" => Ok(NetOrder::Definition),
+        "most" => Ok(NetOrder::MostPinsFirst),
+        "few" => Ok(NetOrder::FewestPinsFirst),
+        other => Err(ArgError::BadValue {
+            flag: "order".into(),
+            value: other.into(),
+        }),
     }
 }
 
@@ -686,18 +699,62 @@ pub(crate) fn checked_escher(
     attempt().map_err(CliError::Other)
 }
 
-fn emit_diagram(
-    args: &ParsedArgs,
+/// The emitted artifacts of one pipeline run and the report that
+/// describes the run.
+pub(crate) struct Artifacts {
+    /// The ESCHER text, self-checked by [`checked_escher`].
+    pub escher: String,
+    /// The SVG rendering.
+    pub svg: String,
+    /// The run report, complete but for caller-specific degradations.
+    pub report: RunReport,
+}
+
+/// The emit-and-report step every pipeline driver ends with. Inside an
+/// `emit` phase it renders the self-checked ESCHER text (named `name`)
+/// and the SVG. It then builds the run report: `front` (the `parse` or
+/// `doctor` phase and its wall time) first, `emit` last, heap traffic
+/// since `alloc_base` attributed, and every degradation in `degs`
+/// recorded. Callers write the artifacts wherever they belong.
+pub(crate) fn emit_artifacts(
+    outcome: &Outcome,
+    tool: &str,
     name: &str,
-    diagram: &Diagram,
+    render_svg: fn(&Diagram) -> String,
+    front: (&str, u64),
+    alloc_base: &AllocSnapshot,
     degs: &mut Vec<DegradationReport>,
-) -> Result<String, CliError> {
-    let out = args.value("o").unwrap_or(name);
+) -> Result<Artifacts, CliError> {
+    let t_emit = Instant::now();
+    let emit_tag = netart::obs::enter_phase("emit");
+    let escher = checked_escher(name, &outcome.diagram, degs)?;
+    let svg = render_svg(&outcome.diagram);
+    drop(emit_tag);
+    let mut report = outcome.run_report(tool);
+    report.push_phase_front(front.0, front.1);
+    report.push_phase("emit", ns(t_emit.elapsed()));
+    netart::obs::attach_alloc_profile(&mut report, alloc_base);
+    for d in degs.iter() {
+        report.push_degradation(d.clone());
+    }
+    Ok(Artifacts {
+        escher,
+        svg,
+        report,
+    })
+}
+
+/// Writes `<out>.esc` and `<out>.svg`; returns the `wrote …` line.
+fn write_diagram_files(out: &str, escher: &str, svg: &str) -> Result<String, CliError> {
     let esc = PathBuf::from(format!("{out}.esc"));
-    write(&esc, &checked_escher(out, diagram, degs)?)?;
+    write(&esc, escher)?;
     let svg_path = PathBuf::from(format!("{out}.svg"));
-    write(&svg_path, &svg::render(diagram))?;
-    Ok(format!("wrote {} and {}", esc.display(), svg_path.display()))
+    write(&svg_path, svg)?;
+    Ok(format!(
+        "wrote {} and {}",
+        esc.display(),
+        svg_path.display()
+    ))
 }
 
 /// `pablo [-p n] [-b n] [-c n] [-e n] [-i n] [-s n] [-g preplaced.esc]
@@ -788,7 +845,9 @@ pub fn run_pablo(argv: &[String]) -> Result<RunOutput, CliError> {
         })
         .unwrap_or_default();
     let diagram = Diagram::new(network, placement);
-    let files = emit_diagram(&args, "pablo_out", &diagram, &mut degs)?;
+    let out = args.value("o").unwrap_or("pablo_out");
+    let escher = checked_escher(out, &diagram, &mut degs)?;
+    let files = write_diagram_files(out, &escher, &svg::render(&diagram))?;
     let mut message = format!(
         "placed {} modules and {} terminals ({structure}); {files}",
         diagram.network().module_count(),
@@ -979,18 +1038,7 @@ pub fn run_eureka(argv: &[String]) -> Result<RunOutput, CliError> {
     if args.has("no-salvage") {
         config = config.without_salvage();
     }
-    config = config.with_order(match args.value("order").unwrap_or("def") {
-        "def" => NetOrder::Definition,
-        "most" => NetOrder::MostPinsFirst,
-        "few" => NetOrder::FewestPinsFirst,
-        other => {
-            return Err(ArgError::BadValue {
-                flag: "order".into(),
-                value: other.into(),
-            }
-            .into())
-        }
-    });
+    config = config.with_order(order_from_args(&args)?);
 
     let outcome = Generator::new()
         .with_routing(config)
@@ -1003,22 +1051,24 @@ pub fn run_eureka(argv: &[String]) -> Result<RunOutput, CliError> {
         report.routed.len() + report.failed.len()
     );
     summary.push_str(&salvage_summary(&outcome.diagram, report));
-    let t_emit = Instant::now();
-    let emit_tag = netart::obs::enter_phase("emit");
-    let files = emit_diagram(&args, "eureka_out", &outcome.diagram, &mut cli_degs)?;
-    drop(emit_tag);
-    let mut run_report = outcome.run_report("eureka");
-    run_report.push_phase_front("parse", parse_ns);
-    run_report.push_phase("emit", ns(t_emit.elapsed()));
-    netart::obs::attach_alloc_profile(&mut run_report, &alloc_base);
+    let out = args.value("o").unwrap_or("eureka_out");
+    let artifacts = emit_artifacts(
+        &outcome,
+        "eureka",
+        out,
+        svg::render,
+        ("parse", parse_ns),
+        &alloc_base,
+        &mut cli_degs,
+    )?;
+    let files = write_diagram_files(out, &artifacts.escher, &artifacts.svg)?;
     for d in &cli_degs {
         summary.push_str(&format!(
             "\nwarning: {}",
             d.detail.as_deref().unwrap_or(&d.kind)
         ));
-        run_report.push_degradation(d.clone());
     }
-    write_report(&args, &run_report)?;
+    write_report(&args, &artifacts.report)?;
     write_trace(&args, trace_buffer.as_ref())?;
     Ok(RunOutput {
         message: format!("{summary}\n{}\n{files}", outcome.diagram.metrics()),
@@ -1126,18 +1176,7 @@ pub fn run_netart(argv: &[String]) -> Result<RunOutput, CliError> {
     if args.has("no-salvage") {
         route = route.without_salvage();
     }
-    route = route.with_order(match args.value("order").unwrap_or("def") {
-        "def" => NetOrder::Definition,
-        "most" => NetOrder::MostPinsFirst,
-        "few" => NetOrder::FewestPinsFirst,
-        other => {
-            return Err(ArgError::BadValue {
-                flag: "order".into(),
-                value: other.into(),
-            }
-            .into())
-        }
-    });
+    route = route.with_order(order_from_args(&args)?);
 
     let outcome = netart::Generator::new()
         .with_placing(place)
@@ -1145,29 +1184,21 @@ pub fn run_netart(argv: &[String]) -> Result<RunOutput, CliError> {
         .generate(network);
     let diagram = &outcome.diagram;
     let out = args.value("o").unwrap_or("netart_out");
-    let t_emit = Instant::now();
-    let emit_tag = netart::obs::enter_phase("emit");
-    write(
-        Path::new(&format!("{out}.esc")),
-        &checked_escher(out, diagram, &mut cli_degs)?,
+    let artifacts = emit_artifacts(
+        &outcome,
+        "netart",
+        out,
+        svg::render_with_structure,
+        ("parse", parse_ns),
+        &alloc_base,
+        &mut cli_degs,
     )?;
-    write(
-        Path::new(&format!("{out}.svg")),
-        &svg::render_with_structure(diagram),
-    )?;
-    drop(emit_tag);
-    let mut run_report = outcome.run_report("netart");
-    run_report.push_phase_front("parse", parse_ns);
-    run_report.push_phase("emit", ns(t_emit.elapsed()));
-    netart::obs::attach_alloc_profile(&mut run_report, &alloc_base);
-    for d in &cli_degs {
-        run_report.push_degradation(d.clone());
-    }
-    write_report(&args, &run_report)?;
+    let files = write_diagram_files(out, &artifacts.escher, &artifacts.svg)?;
+    write_report(&args, &artifacts.report)?;
     write_trace(&args, trace_buffer.as_ref())?;
 
     let mut summary = format!(
-        "placed {} modules in {:?}; routed {}/{} nets in {:?}\n{}\nwrote {out}.esc and {out}.svg",
+        "placed {} modules in {:?}; routed {}/{} nets in {:?}\n{}\n{files}",
         diagram.network().module_count(),
         outcome.place_time,
         outcome.report.routed.len(),

@@ -14,12 +14,12 @@
 
 use netart::obs::{ProfileCell, ProfileReport, ProfileTotals};
 use netart::place::PlaceConfig;
-use netart::route::{NetOrder, NetRouteStats, RouteConfig};
+use netart::route::{NetRouteStats, RouteConfig};
 use netart::Outcome;
 
 use crate::commands::{
-    arm_faults, budget_from_args, input_policy, install_subscriber, load_network, write_or_stdout,
-    write_trace, CliError, RunOutput,
+    arm_faults, budget_from_args, input_policy, install_subscriber, load_network, order_from_args,
+    write_or_stdout, write_trace, CliError, RunOutput,
 };
 use crate::{ArgError, ParsedArgs};
 
@@ -212,18 +212,7 @@ pub fn run_profile(argv: &[String]) -> Result<RunOutput, CliError> {
         Err(e) => return Err(e),
     };
 
-    let order = match args.value("order").unwrap_or("def") {
-        "def" => NetOrder::Definition,
-        "most" => NetOrder::MostPinsFirst,
-        "few" => NetOrder::FewestPinsFirst,
-        other => {
-            return Err(ArgError::BadValue {
-                flag: "order".into(),
-                value: other.into(),
-            }
-            .into())
-        }
-    };
+    let order = order_from_args(&args)?;
     let route = RouteConfig::new()
         .with_margin(args.parsed("m", 4i32)?)
         .with_order(order)

@@ -62,9 +62,9 @@ use netart::diagram::svg;
 use netart_engine::{ByteCache, JobContext, Service, ServiceConfig, SingleFlight, SubmitError, TicketOutcome};
 
 use crate::commands::{
-    arm_faults, budget_from_args, budgets_from_args, checked_escher, cli_degradation,
-    doctor_degradations, exhausted_output, input_policy, install_subscriber_with, ns, parse_bytes,
-    write_trace, CliError, RunOutput,
+    arm_faults, budget_from_args, budgets_from_args, cli_degradation, doctor_degradations,
+    emit_artifacts, exhausted_output, input_policy, install_subscriber_with, ns, order_from_args,
+    parse_bytes, write_trace, Artifacts, CliError, RunOutput,
 };
 use crate::http::{read_request, respond, RequestError};
 use crate::shard::{FleetView, ShardRuntime};
@@ -372,9 +372,21 @@ fn handle_job(state: &HandlerState, job: DiagramJob, ctx: &JobContext) -> Comput
         .generate(network);
     let deadline_cancelled = ctx.cancel.is_cancelled();
 
-    let t_emit = Instant::now();
-    let escher = match checked_escher("netart_serve", &outcome.diagram, &mut degs) {
-        Ok(text) => text,
+    let artifacts = emit_artifacts(
+        &outcome,
+        "netart serve",
+        "netart_serve",
+        svg::render_with_structure,
+        ("doctor", doctor_ns),
+        &alloc_base,
+        &mut degs,
+    );
+    let Artifacts {
+        escher,
+        svg,
+        report: mut run_report,
+    } = match artifacts {
+        Ok(artifacts) => artifacts,
         Err(e) => {
             return Computed {
                 report: ServeReport::failure(format!("emit failed: {e}")),
@@ -385,14 +397,8 @@ fn handle_job(state: &HandlerState, job: DiagramJob, ctx: &JobContext) -> Comput
             }
         }
     };
-    let svg = svg::render_with_structure(&outcome.diagram);
-
-    let mut run_report = outcome.run_report("netart serve");
-    run_report.push_phase_front("doctor", doctor_ns);
-    run_report.push_phase("emit", ns(t_emit.elapsed()));
-    netart::obs::attach_alloc_profile(&mut run_report, &alloc_base);
     if deadline_cancelled {
-        degs.push(cli_degradation(
+        run_report.push_degradation(cli_degradation(
             "deadline_cancelled",
             Some("route".to_owned()),
             format!(
@@ -400,9 +406,6 @@ fn handle_job(state: &HandlerState, job: DiagramJob, ctx: &JobContext) -> Comput
                 job.rid, job.timeout
             ),
         ));
-    }
-    for d in &degs {
-        run_report.push_degradation(d.clone());
     }
 
     // Worker-side effort histograms. Fault-guarded: losing a sample
@@ -422,10 +425,9 @@ fn handle_job(state: &HandlerState, job: DiagramJob, ctx: &JobContext) -> Comput
         }
     });
 
-    let degraded = !outcome.is_clean() || !degs.is_empty();
     Computed {
         report: ServeReport {
-            status: if degraded {
+            status: if !run_report.is_clean {
                 ServeStatus::Degraded
             } else {
                 ServeStatus::Clean
@@ -513,14 +515,6 @@ impl AccessRecord {
             latency_ns: 0,
             phases: Vec::new(),
         }
-    }
-}
-
-fn outcome_str(status: ServeStatus) -> &'static str {
-    match status {
-        ServeStatus::Clean => "clean",
-        ServeStatus::Degraded => "degraded",
-        ServeStatus::Failed => "failed",
     }
 }
 
@@ -685,7 +679,7 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
     if let Some(cached) = cache_get(state, &key) {
         count(&state.counters.cache_hits);
         count_status(&state.counters, cached.status);
-        acc.outcome = outcome_str(cached.status);
+        acc.outcome = cached.status.as_str();
         acc.cache = "hit";
         if let Some(run) = &cached.report {
             acc.phases = run.phases.iter().map(|p| (p.name.clone(), p.wall_ns)).collect();
@@ -744,7 +738,7 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
             if computed.deadline_cancelled {
                 count(&state.counters.deadline_cancelled);
             }
-            acc.outcome = outcome_str(computed.report.status);
+            acc.outcome = computed.report.status.as_str();
             acc.deadline_cancelled = computed.deadline_cancelled;
             if let Some(run) = &computed.report.report {
                 acc.phases = run.phases.iter().map(|p| (p.name.clone(), p.wall_ns)).collect();
@@ -1164,18 +1158,7 @@ pub fn run_serve(argv: &[String]) -> Result<RunOutput, CliError> {
         };
 
     let margin = args.parsed("m", 4i32)?;
-    let order = match args.value("order").unwrap_or("def") {
-        "def" => NetOrder::Definition,
-        "most" => NetOrder::MostPinsFirst,
-        "few" => NetOrder::FewestPinsFirst,
-        other => {
-            return Err(ArgError::BadValue {
-                flag: "order".into(),
-                value: other.into(),
-            }
-            .into())
-        }
-    };
+    let order = order_from_args(&args)?;
     let timeout_ceiling = parse_millis(&args, "timeout-ceiling", 30_000)?;
     let default_timeout = parse_millis(&args, "default-timeout", 10_000)?.min(timeout_ceiling);
     let drain_grace = parse_millis(&args, "drain-grace", 5_000)?;
