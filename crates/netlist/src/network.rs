@@ -84,6 +84,17 @@ impl Net {
     }
 }
 
+/// Name → id lookups for module instances, nets and system terminals.
+/// [`NetworkBuilder`] fills them as records arrive and the finished
+/// [`Network`] keeps them, shared between clones, so by-name lookups
+/// stay O(1).
+#[derive(Debug, Clone, Default)]
+struct Names {
+    modules: HashMap<String, ModuleId>,
+    nets: HashMap<String, NetId>,
+    system_terms: HashMap<String, SystemTermId>,
+}
+
 /// An immutable, validated network: the nine-tuple representation of
 /// §4.6.2 (modules `M`, nets `N`, system terminals `ST`, subsystem
 /// terminals `T`, and the `terms`/`type`/`position-terminal`/`net`/`size`
@@ -104,6 +115,7 @@ pub struct Network {
     net_modules: Vec<Vec<ModuleId>>,
     /// net of each system terminal, if connected.
     system_term_net: Vec<Option<NetId>>,
+    names: Arc<Names>,
 }
 
 impl Network {
@@ -174,23 +186,17 @@ impl Network {
 
     /// Looks up a module by instance name.
     pub fn module_by_name(&self, name: &str) -> Option<ModuleId> {
-        self.instances
-            .iter()
-            .position(|i| i.name == name)
-            .map(ModuleId::from_index)
+        self.names.modules.get(name).copied()
     }
 
     /// Looks up a net by name.
     pub fn net_by_name(&self, name: &str) -> Option<NetId> {
-        self.nets.iter().position(|n| n.name == name).map(NetId::from_index)
+        self.names.nets.get(name).copied()
     }
 
     /// Looks up a system terminal by name.
     pub fn system_term_by_name(&self, name: &str) -> Option<SystemTermId> {
-        self.system_terms
-            .iter()
-            .position(|t| t.name == name)
-            .map(SystemTermId::from_index)
+        self.names.system_terms.get(name).copied()
     }
 
     /// The nets touching a module, each listed once, in id order.
@@ -323,11 +329,9 @@ pub struct NetworkBuilder {
     library: Library,
     budget: Arc<MemBudget>,
     instances: Vec<Instance>,
-    instance_names: HashMap<String, ModuleId>,
     system_terms: Vec<SystemTerminal>,
-    system_names: HashMap<String, SystemTermId>,
     nets: Vec<Net>,
-    net_names: HashMap<String, NetId>,
+    names: Names,
     pin_net: HashMap<Pin, NetId>,
 }
 
@@ -338,11 +342,9 @@ impl NetworkBuilder {
             library,
             budget: Arc::new(MemBudget::unlimited()),
             instances: Vec::new(),
-            instance_names: HashMap::new(),
             system_terms: Vec::new(),
-            system_names: HashMap::new(),
             nets: Vec::new(),
-            net_names: HashMap::new(),
+            names: Names::default(),
             pin_net: HashMap::new(),
         }
     }
@@ -375,7 +377,7 @@ impl NetworkBuilder {
         template: TemplateId,
     ) -> Result<ModuleId, BuildError> {
         let name = name.into();
-        if self.instance_names.contains_key(&name) {
+        if self.names.modules.contains_key(&name) {
             return Err(BuildError::DuplicateInstance { name });
         }
         if template.index() >= self.library.len() {
@@ -392,7 +394,7 @@ impl NetworkBuilder {
                 + MAP_ENTRY_OVERHEAD,
         )?;
         let id = ModuleId::from_index(self.instances.len());
-        self.instance_names.insert(name.clone(), id);
+        self.names.modules.insert(name.clone(), id);
         self.instances.push(Instance { name, template });
         Ok(id)
     }
@@ -408,7 +410,7 @@ impl NetworkBuilder {
         ty: TermType,
     ) -> Result<SystemTermId, BuildError> {
         let name = name.into();
-        if self.system_names.contains_key(&name) {
+        if self.names.system_terms.contains_key(&name) {
             return Err(BuildError::DuplicateSystemTerminal { name });
         }
         self.charge(
@@ -419,13 +421,13 @@ impl NetworkBuilder {
                 + MAP_ENTRY_OVERHEAD,
         )?;
         let id = SystemTermId::from_index(self.system_terms.len());
-        self.system_names.insert(name.clone(), id);
+        self.names.system_terms.insert(name.clone(), id);
         self.system_terms.push(SystemTerminal { name, ty });
         Ok(id)
     }
 
     fn net_id(&mut self, net: &str) -> Result<NetId, BuildError> {
-        if let Some(&id) = self.net_names.get(net) {
+        if let Some(&id) = self.names.nets.get(net) {
             return Ok(id);
         }
         self.charge(
@@ -435,7 +437,7 @@ impl NetworkBuilder {
                 + MAP_ENTRY_OVERHEAD,
         )?;
         let id = NetId::from_index(self.nets.len());
-        self.net_names.insert(net.to_owned(), id);
+        self.names.nets.insert(net.to_owned(), id);
         self.nets.push(Net {
             name: net.to_owned(),
             pins: Vec::new(),
@@ -447,7 +449,7 @@ impl NetworkBuilder {
         // Validate the pin before materialising the net, so a rejected
         // connection never leaves an empty ghost net behind.
         if let Some(&old) = self.pin_net.get(&pin) {
-            if self.net_names.get(net) == Some(&old) {
+            if self.names.nets.get(net) == Some(&old) {
                 return Ok(()); // idempotent re-connection
             }
             return Err(BuildError::PinReconnected {
@@ -536,12 +538,12 @@ impl NetworkBuilder {
 
     /// Looks up an already-added instance by name.
     pub fn instance_by_name(&self, name: &str) -> Option<ModuleId> {
-        self.instance_names.get(name).copied()
+        self.names.modules.get(name).copied()
     }
 
     /// Looks up an already-added system terminal by name.
     pub fn system_term_by_name(&self, name: &str) -> Option<SystemTermId> {
-        self.system_names.get(name).copied()
+        self.names.system_terms.get(name).copied()
     }
 
     /// Validates and freezes the network.
@@ -602,6 +604,7 @@ impl NetworkBuilder {
             module_nets,
             net_modules,
             system_term_net,
+            names: Arc::new(self.names),
         })
     }
 }

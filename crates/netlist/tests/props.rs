@@ -150,6 +150,22 @@ proptest! {
             let b: Vec<_> = back.net_modules(bn).iter().map(|m| m.index()).collect();
             prop_assert_eq!(a, b);
         }
+        // By-name lookups invert the id → name maps on both networks,
+        // and names that were never added resolve to nothing.
+        for n in [&net, &back] {
+            for m in n.modules() {
+                prop_assert_eq!(n.module_by_name(n.instance(m).name()), Some(m));
+            }
+            for id in n.nets() {
+                prop_assert_eq!(n.net_by_name(n.net(id).name()), Some(id));
+            }
+            for st in n.system_terms() {
+                prop_assert_eq!(n.system_term_by_name(n.system_term(st).name()), Some(st));
+            }
+            prop_assert_eq!(n.module_by_name("no such name"), None);
+            prop_assert_eq!(n.net_by_name("no such name"), None);
+            prop_assert_eq!(n.system_term_by_name("no such name"), None);
+        }
     }
 
     /// quinto write→parse is the identity on templates.
