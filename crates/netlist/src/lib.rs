@@ -13,9 +13,10 @@
 //! * typed ids ([`ModuleId`], [`NetId`], [`TemplateId`], [`SystemTermId`]),
 //! * connectivity queries used by the placement phase (the paper's
 //!   `connected` relation and the counting quantifiers built on it),
-//! * the paper's file formats: net-list / call / IO files (Appendix A) in
-//!   [`mod@format`], and the *quinto* module description (Appendix B)
-//!   in [`format::quinto`].
+//! * the paper's file formats: the net-list / call / IO files
+//!   (Appendix A) and the *quinto* module description (Appendix B) are
+//!   read and validated by the [`doctor`] and written by
+//!   [`mod@format`] and [`format::quinto`].
 //!
 //! # Examples
 //!

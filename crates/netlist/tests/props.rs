@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 
+use netart_netlist::doctor::{doctor_module, doctor_network, InputPolicy};
 use netart_netlist::{format, Library, Network, NetworkBuilder, Template, TermType};
 
 /// Strategy for a random template: a legal size and boundary-placed
@@ -128,7 +129,7 @@ fn build(plan: &NetworkPlan) -> Network {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Appendix A write→parse is the identity on network structure.
+    /// Appendix A write→read is the identity on network structure.
     #[test]
     fn appendix_a_round_trip(plan in plan_strategy()) {
         let net = build(&plan);
@@ -137,7 +138,8 @@ proptest! {
         let nets = format::write_net_list_file(&net);
         let mut lib = Library::new();
         lib.add_template(plan.template.clone()).expect("fresh");
-        let back = format::parse_network(lib, &nets, &calls, Some(&io)).expect("round trip");
+        let (back, _) = doctor_network(lib, &nets, &calls, Some(&io), InputPolicy::Strict)
+            .expect("round trip");
         prop_assert_eq!(back.module_count(), net.module_count());
         prop_assert_eq!(back.net_count(), net.net_count());
         prop_assert_eq!(back.system_term_count(), net.system_term_count());
@@ -168,11 +170,11 @@ proptest! {
         }
     }
 
-    /// quinto write→parse is the identity on templates.
+    /// quinto write→read is the identity on templates.
     #[test]
     fn quinto_round_trip(t in template_strategy("any".to_owned())) {
         let text = format::quinto::write_module(&t);
-        let back = format::quinto::parse_module(&text).expect("parses own output");
+        let (back, _) = doctor_module(&text, InputPolicy::Strict).expect("reads own output");
         prop_assert_eq!(back, t);
     }
 

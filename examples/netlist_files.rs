@@ -10,7 +10,7 @@
 use std::error::Error;
 
 use netart::diagram::escher;
-use netart::netlist::format::{self, quinto};
+use netart::netlist::doctor::{doctor_module, doctor_network, InputPolicy};
 use netart::netlist::Library;
 use netart::Generator;
 
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // quinto: build the module library from the descriptions.
     let mut lib = Library::new();
     for src in MODULES {
-        let template = quinto::parse_module(src)?;
+        let (template, _) = doctor_module(src, InputPolicy::Strict)?;
         println!(
             "quinto: added `{}` ({}x{}, {} terminals)",
             template.name(),
@@ -75,7 +75,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     // pablo's input: the three Appendix A files.
-    let network = format::parse_network(lib, NET_LIST, CALL_FILE, Some(IO_FILE))?;
+    let (network, _) =
+        doctor_network(lib, NET_LIST, CALL_FILE, Some(IO_FILE), InputPolicy::Strict)?;
     println!(
         "parsed network: {} modules, {} nets, {} system terminals",
         network.module_count(),
