@@ -29,9 +29,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod cache;
-mod flight;
 mod queue;
 mod service;
+mod single_flight;
 mod supervisor;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,9 +44,9 @@ pub use netart_route::CancelToken;
 use tracing::{debug, warn};
 
 pub use cache::{ByteCache, CacheStats};
-pub use flight::SingleFlight;
 pub use queue::{BoundedQueue, TryPushError};
 pub use service::{Service, ServiceConfig, SubmitError, Ticket, TicketOutcome};
+pub use single_flight::SingleFlight;
 pub use supervisor::{ShardAction, ShardPhase, ShardTable, SupervisorConfig};
 
 /// Engine tuning knobs.
