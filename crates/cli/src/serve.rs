@@ -53,8 +53,8 @@ use netart::netlist::ingest::records_from_str;
 use netart::netlist::Library;
 use netart_govern::MemBudget;
 use netart::obs::{
-    AllocSnapshot, CacheOutcome, FlightHandle, FlightRecorder, Json, ServeReport, ServeStats,
-    ServeStatus, Telemetry,
+    AccessRecord, AllocSnapshot, CacheOutcome, FlightHandle, FlightRecorder, Json, ServeReport,
+    ServeStats, ServeStatus, Telemetry,
 };
 use netart::place::PlaceConfig;
 use netart::route::{Budget, NetOrder, RouteConfig};
@@ -490,68 +490,12 @@ fn record_telemetry(telemetry: &Telemetry, record: impl FnOnce(&Telemetry)) {
     }
 }
 
-/// One access-log line in the making: filled in by [`handle_diagram`]
-/// as the request resolves, framed as JSON by [`access_json`].
-struct AccessRecord {
-    rid: String,
-    outcome: &'static str,
-    http_status: u16,
-    cache: &'static str,
-    artifact: String,
-    deadline_cancelled: bool,
-    latency_ns: u64,
-    phases: Vec<(String, u64)>,
-}
-
-impl AccessRecord {
-    fn new(rid: String) -> Self {
-        AccessRecord {
-            rid,
-            outcome: "failed",
-            http_status: 0,
-            cache: "none",
-            artifact: String::new(),
-            deadline_cancelled: false,
-            latency_ns: 0,
-            phases: Vec::new(),
-        }
-    }
-}
-
-/// The access-log schema, one object per line: identity (`rid`,
-/// `artifact`), verdict (`outcome`, `http_status`, `cache`,
-/// `deadline_cancelled`), cost (`latency_ns`, per-phase wall times).
-/// Strip the `*_ns` members and single-worker replays of the same
-/// request sequence compare byte-identical.
-fn access_json(acc: &AccessRecord) -> String {
-    let phases = Json::Arr(
-        acc.phases
-            .iter()
-            .map(|(name, wall_ns)| {
-                Json::obj()
-                    .with("name", name.as_str())
-                    .with("wall_ns", *wall_ns)
-            })
-            .collect(),
-    );
-    Json::obj()
-        .with("rid", acc.rid.as_str())
-        .with("outcome", acc.outcome)
-        .with("http_status", u64::from(acc.http_status))
-        .with("cache", acc.cache)
-        .with("artifact", acc.artifact.as_str())
-        .with("deadline_cancelled", acc.deadline_cancelled)
-        .with("latency_ns", acc.latency_ns)
-        .with("phases", phases)
-        .render()
-}
-
 /// Appends one line to the `--access-log` sink, if configured. Lock
 /// poisoning and write errors are swallowed: the log is diagnostics,
 /// the response is the product.
 fn write_access_log(state: &ServerState, acc: &AccessRecord) {
     if let Some(log) = &state.access_log {
-        let line = access_json(acc);
+        let line = acc.to_json_line();
         if let Ok(mut file) = log.lock() {
             let _ = writeln!(file, "{line}");
         }
@@ -679,10 +623,10 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
     if let Some(cached) = cache_get(state, &key) {
         count(&state.counters.cache_hits);
         count_status(&state.counters, cached.status);
-        acc.outcome = cached.status.as_str();
-        acc.cache = "hit";
+        acc.outcome = cached.status.as_str().to_owned();
+        acc.cache = "hit".to_owned();
         if let Some(run) = &cached.report {
-            acc.phases = run.phases.iter().map(|p| (p.name.clone(), p.wall_ns)).collect();
+            acc.set_phases(run);
         }
         let mut report = (*cached).clone();
         report.cache = CacheOutcome::Hit;
@@ -691,7 +635,7 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
 
     if !state.ready.load(Ordering::Acquire) {
         count(&state.counters.drain_rejects);
-        acc.outcome = "drain_reject";
+        acc.outcome = "drain_reject".to_owned();
         return HttpReply::report(503, &ServeReport::failure("draining: not accepting work"));
     }
 
@@ -727,21 +671,21 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
         FlightResult::Done(computed) => {
             let outcome = if leads {
                 count(&state.counters.cache_misses);
-                acc.cache = "miss";
+                acc.cache = "miss".to_owned();
                 CacheOutcome::Miss
             } else {
                 count(&state.counters.coalesced);
-                acc.cache = "coalesced";
+                acc.cache = "coalesced".to_owned();
                 CacheOutcome::Coalesced
             };
             count_status(&state.counters, computed.report.status);
             if computed.deadline_cancelled {
                 count(&state.counters.deadline_cancelled);
             }
-            acc.outcome = computed.report.status.as_str();
+            acc.outcome = computed.report.status.as_str().to_owned();
             acc.deadline_cancelled = computed.deadline_cancelled;
             if let Some(run) = &computed.report.report {
-                acc.phases = run.phases.iter().map(|p| (p.name.clone(), p.wall_ns)).collect();
+                acc.set_phases(run);
             }
             let mut report = computed.report.clone();
             report.cache = outcome;
@@ -779,7 +723,7 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
                 // The governor, not the input, said no: the same
                 // request may fit once in-flight work releases its
                 // charges, so answer retryable 503, not final 422.
-                acc.outcome = "mem_reject";
+                acc.outcome = "mem_reject".to_owned();
                 record_telemetry(&state.telemetry, |t| t.inc(M_MEM_REJECTIONS, &[], 1));
                 let mut reply = HttpReply::report(503, &report);
                 reply.headers.push(("Retry-After", "1".to_owned()));
@@ -794,7 +738,7 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
         }
         FlightResult::Shed => {
             count(&state.counters.shed);
-            acc.outcome = "shed";
+            acc.outcome = "shed".to_owned();
             let mut reply = HttpReply::report(
                 429,
                 &ServeReport::failure("saturated: the admission queue is full; retry shortly"),
@@ -804,13 +748,13 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
         }
         FlightResult::Draining => {
             count(&state.counters.drain_rejects);
-            acc.outcome = "drain_reject";
+            acc.outcome = "drain_reject".to_owned();
             HttpReply::report(503, &ServeReport::failure("draining: not accepting work"))
         }
         FlightResult::Panicked(message) => {
             count(&state.counters.panics);
             count(&state.counters.failed);
-            acc.outcome = "panic";
+            acc.outcome = "panic".to_owned();
             if leads {
                 dump_blackbox(state, "panic", Some(&acc.rid));
             }
@@ -935,12 +879,12 @@ fn route_request(state: &Arc<ServerState>, method: &str, path: &str, body: &[u8]
             let started = Instant::now();
             let mut acc = AccessRecord::new(rid);
             let reply = span.in_scope(|| handle_diagram(state, body, &mut acc));
-            acc.http_status = reply.status;
+            acc.http_status = u32::from(reply.status);
             acc.latency_ns = ns(started.elapsed());
             record_telemetry(&state.telemetry, |t| {
-                t.inc(M_REQUESTS, &[("outcome", acc.outcome)], 1);
+                t.inc(M_REQUESTS, &[("outcome", &acc.outcome)], 1);
                 if acc.cache != "none" {
-                    t.inc(M_CACHE, &[("result", acc.cache)], 1);
+                    t.inc(M_CACHE, &[("result", &acc.cache)], 1);
                 }
                 if acc.deadline_cancelled {
                     t.inc(M_DEADLINE, &[], 1);

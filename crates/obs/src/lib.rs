@@ -66,7 +66,10 @@ pub use report::{
     DegradationReport, NetReport, NetworkReport, PhaseReport, QualityReport, RunReport,
     SCHEMA_VERSION,
 };
-pub use serve::{CacheOutcome, ServeReport, ServeStats, ServeStatus, SERVE_SCHEMA_VERSION};
+pub use serve::{
+    AccessPhase, AccessRecord, CacheOutcome, ServeReport, ServeStats, ServeStatus,
+    SERVE_SCHEMA_VERSION,
+};
 pub use subscribe::{FanoutSubscriber, JsonLinesSubscriber, TextSubscriber};
 pub use telemetry::{RollingHistogram, Telemetry, WindowSummary};
 pub use trace::{TraceBuffer, TraceEvent, TraceEventSubscriber};
