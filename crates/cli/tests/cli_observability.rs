@@ -366,6 +366,15 @@ fn profile_heat_json_is_bit_identical_across_runs() {
     for member in ["tool", "cols", "rows", "bounds", "totals", "cells"] {
         assert!(doc.get(member).is_some(), "member {member} missing");
     }
+    let grid = ["cols", "rows"].map(|member| doc.get(member).and_then(Json::as_u64));
+    assert_eq!(grid, [Some(8), Some(8)], "--grid 8 sizes both axes");
+    let cells = doc.get("cells").and_then(Json::as_arr).expect("cells array");
+    let cell_sum: u64 = cells
+        .iter()
+        .map(|c| c.get("expansions").and_then(Json::as_u64).expect("cell expansions"))
+        .sum();
+    let totals = doc.get("totals").and_then(|t| t.get("expansions")).and_then(Json::as_u64);
+    assert_eq!(Some(cell_sum), totals, "cell expansions add up to the total");
 
     let diff = netart(&["report", "diff", &heat_a, &heat_b]);
     assert!(diff.status.success(), "profile self-diff regressed: {diff:?}");
