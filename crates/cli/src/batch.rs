@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use netart::diagram::svg;
 use netart::netlist::doctor::{DoctorCode, InputPolicy};
-use netart::netlist::ingest::{self, IngestBudgets, IngestError};
+use netart::netlist::ingest::{self, IngestBudgets, IngestError, Record};
 use netart::netlist::Library;
 use netart::obs::{AllocSnapshot, BatchManifest, FlightRecorder};
 use netart::route::{CancelToken, RouteConfig};
@@ -144,14 +144,13 @@ fn job_from_net(net: PathBuf) -> Result<BatchJob, CliError> {
     Ok(BatchJob { net, cal, io, stem })
 }
 
-/// Parses one manifest line: `net cal [io]` or a bare `.net` path.
-fn job_from_manifest_line(
+/// Parses one manifest record: `net cal [io]` or a bare `.net` path.
+fn job_from_manifest_record(
     base: &Path,
-    line: &str,
+    record: &Record,
     manifest: &Path,
-    lineno: usize,
 ) -> Result<BatchJob, CliError> {
-    let fields: Vec<&str> = line.split_whitespace().collect();
+    let fields = &record.fields;
     match fields.as_slice() {
         [net] => job_from_net(base.join(net)),
         [net, cal] | [net, cal, _] => {
@@ -168,8 +167,9 @@ fn job_from_manifest_line(
             })
         }
         _ => Err(CliError::Other(format!(
-            "{}:{lineno}: expected `net-list [call-file [io-file]]`, got {} fields",
+            "{}:{}: expected `net-list [call-file [io-file]]`, got {} fields",
             manifest.display(),
+            record.line,
             fields.len()
         ))),
     }
@@ -211,65 +211,35 @@ fn collect_jobs(
         } else if path.extension().is_some_and(|e| e == "net") {
             add(job_from_net(path)?);
         } else {
-            // A manifest streams line-at-a-time under the input budget
-            // like every other ingested file — a hostile multi-gigabyte
-            // "manifest" is refused, not slurped.
+            // A manifest is a record file, read under the input budget
+            // like every other — a hostile multi-gigabyte "manifest" is
+            // refused, not slurped.
             let file = std::fs::File::open(&path).map_err(|source| CliError::Io {
                 path: path.clone(),
                 source,
             })?;
-            let base = path.parent().unwrap_or(Path::new(".")).to_owned();
-            let mut any = false;
-            let mut bad: Option<CliError> = None;
-            let streamed = ingest::for_each_line(
-                std::io::BufReader::new(file),
-                &budgets.input,
-                "batch manifest",
-                |lineno, line| {
-                    let line = line.trim();
-                    if line.is_empty() || line.starts_with('#') {
-                        return Ok(());
-                    }
-                    match job_from_manifest_line(&base, line, &path, lineno) {
-                        Ok(job) => {
-                            add(job);
-                            any = true;
-                            Ok(())
-                        }
-                        Err(e) => {
-                            // Stash the structured error; the sentinel
-                            // below only stops the streaming loop.
-                            bad = Some(e);
-                            Err(IngestError::Parse(netart::netlist::ParseError::new(
-                                lineno,
-                                "unusable manifest line",
-                            )))
-                        }
-                    }
-                },
-            );
-            if let Some(e) = bad {
-                return Err(e);
-            }
-            streamed.map_err(|e| match e {
-                IngestError::Io(source) => CliError::Io {
-                    path: path.clone(),
-                    source,
-                },
-                IngestError::Exhausted(x) => CliError::ResourceExhausted {
-                    path: path.clone(),
-                    message: format!("{} {x}", DoctorCode::ResourceExhausted.as_str()),
-                },
-                IngestError::Parse(p) => CliError::Parse {
-                    path: path.clone(),
-                    message: p.to_string(),
-                },
-            })?;
-            if !any {
+            let records =
+                ingest::read_records(std::io::BufReader::new(file), &budgets.input, "batch manifest")
+                    .map_err(|e| match e {
+                        IngestError::Io(source) => CliError::Io {
+                            path: path.clone(),
+                            source,
+                        },
+                        IngestError::Exhausted(x) => CliError::ResourceExhausted {
+                            path: path.clone(),
+                            message: format!("{} {x}", DoctorCode::ResourceExhausted.as_str()),
+                        },
+                    })?;
+            budgets.input.release(records.iter().map(Record::cost).sum());
+            if records.is_empty() {
                 return Err(CliError::Other(format!(
                     "{}: manifest lists no jobs",
                     path.display()
                 )));
+            }
+            let base = path.parent().unwrap_or(Path::new(".")).to_owned();
+            for record in &records {
+                add(job_from_manifest_record(&base, record, &path)?);
             }
         }
     }

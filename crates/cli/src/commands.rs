@@ -8,10 +8,10 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use netart::diagram::{escher, svg, Diagram};
-use netart::netlist::doctor::{self, DoctorCode, DoctorFile, InputPolicy, Severity};
+use netart::netlist::doctor::{self, DoctorCode, DoctorFile, DoctorReport, InputPolicy, Severity};
 use netart::netlist::format::quinto;
 use netart::netlist::ingest::{self, IngestBudgets, IngestError, Record};
-use netart::netlist::{Library, Network};
+use netart::netlist::{Library, Network, Template};
 use netart_govern::MemBudget;
 use netart::obs::{
     AllocSnapshot, DegradationReport, DiffConfig, FanoutSubscriber, Json, JsonLinesSubscriber,
@@ -418,10 +418,6 @@ pub(crate) fn read_records_gov(
             path: path.to_owned(),
             message: nd015_message(file, &x),
         },
-        IngestError::Parse(p) => CliError::Parse {
-            path: path.to_owned(),
-            message: p.to_string(),
-        },
     })
 }
 
@@ -526,14 +522,7 @@ pub(crate) fn load_library_dir(
         )));
     }
     for p in paths {
-        let recs = read_records_gov(&p, &budgets.input, "module file", DoctorFile::Module)?;
-        let kept: u64 = recs.iter().map(Record::cost).sum();
-        let doctored = doctor::doctor_module_records(recs, policy);
-        budgets.input.release(kept);
-        let (template, report) = doctored.map_err(|e| CliError::Parse {
-            path: p.clone(),
-            message: e.to_string(),
-        })?;
+        let (template, report) = read_module(&p, policy, budgets)?;
         doctor_degradations(&p, &report, degs);
         let name = template.name().to_owned();
         if lib.add_template(template).is_err() {
@@ -555,6 +544,24 @@ pub(crate) fn load_library_dir(
         }
     }
     Ok(lib)
+}
+
+/// Reads one quinto module file through the doctor under `policy`. The
+/// records stay charged to the input budget only while the doctor
+/// reads them.
+fn read_module(
+    path: &Path,
+    policy: InputPolicy,
+    budgets: &IngestBudgets,
+) -> Result<(Template, DoctorReport), CliError> {
+    let recs = read_records_gov(path, &budgets.input, "module file", DoctorFile::Module)?;
+    let kept: u64 = recs.iter().map(Record::cost).sum();
+    let doctored = doctor::doctor_module_records(recs, policy);
+    budgets.input.release(kept);
+    doctored.map_err(|e| CliError::Parse {
+        path: path.to_owned(),
+        message: e.to_string(),
+    })
 }
 
 /// Parses the Appendix A positional files `net-list call-file
@@ -1283,21 +1290,13 @@ pub fn run_quinto(argv: &[String]) -> Result<RunOutput, CliError> {
     let mut warnings = String::new();
     for file in args.positionals() {
         let path = Path::new(file);
-        let recs = match read_records_gov(path, &budgets.input, "module file", DoctorFile::Module)
-        {
-            Ok(recs) => recs,
+        let (template, report) = match read_module(path, policy, &budgets) {
+            Ok(read) => read,
             Err(e @ CliError::ResourceExhausted { .. }) => {
                 return Ok(exhausted_output(&e, false, message_to_stderr))
             }
             Err(e) => return Err(e),
         };
-        let kept: u64 = recs.iter().map(Record::cost).sum();
-        let doctored = doctor::doctor_module_records(recs, policy);
-        budgets.input.release(kept);
-        let (template, report) = doctored.map_err(|e| CliError::Parse {
-            path: path.to_owned(),
-            message: e.to_string(),
-        })?;
         for d in &report.diagnostics {
             warnings.push_str(&format!("\nwarning: {}: {d}", path.display()));
         }
