@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use common::{chain_inputs, diagram_request, scratch, write_lib, HttpResponse, ServeProc};
-use netart::obs::{BlackboxDump, Json, ServeReport, ServeStats};
+use netart::obs::{BlackboxDump, Json, ServeReport, ServeStats, SCHEMA_VERSION};
 
 fn parse_report(response: &HttpResponse) -> ServeReport {
     let doc = Json::parse(&response.body)
@@ -95,7 +95,11 @@ fn cache_replays_are_byte_identical() {
 
     let first = server.exchange("POST", "/v1/diagram", Some(&body));
     assert_eq!(first.status, 200, "{}", first.body);
+    let inline = Json::parse(&first.body).expect("body is JSON");
+    let version = inline.get("report").and_then(|r| r.get("schema_version"));
+    assert_eq!(version.and_then(Json::as_u64), Some(u64::from(SCHEMA_VERSION)));
     let first = parse_report(&first);
+    assert_eq!(first.status.as_str(), "clean");
     assert_eq!(first.cache.as_str(), "miss");
     assert!(!first.escher.is_empty() && !first.svg.is_empty());
     assert!(first.report.is_some(), "run report is inline");
@@ -357,6 +361,8 @@ fn metrics_exposition_is_valid_and_counters_are_monotone() {
     assert_eq!(after["netart_serve_cache_requests_total{result=\"hit\"}"], 1);
     assert_eq!(after["netart_serve_cache_requests_total{result=\"miss\"}"], 1);
     assert!(after.contains_key("netart_serve_queue_depth"));
+    assert_eq!(types["netart_serve_queue_depth"], "gauge");
+    assert_eq!(types["netart_serve_requests_total"], "counter");
     assert_eq!(types["netart_serve_request_latency_ns"], "histogram");
     assert_eq!(after["netart_serve_request_latency_ns_count"], 2);
 
@@ -643,7 +649,10 @@ fn sigusr1_dumps_a_blackbox_that_round_trips_through_netart_blackbox() {
     let dump = wait_for_dump(&dump_path);
     assert_eq!(dump.reason, "signal");
     assert_eq!(dump.rid, None, "an operator dump is not about one request");
-    assert!(!dump.records.is_empty(), "the ring retained the request's spans");
+    assert!(
+        dump.records.iter().any(|r| r.name == "serve.request"),
+        "the ring retained the request's span"
+    );
 
     // The dump renders as a timeline through the subcommand.
     let rendered = std::process::Command::new(env!("CARGO_BIN_EXE_netart"))

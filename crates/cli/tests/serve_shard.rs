@@ -141,6 +141,9 @@ fn kill9_of_one_shard_spares_survivors_inflight_work_and_respawns() {
     wait_for("both workers", Duration::from_secs(10), || {
         worker_pids(server.pid()).len() == 2
     });
+    wait_for("boot quorum readiness", Duration::from_secs(10), || {
+        server.exchange("GET", "/readyz", None).status == 200
+    });
     let before: Vec<u32> = worker_pids(server.pid());
 
     // Park slow, distinct (non-coalescing) requests across the fleet.
@@ -185,6 +188,14 @@ fn kill9_of_one_shard_spares_survivors_inflight_work_and_respawns() {
         outcomes.contains(&200),
         "no in-flight request survived the kill: {outcomes:?}"
     );
+    // The survivor keeps taking new work after the kill.
+    let (net, cal, io) = chain_inputs(6);
+    let fresh = diagram_request(&net, &cal, Some(&io)).render_pretty();
+    wait_for("the survivor to serve", Duration::from_secs(10), || {
+        server
+            .request("POST", "/v1/diagram", Some(&fresh))
+            .is_ok_and(|r| r.status == 200)
+    });
 
     // The supervisor respawns within the backoff bound (first death:
     // ~100-125 ms; generous margin for process boot).
@@ -206,7 +217,10 @@ fn kill9_of_one_shard_spares_survivors_inflight_work_and_respawns() {
     server.sigterm();
     let (code, rest) = server.wait_exit();
     assert_eq!(code, Some(0));
-    assert!(rest.contains("1 restart(s)"), "{rest}");
+    assert!(
+        rest.contains("drained cleanly: 2 shard(s) supervised, 1 restart(s)"),
+        "{rest}"
+    );
     let _ = std::fs::remove_dir_all(dir);
 }
 
