@@ -460,7 +460,6 @@ pub fn run_batch(argv: &[String]) -> Result<RunOutput, CliError> {
         max_attempts: args.parsed("max-attempts", 3u32)?,
         job_timeout,
         drain_grace: Duration::from_millis(ms_flag("drain-grace", 5_000)?),
-        ..EngineConfig::default()
     };
 
     // Bridge the process signal flag onto the engine's drain token.

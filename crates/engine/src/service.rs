@@ -29,7 +29,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::queue::{BoundedQueue, TryPushError};
-use crate::{panic_message, JobContext, Watch, CancelToken, WATCHDOG_TICK};
+use crate::{panic_message, watchdog, CancelToken, JobContext, Watch};
 
 /// Tuning knobs for a resident [`Service`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,28 +201,12 @@ impl<Req: Send + 'static, R: Send + 'static> Service<Req, R> {
                 shared.workers_alive.fetch_sub(1, Ordering::SeqCst);
             }));
         }
-        // The watchdog: per-request deadlines always, drain-grace
-        // expiry once draining.
         {
             let shared = Arc::clone(&shared);
             threads.push(std::thread::spawn(move || {
-                let mut drain_deadline: Option<Instant> = None;
-                while !shared.stopped.load(Ordering::Acquire) {
-                    let now = Instant::now();
-                    if shared.draining.load(Ordering::Acquire) && drain_deadline.is_none() {
-                        drain_deadline = Some(now + shared.drain_grace);
-                    }
-                    let drain_expired = drain_deadline.is_some_and(|d| now >= d);
-                    for watch in &shared.watches {
-                        let guard = watch.lock().unwrap_or_else(PoisonError::into_inner);
-                        if let Some(watch) = guard.as_ref() {
-                            if drain_expired || watch.deadline.is_some_and(|d| now >= d) {
-                                watch.cancel.cancel();
-                            }
-                        }
-                    }
-                    std::thread::sleep(WATCHDOG_TICK);
-                }
+                watchdog(&shared.watches, shared.drain_grace, &shared.stopped, || {
+                    shared.draining.load(Ordering::Acquire)
+                });
             }));
         }
         Service { shared, threads }
