@@ -7,7 +7,10 @@
 //! *all* integer positions; we exploit that the quadratic objective over
 //! the free region attains its minimum either at the unconstrained
 //! optimum or on the boundary of an inflated obstacle, where it is found
-//! by clamping — giving the same answer in O(#placed) candidates.
+//! by clamping — giving the same answer in O(#placed) candidates. Each
+//! candidate is then tested against every placed rectangle, so one
+//! placement costs O(P²) for P placed rectangles, and placing a whole
+//! cluster of P rectangles O(P³).
 
 use netart_geom::{Point, Rect};
 

@@ -91,6 +91,35 @@ impl Active {
     }
 }
 
+/// What an entry met on a swept track does to the pieces it overlaps,
+/// in the order [`Action::rank`] applies them.
+#[derive(Clone, Copy)]
+enum Action {
+    /// A module edge, the plane border or a claimpoint.
+    Block,
+    /// An active of the sweeping front: trimmed, its zone is covered.
+    BlockOwn(usize),
+    /// A segment of the net under construction.
+    Target,
+    /// An active of the opposite front.
+    Meet(usize),
+    /// Another net's segment: crossed in its interior.
+    Cross,
+}
+
+impl Action {
+    /// Blocking kinds first, so a module edge shadowing a net wins.
+    fn rank(self) -> u8 {
+        match self {
+            Action::Block => 0,
+            Action::BlockOwn(_) => 1,
+            Action::Target => 2,
+            Action::Meet(_) => 3,
+            Action::Cross => 4,
+        }
+    }
+}
+
 /// How the far side of a solution candidate connects.
 #[derive(Debug, Clone, Copy)]
 enum FarSide {
@@ -177,6 +206,13 @@ pub(crate) struct Search<'a> {
     /// touched, fed to the `netart profile` heat map. Deterministic
     /// for a given obstacle configuration.
     explored: Option<(i32, i32, i32, i32)>,
+    /// The entries of the track being swept; one buffer reused by
+    /// every sweep.
+    entries: Vec<(Interval, Action)>,
+    /// Test-only switch back to unpruned sweeps, the oracle of the hull
+    /// test in `sweep_track`.
+    #[cfg(test)]
+    full_sweeps: bool,
 }
 
 /// Removes the union of `covered` from `span`, returning the leftover
@@ -224,6 +260,9 @@ impl<'a> Search<'a> {
             pending: [Vec::new(), Vec::new()],
             candidates: Vec::new(),
             explored: None,
+            entries: Vec::new(),
+            #[cfg(test)]
+            full_sweeps: false,
         }
     }
 
@@ -428,19 +467,21 @@ impl<'a> Search<'a> {
         ends: &mut Vec<(Interval, i32)>,
         crossed: &mut Vec<(i32, Interval)>,
     ) -> Vec<(Interval, u32)> {
-        #[derive(Clone, Copy)]
-        enum Action {
-            Block,
-            BlockOwn(usize),
-            Target,
-            Meet(usize),
-            Cross,
-        }
-
-        // Gather entries at this track, blocking kinds first so that a
-        // module edge shadowing a net wins.
-        let mut entries: Vec<(Interval, Action)> = Vec::new();
+        // Pieces only shrink inside their starting hull (even `Cross`
+        // keeps just an interior), so an entry outside it can never act
+        // and skipping it is exact. The kept entries stay in insertion
+        // order, so the stable rank sort below orders them as before.
+        let Some(hull) = pieces.iter().map(|&(iv, _)| iv).reduce(Interval::hull) else {
+            return pieces;
+        };
+        #[cfg(test)]
+        let hull = if self.full_sweeps { Interval::new(i32::MIN, i32::MAX) } else { hull };
+        let mut entries = std::mem::take(&mut self.entries);
+        entries.clear();
         for o in self.map.at(a.axis(), track) {
+            if !o.span.overlaps(hull) {
+                continue;
+            }
             let action = match o.kind {
                 ObstacleKind::Module | ObstacleKind::Claim(_) => Action::Block,
                 ObstacleKind::Net(n) if n == self.net => Action::Target,
@@ -451,10 +492,10 @@ impl<'a> Search<'a> {
         for f in [a.front, a.front.other()] {
             if let Some(ids) = self.index[f.idx()][axis_idx(a.axis())].get(&track) {
                 for &oid in ids {
-                    if oid == a_id || !self.arena[oid].alive {
+                    let act = &self.arena[oid];
+                    if oid == a_id || !act.alive || !act.span.overlaps(hull) {
                         continue;
                     }
-                    let act = &self.arena[oid];
                     let action = if f == a.front {
                         Action::BlockOwn(oid)
                     } else {
@@ -464,18 +505,11 @@ impl<'a> Search<'a> {
                 }
             }
         }
-        let rank = |e: &Action| match e {
-            Action::Block => 0,
-            Action::BlockOwn(_) => 1,
-            Action::Target => 2,
-            Action::Meet(_) => 3,
-            Action::Cross => 4,
-        };
-        entries.sort_by_key(|(_, e)| rank(e));
+        entries.sort_by_key(|(_, e)| e.rank());
 
         let stop = track - step;
         let mut work = pieces;
-        for (span, action) in entries {
+        for &(span, action) in &entries {
             let mut next_work: Vec<(Interval, u32)> = Vec::new();
             for (iv, cr) in work {
                 let Some(ov) = iv.intersect(span) else {
@@ -519,6 +553,7 @@ impl<'a> Search<'a> {
             }
             work = next_work;
         }
+        self.entries = entries;
         work
     }
 
@@ -947,6 +982,8 @@ pub(crate) fn merge_collinear(mut segs: Vec<Segment>) -> Vec<Segment> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::BudgetBreach;
 
@@ -1180,5 +1217,93 @@ mod tests {
         ]);
         assert_eq!(merged.len(), 2);
         assert!(merged.contains(&Segment::horizontal(0, 0, 6)));
+    }
+
+    /// A search's outcome and explored rect, with sweeps pruned to the
+    /// live hull or (`full`) gathering every entry on each track.
+    fn run_search(map: &ObstacleMap, seeds: &[(Front, Point, Dir)], full: bool) -> String {
+        let mut s = Search::new(map, nid(), false, 12);
+        s.full_sweeps = full;
+        for &(front, p, dir) in seeds {
+            s.seed(front, p, dir);
+        }
+        let result = s.run(&mut BudgetMeter::start(crate::Budget::new().with_node_limit(4000)));
+        format!("{result:?} {:?}", s.explored_rect())
+    }
+
+    #[test]
+    fn entries_outside_the_hull_change_nothing() {
+        let mut map = bounded(30, 20);
+        map.add(Segment::vertical(15, 0, 16), ObstacleKind::Module);
+        map.add(Segment::vertical(8, 2, 18), ObstacleKind::Net(NetId::from_index(7)));
+        let seeds = [
+            (Front::A, Point::new(5, 5), Dir::Right),
+            (Front::B, Point::new(25, 5), Dir::Left),
+        ];
+        let before = run_search(&map, &seeds, false);
+        assert!(before.starts_with("Connected"), "{before}");
+        // Blocking, crossing and own-net entries on every swept track,
+        // all beyond the border, so outside every piece's hull.
+        for t in 1..20 {
+            map.add(Segment::horizontal(t, -9, -7), ObstacleKind::Module);
+            map.add(Segment::horizontal(t, -5, -3), ObstacleKind::Net(NetId::from_index(7)));
+            map.add(Segment::horizontal(t, 33, 35), ObstacleKind::Net(nid()));
+        }
+        for t in 1..30 {
+            map.add(Segment::vertical(t, -9, -7), ObstacleKind::Claim(NetId::from_index(3)));
+            map.add(Segment::vertical(t, -5, -3), ObstacleKind::Net(NetId::from_index(7)));
+            map.add(Segment::vertical(t, 23, 25), ObstacleKind::Net(nid()));
+        }
+        assert_eq!(run_search(&map, &seeds, false), before);
+        assert_eq!(run_search(&map, &seeds, true), before);
+    }
+
+    fn seed_strategy() -> impl Strategy<Value = (Point, Dir)> {
+        (1i32..24, 1i32..16, prop::sample::select(Dir::ALL.to_vec()))
+            .prop_map(|(x, y, d)| (Point::new(x, y), d))
+    }
+
+    /// A module edge, a foreign wire, a claim or a wire of the net
+    /// itself, somewhere on the plane.
+    fn obstacle_strategy() -> impl Strategy<Value = (Segment, ObstacleKind)> {
+        (any::<bool>(), 1i32..24, 1i32..16, 0i32..9, 0u8..4).prop_map(|(h, x, y, len, kind)| {
+            let seg = if h {
+                Segment::horizontal(y, x, x + len)
+            } else {
+                Segment::vertical(x, y, y + len)
+            };
+            let kind = match kind {
+                0 => ObstacleKind::Module,
+                1 => ObstacleKind::Net(NetId::from_index(7)),
+                2 => ObstacleKind::Claim(NetId::from_index(3)),
+                _ => ObstacleKind::Net(nid()),
+            };
+            (seg, kind)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Pruning sweeps to the live hull finds the same connection and
+        /// explores the same rect as gathering every entry, in both the
+        /// two-front and the one-front mode.
+        #[test]
+        fn hull_pruned_sweeps_match_full_sweeps(
+            obstacles in prop::collection::vec(obstacle_strategy(), 0..14),
+            a in seed_strategy(),
+            b in seed_strategy(),
+            two_fronts in any::<bool>(),
+        ) {
+            let mut map = bounded(26, 18);
+            for (seg, kind) in obstacles {
+                map.add(seg, kind);
+            }
+            let mut seeds = vec![(Front::A, a.0, a.1)];
+            if two_fronts {
+                seeds.push((Front::B, b.0, b.1));
+            }
+            prop_assert_eq!(run_search(&map, &seeds, false), run_search(&map, &seeds, true));
+        }
     }
 }

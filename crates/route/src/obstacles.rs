@@ -5,11 +5,17 @@
 //! boundary edges, the plane border, system terminal points, routed net
 //! segments and claimpoints all live here. A sweep moving vertically
 //! consults horizontal obstacles and vice versa.
+//!
+//! The map also remembers, per net, which tracks hold that net's
+//! segments, caps and claims, so ripping a net up or lifting its claims
+//! visits only those tracks instead of the whole plane.
 
 use std::collections::BTreeMap;
 
 use netart_geom::{Axis, Dir, Interval, Point, Rect, Segment};
 use netart_netlist::NetId;
+
+use crate::expand::{merge_collinear, split_at_junctions};
 
 /// What an obstacle is; the router reacts differently to each kind
 /// (§5.6.3 `EXPAND_SEGMENT`).
@@ -24,6 +30,16 @@ pub enum ObstacleKind {
     /// A claimpoint reserving the track in front of a terminal of the
     /// given net (§5.7): blocks like a module until lifted.
     Claim(NetId),
+}
+
+impl ObstacleKind {
+    /// The net a wire or claim belongs to; `None` for module kinds.
+    fn net(self) -> Option<NetId> {
+        match self {
+            ObstacleKind::Module => None,
+            ObstacleKind::Net(n) | ObstacleKind::Claim(n) => Some(n),
+        }
+    }
 }
 
 /// One obstacle: a span on a track with a kind.
@@ -54,6 +70,10 @@ pub struct Obstacle {
 pub struct ObstacleMap {
     horizontal: BTreeMap<i32, Vec<Obstacle>>, // key: y; spans are x ranges
     vertical: BTreeMap<i32, Vec<Obstacle>>,   // key: x; spans are y ranges
+    /// Indexed by net: every `(axis, track)` that may hold one of the
+    /// net's segments, caps or claims. A superset with repeats; the
+    /// per-net removals compact it.
+    net_tracks: Vec<Vec<(Axis, i32)>>,
 }
 
 impl ObstacleMap {
@@ -87,22 +107,26 @@ impl ObstacleMap {
     /// capped already; the explicit caps make hand-built maps equally
     /// safe.)
     pub fn add(&mut self, seg: Segment, kind: ObstacleKind) {
+        self.push(seg, kind);
+        if matches!(kind, ObstacleKind::Net(_)) && !seg.is_point() {
+            let (a, b) = seg.endpoints();
+            for p in [a, b] {
+                self.push(Segment::point(seg.axis().perpendicular(), p), kind);
+            }
+        }
+    }
+
+    /// Stores one obstacle and records its track under its net.
+    fn push(&mut self, seg: Segment, kind: ObstacleKind) {
         self.lanes_mut(seg.axis())
             .entry(seg.track())
             .or_default()
             .push(Obstacle { span: seg.span(), kind });
-        if matches!(kind, ObstacleKind::Net(_)) && !seg.is_point() {
-            let (a, b) = seg.endpoints();
-            for p in [a, b] {
-                let cap = match seg.axis() {
-                    Axis::Horizontal => Segment::vertical(p.x, p.y, p.y),
-                    Axis::Vertical => Segment::horizontal(p.y, p.x, p.x),
-                };
-                self.lanes_mut(cap.axis())
-                    .entry(cap.track())
-                    .or_default()
-                    .push(Obstacle { span: cap.span(), kind });
+        if let Some(net) = kind.net() {
+            if self.net_tracks.len() <= net.index() {
+                self.net_tracks.resize_with(net.index() + 1, Vec::new);
             }
+            self.net_tracks[net.index()].push((seg.axis(), seg.track()));
         }
     }
 
@@ -147,9 +171,9 @@ impl ObstacleMap {
         }
     }
 
-    /// Removes every obstacle matching `pred`. Returns how many were
-    /// dropped.
-    pub fn retain_not(&mut self, mut pred: impl FnMut(Axis, i32, &Obstacle) -> bool) -> usize {
+    /// Removes every obstacle matching `pred`, visiting the whole map.
+    /// Returns how many were dropped.
+    fn retain_not(&mut self, mut pred: impl FnMut(Axis, i32, &Obstacle) -> bool) -> usize {
         let mut removed = 0;
         for (axis, lanes) in [
             (Axis::Horizontal, &mut self.horizontal),
@@ -165,20 +189,98 @@ impl ObstacleMap {
         removed
     }
 
-    /// Removes all obstacles belonging to a net (segments and claims).
+    /// Removes the obstacles on one track for which `pred` holds.
+    /// An emptied track is dropped, because `next_track` stops at every
+    /// track that is present. Returns how many were dropped.
+    fn retain_track(
+        &mut self,
+        axis: Axis,
+        track: i32,
+        mut pred: impl FnMut(&Obstacle) -> bool,
+    ) -> usize {
+        let lanes = self.lanes_mut(axis);
+        let Some(v) = lanes.get_mut(&track) else {
+            return 0;
+        };
+        let before = v.len();
+        v.retain(|o| !pred(o));
+        let removed = before - v.len();
+        if v.is_empty() {
+            lanes.remove(&track);
+        }
+        removed
+    }
+
+    /// Removes the obstacles of `net` whose kind matches `pred`,
+    /// visiting only the tracks recorded for that net.
+    fn remove_owned(&mut self, net: NetId, pred: impl Fn(ObstacleKind) -> bool) -> usize {
+        let Some(tracks) = self.net_tracks.get_mut(net.index()) else {
+            return 0;
+        };
+        let mut tracks = std::mem::take(tracks);
+        tracks.sort_unstable();
+        tracks.dedup();
+        let mut removed = 0;
+        let owned = |o: &Obstacle| o.kind.net() == Some(net);
+        tracks.retain(|&(axis, track)| {
+            removed += self.retain_track(axis, track, |o| owned(o) && pred(o.kind));
+            // Keep the track while the net still holds something there.
+            self.at(axis, track).iter().any(owned)
+        });
+        self.net_tracks[net.index()] = tracks;
+        removed
+    }
+
+    /// Removes the wires of a net (its segments and their caps); its
+    /// claims stay.
     pub fn remove_net(&mut self, net: NetId) -> usize {
-        self.retain_not(|_, _, o| matches!(o.kind, ObstacleKind::Net(n) if n == net))
+        self.remove_owned(net, |k| matches!(k, ObstacleKind::Net(_)))
     }
 
     /// Lifts the claimpoints of one net (§5.7: "when the routing of A
     /// and B starts, both their claimpoints are removed").
     pub fn remove_claims_of(&mut self, net: NetId) -> usize {
-        self.retain_not(|_, _, o| matches!(o.kind, ObstacleKind::Claim(n) if n == net))
+        self.remove_owned(net, |k| matches!(k, ObstacleKind::Claim(_)))
     }
 
-    /// Lifts every remaining claimpoint (before the retry pass).
+    /// Lifts every remaining claimpoint (before the retry pass). Runs
+    /// once per pass, so it walks the whole map.
     pub fn remove_all_claims(&mut self) -> usize {
         self.retain_not(|_, _, o| matches!(o.kind, ObstacleKind::Claim(_)))
+    }
+
+    /// Replaces the wires of `net` with `wired`, merged and then split
+    /// at bends and junctions so every turn of the net blocks other
+    /// sweeps. Claims of the net stay.
+    pub(crate) fn rewire_net(&mut self, net: NetId, wired: &[Segment]) {
+        self.remove_net(net);
+        for seg in split_at_junctions(&merge_collinear(wired.to_vec())) {
+            self.add(seg, ObstacleKind::Net(net));
+        }
+    }
+
+    /// Lifts the point obstacles of system terminals at `points`, so
+    /// their own net can reach them; [`ObstacleMap::restore_terminals`]
+    /// puts them back. Only the two tracks through each point are
+    /// visited, and only a point obstacle on its own axis matches.
+    pub(crate) fn lift_terminals(&mut self, points: &[Point]) -> usize {
+        let mut removed = 0;
+        for p in points {
+            for (axis, track, at) in [(Axis::Horizontal, p.y, p.x), (Axis::Vertical, p.x, p.y)] {
+                removed += self.retain_track(axis, track, |o| {
+                    o.kind == ObstacleKind::Module && o.span == Interval::point(at)
+                });
+            }
+        }
+        removed
+    }
+
+    /// Re-adds the system terminal points that
+    /// [`ObstacleMap::lift_terminals`] lifted.
+    pub(crate) fn restore_terminals(&mut self, points: &[Point]) {
+        for &p in points {
+            self.add_point(p, ObstacleKind::Module);
+        }
     }
 
     /// `true` when `p` lies on an obstacle for which `pred` holds, on
@@ -207,10 +309,115 @@ impl ObstacleMap {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn net(i: usize) -> NetId {
         NetId::from_index(i)
+    }
+
+    /// One step of a random map history.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Add(Segment, ObstacleKind),
+        AddRect(Rect, ObstacleKind),
+        AddPoint(Point, ObstacleKind),
+        RemoveNet(NetId),
+        RemoveClaimsOf(NetId),
+        RemoveAllClaims,
+        Lift(Vec<Point>),
+        Restore(Vec<Point>),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        (0u8..9, 0usize..3, 0u8..3, 0i32..9, 0i32..9, 0i32..4, any::<bool>()).prop_map(
+            |(op, n, kind, a, b, c, flag)| {
+                let kind = match kind {
+                    0 => ObstacleKind::Module,
+                    1 => ObstacleKind::Net(net(n)),
+                    _ => ObstacleKind::Claim(net(n)),
+                };
+                let p = Point::new(a, b);
+                // Lifts often name a point together with its transpose.
+                let points = if flag { vec![p, Point::new(b, a)] } else { vec![p] };
+                match op {
+                    0 | 1 => {
+                        let axis = if flag { Axis::Horizontal } else { Axis::Vertical };
+                        Op::Add(Segment::on_axis(axis, a, Interval::new(b, b + c)), kind)
+                    }
+                    2 => Op::AddRect(Rect::new(p, c, c / 2), kind),
+                    3 => Op::AddPoint(p, if flag { ObstacleKind::Module } else { kind }),
+                    4 => Op::RemoveNet(net(n)),
+                    5 => Op::RemoveClaimsOf(net(n)),
+                    6 => Op::RemoveAllClaims,
+                    7 => Op::Lift(points),
+                    _ => Op::Restore(points),
+                }
+            },
+        )
+    }
+
+    /// The whole-map removals the per-net table replaced, kept as the
+    /// oracle. The lift matches a point only on its own axis.
+    fn apply_oracle(m: &mut ObstacleMap, op: &Op) -> usize {
+        match op {
+            Op::RemoveNet(id) => {
+                m.retain_not(|_, _, o| matches!(o.kind, ObstacleKind::Net(n) if n == *id))
+            }
+            Op::RemoveClaimsOf(id) => {
+                m.retain_not(|_, _, o| matches!(o.kind, ObstacleKind::Claim(n) if n == *id))
+            }
+            Op::Lift(points) => m.retain_not(|axis, track, o| {
+                o.kind == ObstacleKind::Module
+                    && o.span.is_point()
+                    && points.iter().any(|p| match axis {
+                        Axis::Horizontal => p.y == track && p.x == o.span.lo(),
+                        Axis::Vertical => p.x == track && p.y == o.span.lo(),
+                    })
+            }),
+            _ => apply(m, op),
+        }
+    }
+
+    fn apply(m: &mut ObstacleMap, op: &Op) -> usize {
+        match op {
+            Op::Add(seg, kind) => m.add(*seg, *kind),
+            Op::AddRect(rect, kind) => m.add_rect(rect, *kind),
+            Op::AddPoint(p, kind) => m.add_point(*p, *kind),
+            Op::RemoveNet(n) => return m.remove_net(*n),
+            Op::RemoveClaimsOf(n) => return m.remove_claims_of(*n),
+            Op::RemoveAllClaims => return m.remove_all_claims(),
+            Op::Lift(points) => return m.lift_terminals(points),
+            Op::Restore(points) => m.restore_terminals(points),
+        }
+        0
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Per-net upkeep leaves every track, every `next_track` answer
+        /// and the size exactly as the whole-map removals do.
+        #[test]
+        fn per_net_upkeep_matches_whole_map_removal(
+            ops in prop::collection::vec(op_strategy(), 0..40),
+        ) {
+            let mut new = ObstacleMap::new();
+            let mut old = ObstacleMap::new();
+            for op in &ops {
+                prop_assert_eq!(apply(&mut new, op), apply_oracle(&mut old, op), "{:?}", op);
+                for track in -2..=14 {
+                    for axis in [Axis::Horizontal, Axis::Vertical] {
+                        prop_assert_eq!(new.at(axis, track), old.at(axis, track), "{:?}", op);
+                    }
+                    for dir in Dir::ALL {
+                        prop_assert_eq!(new.next_track(dir, track), old.next_track(dir, track));
+                    }
+                }
+                prop_assert_eq!(new.len(), old.len());
+            }
+        }
     }
 
     #[test]

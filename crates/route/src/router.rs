@@ -464,22 +464,8 @@ impl Eureka {
         // Claims of this net are lifted for the search (§5.7) and its
         // system terminal points stop blocking their own net.
         map.remove_claims_of(net);
-        let st_points: Vec<Point> = network
-            .net(net)
-            .pins()
-            .iter()
-            .filter_map(|&pin| match pin {
-                Pin::System(st) => placement.system_term(st),
-                Pin::Sub { .. } => None,
-            })
-            .collect();
-        map.retain_not(|_, track, o| {
-            o.kind == ObstacleKind::Module
-                && o.span.is_point()
-                && st_points.iter().any(|p| {
-                    (p.y == track && p.x == o.span.lo()) || (p.x == track && p.y == o.span.lo())
-                })
-        });
+        let st_points = Self::system_term_points(diagram, network, net);
+        map.lift_terminals(&st_points);
 
         let prerouted: Vec<Segment> = diagram
             .route(net)
@@ -488,15 +474,6 @@ impl Eureka {
         let mut wired: Vec<Segment> = prerouted.clone();
         let mut added: Vec<Segment> = Vec::new();
         let mut connected = vec![false; pins.len()];
-
-        // (Re-)registers the net's wires as obstacles, split at bends
-        // and junctions so every turn of the net blocks other sweeps.
-        fn refresh(map: &mut ObstacleMap, net: NetId, wired: &[Segment]) {
-            map.remove_net(net);
-            for seg in split_at_junctions(&merge_collinear(wired.to_vec())) {
-                map.add(seg, ObstacleKind::Net(net));
-            }
-        }
 
         // Pins already touched by prerouted geometry are done.
         for (i, (p, _)) in pins.iter().enumerate() {
@@ -533,7 +510,7 @@ impl Eureka {
                         wired.push(seg);
                         added.push(seg);
                     }
-                    refresh(map, net, &wired);
+                    map.rewire_net(net, &wired);
                     connected[i] = true;
                     connected[j] = true;
                     initiated = true;
@@ -561,7 +538,7 @@ impl Eureka {
                         wired.push(seg);
                         added.push(seg);
                     }
-                    refresh(map, net, &wired);
+                    map.rewire_net(net, &wired);
                     connected[i] = true;
                     // A new stretch may run over further pins.
                     for (k, (p, _)) in pins.iter().enumerate() {
@@ -575,9 +552,7 @@ impl Eureka {
         }
 
         // Restore the system terminal point obstacles.
-        for p in &st_points {
-            map.add_point(*p, ObstacleKind::Module);
-        }
+        map.restore_terminals(&st_points);
 
         if ok {
             let mut all = prerouted;
@@ -587,7 +562,7 @@ impl Eureka {
         } else {
             // All-or-nothing: a failed net leaves no partial wires (the
             // prerouted part, if any, stays).
-            refresh(map, net, &prerouted);
+            map.rewire_net(net, &prerouted);
             // Re-claim the terminals so the spots stay protected until
             // the retry pass.
             if self.config.claimpoints {
@@ -658,6 +633,19 @@ impl Eureka {
             .pins()
             .iter()
             .map(|&pin| placement.pin_position(network, pin))
+            .collect()
+    }
+
+    /// The placed positions of a net's system terminals.
+    fn system_term_points(diagram: &Diagram, network: &Network, net: NetId) -> Vec<Point> {
+        network
+            .net(net)
+            .pins()
+            .iter()
+            .filter_map(|&pin| match pin {
+                Pin::System(st) => diagram.placement().system_term(st),
+                Pin::Sub { .. } => None,
+            })
             .collect()
     }
 
@@ -843,22 +831,8 @@ impl Eureka {
 
         // Like route_net: the net's own system-terminal point obstacles
         // must not block it.
-        let st_points: Vec<Point> = network
-            .net(net)
-            .pins()
-            .iter()
-            .filter_map(|&pin| match pin {
-                Pin::System(st) => diagram.placement().system_term(st),
-                Pin::Sub { .. } => None,
-            })
-            .collect();
-        map.retain_not(|_, track, o| {
-            o.kind == ObstacleKind::Module
-                && o.span.is_point()
-                && st_points.iter().any(|p| {
-                    (p.y == track && p.x == o.span.lo()) || (p.x == track && p.y == o.span.lo())
-                })
-        });
+        let st_points = Self::system_term_points(diagram, network, net);
+        map.lift_terminals(&st_points);
 
         let prerouted: Vec<Segment> = diagram
             .route(net)
@@ -878,13 +852,6 @@ impl Eureka {
                 connected[0] = true;
             }
         }
-
-        let refresh = |map: &mut ObstacleMap, wired: &[Segment]| {
-            map.remove_net(net);
-            for seg in split_at_junctions(&merge_collinear(wired.to_vec())) {
-                map.add(seg, ObstacleKind::Net(net));
-            }
-        };
 
         let mut meter = self.meter(budget);
         let mut ok = true;
@@ -907,7 +874,7 @@ impl Eureka {
             match lee::route_two_points_metered(map, bounds, pins[i], pins[j], net, &mut meter) {
                 Some(path) => {
                     wired.extend(path.segments());
-                    refresh(map, &wired);
+                    map.rewire_net(net, &wired);
                     connected[i] = true;
                     for (k, p) in pins.iter().enumerate() {
                         if !connected[k] && wired.iter().any(|s| s.contains(*p)) {
@@ -919,15 +886,13 @@ impl Eureka {
             }
         }
 
-        for p in &st_points {
-            map.add_point(*p, ObstacleKind::Module);
-        }
+        map.restore_terminals(&st_points);
 
         if ok {
             diagram.set_route(net, NetPath::from_segments(merge_collinear(wired)));
             (true, meter.spent())
         } else {
-            refresh(map, &prerouted);
+            map.rewire_net(net, &prerouted);
             (false, meter.spent())
         }
     }
@@ -1046,6 +1011,41 @@ mod tests {
         let mut d = Diagram::new(network, placement);
         let report = Eureka::new(RouteConfig::default()).route(&mut d);
         assert!(report.failed.is_empty(), "{report:?}");
+        assert!(d.check().is_ok(), "{}", d.check());
+    }
+
+    #[test]
+    fn lifting_a_system_terminal_keeps_its_transposed_twin() {
+        // Net `na` owns a system terminal at (2, 8) and net `nb` one at
+        // the transposed point (8, 2). Routing `na` lifts only its own
+        // points, so `nc`, routed next straight along y = 2, must still
+        // go around `nb`'s terminal instead of wiring through it.
+        let (lib, t) = buf_lib();
+        let mut b = NetworkBuilder::new(lib);
+        let u0 = b.add_instance("u0", t).unwrap();
+        let mut st = |name: &str, net: &str| {
+            let id = b.add_system_terminal(name, TermType::In).unwrap();
+            b.connect(net, id).unwrap();
+            id
+        };
+        let a0 = st("a0", "na");
+        let a1 = st("a1", "na");
+        let c0 = st("c0", "nc");
+        let c1 = st("c1", "nc");
+        let b0 = st("b0", "nb");
+        b.connect_pin("nb", u0, "a").unwrap();
+        let network = b.finish().unwrap();
+        let nc = network.net_by_name("nc").unwrap();
+        let mut placement = netart_diagram::Placement::new(&network);
+        placement.place_module(u0, Point::new(14, 8), Rotation::R0);
+        for (id, p) in [(a0, (2, 8)), (a1, (2, 10)), (c0, (4, 2)), (c1, (12, 2)), (b0, (8, 2))] {
+            placement.place_system_term(id, Point::new(p.0, p.1));
+        }
+        let mut d = Diagram::new(network, placement);
+        let report = Eureka::new(RouteConfig::default()).route(&mut d);
+        assert!(report.failed.is_empty(), "{report:?}");
+        let path = d.route(nc).unwrap();
+        assert!(!path.contains(Point::new(8, 2)), "{:?}", path.segments());
         assert!(d.check().is_ok(), "{}", d.check());
     }
 
