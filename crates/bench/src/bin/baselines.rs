@@ -19,8 +19,7 @@
 //! missing file, printing the offending stems. `--raw` writes the
 //! *full* run reports (timings intact) instead of normalized
 //! baselines — the "current" side the CI perf gate feeds to
-//! `netart report diff` — and also drops `BENCH_table_6_1.json` at
-//! the repository root for artifact upload.
+//! `netart report diff`.
 //!
 //! Built `--features alloc-profile`, each report additionally carries
 //! per-phase `alloc_count`/`alloc_bytes`/`peak_bytes` (the
@@ -31,7 +30,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use netart_bench::{baseline_text, baseline_workloads, rows_json, write_bench_json};
+use netart_bench::{baseline_text, baseline_workloads};
 
 fn main() -> ExitCode {
     let mut out_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../baselines");
@@ -71,7 +70,6 @@ fn main() -> ExitCode {
     let _ = tracing::set_global_default(netart_obs::PhaseTagSubscriber);
 
     let mut drifted: Vec<&str> = Vec::new();
-    let mut rows = Vec::new();
     for (stem, run) in baseline_workloads() {
         let alloc_base = netart_obs::AllocSnapshot::capture();
         let (mut row, _) = run();
@@ -83,7 +81,6 @@ fn main() -> ExitCode {
         } else {
             baseline_text(&row)
         };
-        rows.push(row);
         let path = out_dir.join(format!("{stem}.json"));
         if check {
             match std::fs::read_to_string(&path) {
@@ -105,13 +102,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             eprintln!("baselines: wrote {}", path.display());
-        }
-    }
-
-    if raw && !check {
-        match write_bench_json("table_6_1", &rows_json(&rows)) {
-            Ok(path) => eprintln!("baselines: wrote {}", path.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_table_6_1.json: {e}"),
         }
     }
 

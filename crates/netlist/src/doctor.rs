@@ -23,6 +23,14 @@
 //! can surface them as degradations in the machine-readable run
 //! report.
 //!
+//! [`NetworkBuilder`] is the one name table for instances, system
+//! terminals, nets and pins: once stub templates exist, the doctor adds
+//! every instance and system terminal to the builder, and each net-list
+//! record resolves and attaches through it. Because the network grows
+//! while names resolve, a memory budget too small for the network
+//! rejects the input with `ND015` before the policy is applied, so
+//! `ND015` takes precedence over every other diagnostic.
+//!
 //! # Examples
 //!
 //! ```
@@ -393,14 +401,6 @@ struct NetRecord<'a> {
     terminal: &'a str,
 }
 
-/// A resolved connection point, keyed by name so conflicts can be
-/// detected before ids exist.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum NamedPin {
-    Sub(String, String),
-    System(String),
-}
-
 /// Runs the doctor over the three Appendix A files.
 ///
 /// It scans everything, diagnoses every defect, and — depending on
@@ -436,7 +436,8 @@ pub fn doctor_network(
 /// ever exists. Network construction is governed by `network_budget`:
 /// a refused growth rejects the input with an `ND015` diagnostic
 /// carrying the exhausted stage and byte counts, under **every**
-/// policy.
+/// policy and in place of all other diagnostics. The bytes left
+/// charged on an accepted input are those of the returned network.
 ///
 /// # Errors
 ///
@@ -461,9 +462,11 @@ pub fn doctor_network_records(
 
     // Pass 1: call file. Keep the first of duplicate instances; note
     // which templates are missing so stubs can be synthesized.
-    let mut instances: Vec<(String, String)> = Vec::new(); // (instance, template)
-    let mut instance_tpl: HashMap<&str, String> = HashMap::new();
-    let mut unknown_templates: Vec<(String, usize)> = Vec::new(); // (template, first line)
+    let mut instances: Vec<(&str, &str)> = Vec::new(); // (instance, template)
+    let mut instance_tpl: HashMap<&str, &str> = HashMap::new();
+    // Each missing template's first line, and the terminals the
+    // net-list references on it.
+    let mut stubs: HashMap<&str, (usize, Vec<&str>)> = HashMap::new();
     for r in &call_records {
         let line = r.line;
         let Some([instance, template]) = exact_fields(r, DoctorFile::Calls, "call-file", &mut diags)
@@ -497,18 +500,16 @@ pub fn doctor_network_records(
             );
             continue;
         }
-        if library.template_by_name(template).is_none()
-            && !unknown_templates.iter().any(|(t, _)| t == template)
-        {
-            unknown_templates.push((template.to_owned(), line));
+        if library.template_by_name(template).is_none() {
+            stubs.entry(template).or_insert((line, Vec::new()));
         }
-        instance_tpl.insert(instance, template.to_owned());
-        instances.push((instance.to_owned(), template.to_owned()));
+        instance_tpl.insert(instance, template);
+        instances.push((instance, template));
     }
 
     // Pass 2: io file. Keep the first of duplicate system terminals.
-    let mut system_terms: Vec<(String, TermType)> = Vec::new();
-    let mut system_names: HashSet<String> = HashSet::new();
+    let mut system_terms: Vec<(&str, TermType)> = Vec::new();
+    let mut system_names: HashSet<&str> = HashSet::new();
     if let Some(io) = &io_records {
         for r in io {
             let line = r.line;
@@ -518,7 +519,7 @@ pub fn doctor_network_records(
             let Some(ty) = term_type(ty, DoctorFile::Io, line, &mut diags) else {
                 continue;
             };
-            if !system_names.insert(terminal.to_owned()) {
+            if !system_names.insert(terminal) {
                 diags.push(
                     Diagnostic::error(
                         DoctorCode::DuplicateSystemTerminal,
@@ -530,7 +531,7 @@ pub fn doctor_network_records(
                 );
                 continue;
             }
-            system_terms.push((terminal.to_owned(), ty));
+            system_terms.push((terminal, ty));
         }
     }
 
@@ -552,22 +553,21 @@ pub fn doctor_network_records(
     // Synthesize a stub for each missing template, giving it exactly
     // the terminals the net-list references (all inout, stacked on the
     // left edge) so every connection to it can resolve.
-    for (template, first_line) in &unknown_templates {
-        let mut referenced: Vec<&str> = net_rows
-            .iter()
-            .filter(|r| {
-                r.instance != "root"
-                    && instance_tpl.get(r.instance).map(String::as_str) == Some(template.as_str())
-            })
-            .map(|r| r.terminal)
-            .collect();
+    for r in &net_rows {
+        if let Some((_, terms)) = instance_tpl.get(r.instance).and_then(|t| stubs.get_mut(t)) {
+            terms.push(r.terminal);
+        }
+    }
+    let mut stubs: Vec<_> = stubs.into_iter().collect();
+    stubs.sort_unstable_by_key(|&(_, (first_line, _))| first_line);
+    for (template, (first_line, mut referenced)) in stubs {
         referenced.sort_unstable();
         referenced.dedup();
         diags.push(
             Diagnostic::error(
                 DoctorCode::UnknownTemplate,
                 DoctorFile::Calls,
-                *first_line,
+                first_line,
                 format!("unknown template `{template}`"),
             )
             .with_repair(format!(
@@ -576,7 +576,7 @@ pub fn doctor_network_records(
             )),
         );
         let height = (2 * referenced.len() as i32).max(2);
-        let stub = Template::new(template.clone(), (4, height)).and_then(|mut stub| {
+        let stub = Template::new(template, (4, height)).and_then(|mut stub| {
             for (i, name) in referenced.iter().enumerate() {
                 stub.add_terminal(*name, (0, 2 * i as i32 + 1), TermType::InOut)?;
             }
@@ -593,21 +593,36 @@ pub fn doctor_network_records(
             diags.push(Diagnostic::error(
                 DoctorCode::MalformedRecord,
                 DoctorFile::Calls,
-                *first_line,
+                first_line,
                 format!("stub synthesis failed: {e}"),
             ));
         }
     }
 
-    // Pass 4: resolve every net-list record against the (now complete)
-    // instance/terminal universe. First writer wins on pin conflicts.
-    let instance_names: HashSet<&str> = instances.iter().map(|(n, _)| n.as_str()).collect();
-    let mut pin_owner: HashMap<NamedPin, String> = HashMap::new();
-    let mut net_pins: Vec<(String, Vec<(NamedPin, usize)>)> = Vec::new(); // (net, [(pin, line)])
-    let mut net_index: HashMap<String, usize> = HashMap::new();
+    // From here on the builder is the one name table: every instance
+    // and system terminal goes in, and every net-list record resolves
+    // and attaches through it. Each growth is governed, so a refusal
+    // rejects the input with `ND015` at once, under every policy.
+    let mut b = NetworkBuilder::new(library).with_budget(Arc::clone(network_budget));
+    for (name, template) in instances {
+        // A stub that failed to synthesize is diagnosed above; its
+        // instances stay undeclared.
+        let Some(id) = b.library().template_by_name(template) else {
+            continue;
+        };
+        b.add_instance(name, id).map_err(build_error)?;
+    }
+    for (name, ty) in system_terms {
+        b.add_system_terminal(name, ty).map_err(build_error)?;
+    }
+
+    // Pass 4: resolve and attach every net-list record. First writer
+    // wins on pin conflicts; re-connecting a pin to its own net is
+    // silently idempotent.
+    let mut first_line: Vec<usize> = Vec::new(); // of each net's first pin
     for r in &net_rows {
-        let pin = if r.instance == "root" {
-            if !system_names.contains(r.terminal) {
+        let attached = if r.instance == "root" {
+            let Some(st) = b.system_term_by_name(r.terminal) else {
                 diags.push(
                     Diagnostic::error(
                         DoctorCode::UnknownTerminal,
@@ -618,10 +633,10 @@ pub fn doctor_network_records(
                     .with_repair("dropped the record"),
                 );
                 continue;
-            }
-            NamedPin::System(r.terminal.to_owned())
+            };
+            b.connect(r.net, st)
         } else {
-            if !instance_names.contains(r.instance) {
+            let Some(m) = b.instance_by_name(r.instance) else {
                 diags.push(
                     Diagnostic::error(
                         DoctorCode::UnknownInstance,
@@ -632,128 +647,45 @@ pub fn doctor_network_records(
                     .with_repair("dropped the record"),
                 );
                 continue;
-            }
-            let template = &instance_tpl[r.instance];
-            let known = library
-                .template_by_name(template)
-                .map(|id| library.template(id))
-                .is_some_and(|t| t.terminal_index(r.terminal).is_some());
-            if !known {
-                diags.push(
-                    Diagnostic::error(
-                        DoctorCode::UnknownTerminal,
-                        DoctorFile::NetList,
-                        r.line,
-                        format!(
-                            "instance `{}` ({}) has no terminal `{}`",
-                            r.instance, template, r.terminal
-                        ),
-                    )
-                    .with_repair("dropped the record"),
-                );
-                continue;
-            }
-            NamedPin::Sub(r.instance.to_owned(), r.terminal.to_owned())
+            };
+            b.connect_pin(r.net, m, r.terminal)
         };
-        match pin_owner.get(&pin) {
-            Some(owner) if owner == r.net => continue, // idempotent re-connection
-            Some(owner) => {
-                let pin_name = match &pin {
-                    NamedPin::Sub(i, t) => format!("{i}.{t}"),
-                    NamedPin::System(s) => s.clone(),
+        match attached {
+            Ok(()) if first_line.len() < b.net_count() => first_line.push(r.line),
+            Ok(()) => {}
+            Err(e) => {
+                let (code, repair) = match e {
+                    BuildError::UnknownTerminal { .. } => {
+                        (DoctorCode::UnknownTerminal, "dropped the record")
+                    }
+                    BuildError::PinReconnected { .. } => {
+                        (DoctorCode::PinConflict, "kept the first connection")
+                    }
+                    _ => return Err(build_error(e)),
                 };
                 diags.push(
-                    Diagnostic::error(
-                        DoctorCode::PinConflict,
-                        DoctorFile::NetList,
-                        r.line,
-                        format!(
-                            "pin {pin_name} already on net `{owner}`, also claimed by `{}`",
-                            r.net
-                        ),
-                    )
-                    .with_repair("kept the first connection"),
+                    Diagnostic::error(code, DoctorFile::NetList, r.line, e.to_string())
+                        .with_repair(repair),
                 );
-                continue;
             }
-            None => {}
         }
-        pin_owner.insert(pin.clone(), r.net.to_owned());
-        let idx = *net_index.entry(r.net.to_owned()).or_insert_with(|| {
-            net_pins.push((r.net.to_owned(), Vec::new()));
-            net_pins.len() - 1
-        });
-        net_pins[idx].1.push((pin, r.line));
     }
 
     // Pass 5: drop nets that ended up with fewer than two pins.
-    net_pins.retain(|(net, pins)| {
-        if pins.len() >= 2 {
-            return true;
-        }
-        let line = pins.first().map_or(0, |(_, l)| *l);
+    for (id, net) in b.drop_underfilled_nets() {
         diags.push(
             Diagnostic::error(
                 DoctorCode::DanglingNet,
                 DoctorFile::NetList,
-                line,
-                format!("net `{net}` connects only {} point(s)", pins.len()),
+                first_line[id.index()],
+                format!("net `{}` connects only {} point(s)", net.name(), net.pins().len()),
             )
             .with_repair("dropped the net"),
         );
-        false
-    });
-
-    let diags = resolve_policy(policy, diags)?;
-
-    // Build the validated network. Every defect was diagnosed and
-    // resolved above, so the only legitimate builder rejection left is
-    // the memory governor refusing a growth — that one surfaces as
-    // `ND015` under every policy.
-    let mut b = NetworkBuilder::new(library).with_budget(Arc::clone(network_budget));
-    let fatal = |e: String| DoctorError {
-        diagnostics: vec![Diagnostic::error(
-            DoctorCode::MalformedRecord,
-            DoctorFile::NetList,
-            0,
-            format!("internal doctor error: {e}"),
-        )],
-    };
-    let build_err = |e: BuildError| match e {
-        BuildError::ResourceExhausted(x) => resource_exhausted(DoctorFile::NetList, &x),
-        other => fatal(other.to_string()),
-    };
-    for (name, template) in &instances {
-        let id = b
-            .library()
-            .template_by_name(template)
-            .ok_or_else(|| fatal(format!("template `{template}` vanished")))?;
-        b.add_instance(name, id).map_err(build_err)?;
     }
-    for (name, ty) in &system_terms {
-        b.add_system_terminal(name, *ty).map_err(build_err)?;
-    }
-    for (net, pins) in &net_pins {
-        for (pin, _) in pins {
-            match pin {
-                NamedPin::Sub(instance, terminal) => {
-                    let m = b
-                        .instance_by_name(instance)
-                        .ok_or_else(|| fatal(format!("instance `{instance}` vanished")))?;
-                    b.connect_pin(net, m, terminal).map_err(build_err)?;
-                }
-                NamedPin::System(name) => {
-                    let st = b
-                        .system_term_by_name(name)
-                        .ok_or_else(|| fatal(format!("system terminal `{name}` vanished")))?;
-                    b.connect(net, st).map_err(build_err)?;
-                }
-            }
-        }
-    }
-    let network = b.finish().map_err(build_err)?;
 
-    let mut diags = diags;
+    let mut diags = resolve_policy(policy, diags)?;
+    let network = b.finish().map_err(build_error)?;
     if let Some(cycle) = find_driver_cycle(&network) {
         diags.push(Diagnostic::warning(
             DoctorCode::CyclicDrivers,
@@ -764,6 +696,23 @@ pub fn doctor_network_records(
     }
 
     Ok((network, DoctorReport::resolve(diags)))
+}
+
+/// A builder refusal. The doctor's own checks leave the memory
+/// governor as the only legitimate one, which is `ND015`; anything
+/// else is an internal defect, reported rather than panicking.
+fn build_error(e: BuildError) -> DoctorError {
+    match e {
+        BuildError::ResourceExhausted(x) => resource_exhausted(DoctorFile::NetList, &x),
+        other => DoctorError {
+            diagnostics: vec![Diagnostic::error(
+                DoctorCode::MalformedRecord,
+                DoctorFile::NetList,
+                0,
+                format!("internal doctor error: {other}"),
+            )],
+        },
+    }
 }
 
 /// The fields of a record with exactly `N` of them; any other count
@@ -1084,6 +1033,9 @@ fn snap_to_outline(w: i32, h: i32, x: i32, y: i32) -> (i32, i32) {
     }
     best
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1423,6 +1375,55 @@ mod tests {
             assert!(msg.contains("ND015"), "{msg}");
             assert!(msg.contains("16"), "must carry byte counts: {msg}");
         }
+    }
+
+    #[test]
+    fn exhausted_budget_takes_precedence_over_strict_defects() {
+        // Names resolve while the network grows, so a budget too small
+        // for the network refuses before the policy sees the duplicate
+        // instance: the rejection is the lone ND015.
+        let doctor = |budget: u64| {
+            doctor_network_records(
+                lib(),
+                records_from_str("n0 u0 y\nn0 u1 a\n"),
+                records_from_str("u0 inv\nu1 inv\nu0 inv\n"),
+                None,
+                InputPolicy::Strict,
+                &Arc::new(MemBudget::bytes(budget)),
+            )
+            .unwrap_err()
+        };
+        assert_eq!(codes(&doctor(16).diagnostics), [DoctorCode::ResourceExhausted]);
+        assert_eq!(codes(&doctor(1 << 20).diagnostics), [DoctorCode::DuplicateInstance]);
+    }
+
+    #[test]
+    fn stubs_for_many_unknown_templates_take_linear_time() {
+        // Two instances per template, each referencing one terminal, so
+        // every stub gathers its terminals from two net-list rows.
+        const TEMPLATES: usize = 10_000;
+        let (mut nets, mut calls) = (String::new(), String::new());
+        for i in 0..TEMPLATES {
+            calls.push_str(&format!("ga{i} t{i}\ngb{i} t{i}\n"));
+            nets.push_str(&format!("n{i} ga{i} p\nn{i} gb{i} q\n"));
+        }
+        let start = std::time::Instant::now();
+        let e = doctor_network(Library::new(), &nets, &calls, None, InputPolicy::Strict)
+            .unwrap_err();
+        let elapsed = start.elapsed();
+        assert_eq!(e.diagnostics.len(), TEMPLATES);
+        for (i, d) in e.diagnostics.iter().enumerate() {
+            assert_eq!(
+                d.to_string(),
+                format!(
+                    "ND004 [call:{}] unknown template `t{i}` \
+                     (repair: synthesized a stub with 2 inout terminal(s))",
+                    2 * i + 1
+                )
+            );
+        }
+        // Quadratic synthesis takes minutes here, even in a release build.
+        assert!(elapsed.as_secs() < 10, "doctored in {elapsed:?}");
     }
 
     #[test]

@@ -66,21 +66,23 @@ pub enum BuildError {
         /// The duplicated name.
         name: String,
     },
+    /// A template name was used twice in one library.
+    DuplicateTemplate {
+        /// The duplicated name.
+        name: String,
+    },
     /// A referenced template id does not exist in the library.
     UnknownTemplate {
         /// The missing id, printed as text.
         id: String,
-    },
-    /// A referenced instance name does not exist.
-    UnknownInstance {
-        /// The missing name.
-        name: String,
     },
     /// A referenced terminal name does not exist on the instance's
     /// template.
     UnknownTerminal {
         /// Instance name.
         instance: String,
+        /// Name of the instance's template.
+        template: String,
         /// Missing terminal name.
         terminal: String,
     },
@@ -90,7 +92,7 @@ pub enum BuildError {
         pin: String,
         /// Net it was already on.
         old_net: String,
-        /// Net it was also connected to.
+        /// Net that also claimed it.
         new_net: String,
     },
     /// A net connects fewer than two points.
@@ -120,14 +122,18 @@ impl fmt::Display for BuildError {
             BuildError::DuplicateSystemTerminal { name } => {
                 write!(f, "duplicate system terminal name `{name}`")
             }
-            BuildError::UnknownTemplate { id } => write!(f, "unknown template {id}"),
-            BuildError::UnknownInstance { name } => write!(f, "unknown instance `{name}`"),
-            BuildError::UnknownTerminal { instance, terminal } => {
-                write!(f, "instance `{instance}` has no terminal `{terminal}`")
+            BuildError::DuplicateTemplate { name } => {
+                write!(f, "duplicate template name `{name}`")
             }
+            BuildError::UnknownTemplate { id } => write!(f, "unknown template {id}"),
+            BuildError::UnknownTerminal {
+                instance,
+                template,
+                terminal,
+            } => write!(f, "instance `{instance}` ({template}) has no terminal `{terminal}`"),
             BuildError::PinReconnected { pin, old_net, new_net } => write!(
                 f,
-                "pin {pin} already on net `{old_net}`, also connected to `{new_net}`"
+                "pin {pin} already on net `{old_net}`, also claimed by `{new_net}`"
             ),
             BuildError::UnderfilledNet { net, pins } => {
                 write!(f, "net `{net}` connects only {pins} point(s); at least 2 required")

@@ -34,11 +34,11 @@ impl Library {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::DuplicateInstance`]-style error when a
-    /// template of the same name already exists.
+    /// Returns [`BuildError::DuplicateTemplate`] when a template of the
+    /// same name already exists.
     pub fn add_template(&mut self, template: Template) -> Result<TemplateId, BuildError> {
         if self.by_name.contains_key(template.name()) {
-            return Err(BuildError::DuplicateInstance {
+            return Err(BuildError::DuplicateTemplate {
                 name: template.name().to_owned(),
             });
         }
@@ -104,6 +104,9 @@ mod tests {
     fn rejects_duplicate_names() {
         let mut lib = Library::new();
         lib.add_template(Template::new("a", (2, 2)).unwrap()).unwrap();
-        assert!(lib.add_template(Template::new("a", (4, 4)).unwrap()).is_err());
+        let e = lib.add_template(Template::new("a", (4, 4)).unwrap()).unwrap_err();
+        assert_eq!(e, BuildError::DuplicateTemplate { name: "a".into() });
+        assert_eq!(e.to_string(), "duplicate template name `a`");
+        assert_eq!(lib.len(), 1);
     }
 }

@@ -11,6 +11,19 @@ use crate::{
 /// key/value payload (bucket slot, hash, growth slack).
 const MAP_ENTRY_OVERHEAD: u64 = 48;
 
+/// Bytes charged for one connected pin: the pin in its net and its
+/// entry in the pin → net map.
+const PIN_BYTES: u64 = (std::mem::size_of::<Pin>() + std::mem::size_of::<(Pin, NetId)>()) as u64
+    + MAP_ENTRY_OVERHEAD;
+
+/// Bytes charged for a net named `name`, which is stored twice (net
+/// record + lookup key).
+fn net_bytes(name: &str) -> u64 {
+    2 * name.len() as u64
+        + (std::mem::size_of::<Net>() + std::mem::size_of::<(String, NetId)>()) as u64
+        + MAP_ENTRY_OVERHEAD
+}
+
 /// A module instance: a named occurrence of a library template (the
 /// *call-file* records of Appendix A).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -430,12 +443,7 @@ impl NetworkBuilder {
         if let Some(&id) = self.names.nets.get(net) {
             return Ok(id);
         }
-        self.charge(
-            "network nets",
-            2 * net.len() as u64
-                + (std::mem::size_of::<Net>() + std::mem::size_of::<(String, NetId)>()) as u64
-                + MAP_ENTRY_OVERHEAD,
-        )?;
+        self.charge("network nets", net_bytes(net))?;
         let id = NetId::from_index(self.nets.len());
         self.names.nets.insert(net.to_owned(), id);
         self.nets.push(Net {
@@ -458,11 +466,7 @@ impl NetworkBuilder {
                 new_net: net.to_owned(),
             });
         }
-        self.charge(
-            "network pins",
-            (std::mem::size_of::<Pin>() + std::mem::size_of::<(Pin, NetId)>()) as u64
-                + MAP_ENTRY_OVERHEAD,
-        )?;
+        self.charge("network pins", PIN_BYTES)?;
         let id = self.net_id(net)?;
         self.pin_net.insert(pin, id);
         self.nets[id.index()].pins.push(pin);
@@ -508,6 +512,7 @@ impl NetworkBuilder {
             .terminal_index(terminal)
             .ok_or_else(|| BuildError::UnknownTerminal {
                 instance: inst.name.clone(),
+                template: tpl.name().to_owned(),
                 terminal: terminal.to_owned(),
             })?;
         self.attach(net, Pin::Sub { module, term })
@@ -530,6 +535,7 @@ impl NetworkBuilder {
         if term >= tpl.terminal_count() {
             return Err(BuildError::UnknownTerminal {
                 instance: inst.name.clone(),
+                template: tpl.name().to_owned(),
                 terminal: format!("#{term}"),
             });
         }
@@ -544,6 +550,38 @@ impl NetworkBuilder {
     /// Looks up an already-added system terminal by name.
     pub fn system_term_by_name(&self, name: &str) -> Option<SystemTermId> {
         self.names.system_terms.get(name).copied()
+    }
+
+    /// Number of nets so far; a net exists from its first pin on.
+    pub fn net_count(&self) -> usize {
+        self.nets.len()
+    }
+
+    /// Removes every net that connects fewer than two pins and returns
+    /// each with its former id, in id order. The other nets keep their
+    /// order under new, dense ids; the removed pins are free again, and
+    /// the bytes charged for the removed nets and pins go back to the
+    /// budget, so what stays charged is what [`NetworkBuilder::finish`]
+    /// will keep.
+    pub fn drop_underfilled_nets(&mut self) -> Vec<(NetId, Net)> {
+        let nets = std::mem::take(&mut self.nets);
+        let mut dropped = Vec::new();
+        let mut renumbered: Vec<Option<NetId>> = Vec::with_capacity(nets.len());
+        for (i, net) in nets.into_iter().enumerate() {
+            if net.pins.len() >= 2 {
+                renumbered.push(Some(NetId::from_index(self.nets.len())));
+                self.nets.push(net);
+            } else {
+                renumbered.push(None);
+                self.budget
+                    .release(net_bytes(&net.name) + net.pins.len() as u64 * PIN_BYTES);
+                dropped.push((NetId::from_index(i), net));
+            }
+        }
+        let renumber = |id: &mut NetId| renumbered[id.index()].map(|new| *id = new).is_some();
+        self.names.nets.retain(|_, id| renumber(id));
+        self.pin_net.retain(|_, id| renumber(id));
+        dropped
     }
 
     /// Validates and freezes the network.
@@ -746,6 +784,43 @@ mod tests {
             b.finish(),
             Err(BuildError::UnderfilledNet { pins: 1, .. })
         ));
+    }
+
+    #[test]
+    fn dropping_underfilled_nets_renumbers_frees_pins_and_releases_bytes() {
+        let (lib, gate) = lib();
+        let budget = Arc::new(MemBudget::unlimited());
+        let mut b = NetworkBuilder::new(lib).with_budget(Arc::clone(&budget));
+        let u = b.add_instance("u", gate).unwrap();
+        let v = b.add_instance("v", gate).unwrap();
+        let before_nets = budget.used();
+        b.connect_pin("lonely", u, "a").unwrap();
+        let before_n = budget.used();
+        b.connect_pin("n", u, "y").unwrap();
+        b.connect_pin("n", v, "a").unwrap();
+        let n_bytes = budget.used() - before_n;
+        b.connect_pin("last", v, "y").unwrap();
+
+        let dropped = b.drop_underfilled_nets();
+        let dropped: Vec<(NetId, &str, usize)> = dropped
+            .iter()
+            .map(|(id, net)| (*id, net.name(), net.pins().len()))
+            .collect();
+        assert_eq!(
+            dropped,
+            [(NetId::from_index(0), "lonely", 1), (NetId::from_index(2), "last", 1)]
+        );
+        assert_eq!(b.net_count(), 1);
+        // Only the surviving net's bytes stay charged, and its pins
+        // still conflict while the dropped pins are free again.
+        assert_eq!(budget.used() - before_nets, n_bytes);
+        assert!(b.connect_pin("other", u, "y").is_err());
+        b.connect_pin("n", u, "a").unwrap();
+        let net = b.finish().unwrap();
+        let n = net.net_by_name("n").unwrap();
+        assert_eq!(n, NetId::from_index(0));
+        assert_eq!(net.net(n).pins().len(), 3);
+        assert!(net.net_by_name("lonely").is_none());
     }
 
     #[test]
