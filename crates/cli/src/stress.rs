@@ -25,7 +25,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use netart::place::PlaceConfig;
+use netart::place::{Pablo, PlaceConfig};
 use netart::route::RouteConfig;
 use netart_workloads::text::{self, TextWorkload};
 
@@ -115,8 +115,9 @@ fn build_workload(
 /// `--adversary truncate` cuts the net-list mid-record; `--adversary
 /// garbage` appends seeded binary-ish noise — both exercise the
 /// doctor's fail-closed paths at scale. `--phase parse` stops after
-/// the governed ingestion; `--phase route` (the default) runs the full
-/// pipeline.
+/// the governed ingestion; `--phase place` then runs PABLO alone and
+/// reports its time; `--phase route` (the default) runs the full
+/// pipeline and reports the place and route times separately.
 ///
 /// Exit 0: ingested (and routed) under budget. Exit 2: the memory
 /// governor refused the workload (`ND015` with stage and byte counts).
@@ -146,7 +147,7 @@ pub fn run_stress(argv: &[String]) -> Result<RunOutput, CliError> {
     let seed: u64 = args.parsed("seed", 1u64)?;
     let kind = args.value("workload").unwrap_or("cell-array");
     let phase = args.value("phase").unwrap_or("route");
-    if !matches!(phase, "parse" | "route") {
+    if !matches!(phase, "parse" | "place" | "route") {
         return Err(ArgError::BadValue {
             flag: "phase".into(),
             value: phase.into(),
@@ -229,28 +230,32 @@ pub fn run_stress(argv: &[String]) -> Result<RunOutput, CliError> {
     let parse_s = t_parse.elapsed().as_secs_f64();
 
     let mut summary = format!(
-        "stress {}: {} modules, {} nets, {} generated; parsed in {parse_s:.2}s \
-         (input budget {} charged, network budget {} charged)",
+        "stress {}: {} modules, {} nets, {} generated; parsed in {parse_s:.3}s \
+         (network budget {} charged)",
         workload.name,
         network.module_count(),
         network.net_count(),
         human_bytes(generated),
-        human_bytes(budgets.input.used()),
         human_bytes(budgets.network.used()),
     );
 
-    if phase != "parse" {
+    if phase == "place" {
+        let t_place = Instant::now();
+        Pablo::new(PlaceConfig::new()).place(&network);
+        let place_s = t_place.elapsed().as_secs_f64();
+        summary.push_str(&format!("; placed in {place_s:.3}s"));
+    } else if phase == "route" {
         let route = RouteConfig::new().with_budget(budget_from_args(&args)?);
-        let t_pipe = Instant::now();
         let outcome = netart::Generator::new()
             .with_placing(PlaceConfig::new())
             .with_routing(route)
             .generate(network);
-        let pipe_s = t_pipe.elapsed().as_secs_f64();
         summary.push_str(&format!(
-            "; {phase} phase {pipe_s:.2}s, routed {}/{} nets",
+            "; placed in {:.3}s, routed {}/{} nets in {:.3}s",
+            outcome.place_time.as_secs_f64(),
             outcome.report.routed.len(),
             outcome.report.routed.len() + outcome.report.failed.len(),
+            outcome.route_time.as_secs_f64(),
         ));
         if !outcome.is_clean() {
             summary.push_str(" (degraded: reported, not judged)");

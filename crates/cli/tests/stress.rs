@@ -31,6 +31,25 @@ fn under_budget_parse_exits_zero_with_a_summary() {
     let text = stdout(&out);
     assert!(text.contains("modules"), "{text}");
     assert!(text.contains("network budget"), "{text}");
+    assert!(!text.contains("input budget"), "{text}");
+}
+
+#[test]
+fn place_phase_reports_the_placement_time_alone() {
+    let out = stress(&["--modules", "100", "--phase", "place"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("; placed in "), "{text}");
+    assert!(!text.contains("routed"), "{text}");
+}
+
+#[test]
+fn route_phase_reports_place_and_route_times_apart() {
+    let out = stress(&["--modules", "16", "--phase", "route"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("; placed in "), "{text}");
+    assert!(text.contains(" nets in "), "{text}");
 }
 
 #[test]

@@ -6,10 +6,12 @@
 //! most connected to the placed ones at the free position minimising
 //! the distance between the two gravity centres.
 
+use std::collections::BTreeSet;
+
 use netart_geom::{Point, Rect};
 use netart_netlist::NetId;
 
-use crate::gravity::{centroid, GravityField};
+use crate::gravity::{GravityField, PointSum};
 
 /// One rectangle to place, with the net-connected terminal points it
 /// contains (in cluster-local coordinates).
@@ -24,34 +26,24 @@ pub(crate) struct Cluster {
     pub weight: usize,
 }
 
-impl Cluster {
-    fn nets(&self) -> impl Iterator<Item = NetId> + '_ {
-        self.terms.iter().map(|&(n, _)| n)
-    }
-
-    /// Number of distinct nets shared with a placed set's net
-    /// collection.
-    fn shared_net_count(&self, placed_nets: &[NetId]) -> usize {
-        let mut nets: Vec<NetId> = self
-            .nets()
-            .filter(|n| placed_nets.binary_search(n).is_ok())
-            .collect();
-        nets.sort_unstable();
-        nets.dedup();
-        nets.len()
-    }
-}
-
 /// Places all clusters; returns their origins, index-aligned with the
-/// input.
+/// input, and adds the gravity field's work to `work`.
 ///
 /// `anchored` optionally pins one cluster at a fixed origin (used for a
 /// preplaced part, Appendix E `-g`); otherwise the heaviest cluster
 /// anchors at the origin.
+///
+/// The next cluster is the unplaced one sharing the most nets with the
+/// placed ones, then the heaviest, then the lowest index. Its gravity
+/// pair averages, over the shared nets, its own terminals and every
+/// placed terminal; the latter come from per-net sums kept as clusters
+/// are placed, so a step costs its own cluster's terminals plus the
+/// clusters whose shared-net count it bumps.
 pub(crate) fn place_clusters(
     clusters: &[Cluster],
     spacing: i32,
     anchored: Option<(usize, Point)>,
+    work: &mut u64,
 ) -> Vec<Point> {
     assert!(!clusters.is_empty(), "nothing to place");
     let gravity_span = tracing::span!(
@@ -61,7 +53,7 @@ pub(crate) fn place_clusters(
     );
     let _gravity_guard = gravity_span.enter();
     netart_fault::fire_hard(netart_fault::sites::PLACE_GRAVITY);
-    let mut positions: Vec<Option<Point>> = vec![None; clusters.len()];
+    let mut state = Progress::new(clusters);
     let mut field = GravityField::new(spacing);
 
     let (first, first_pos) = anchored.unwrap_or_else(|| {
@@ -71,72 +63,148 @@ pub(crate) fn place_clusters(
             .expect("non-empty");
         (first, Point::ORIGIN)
     });
-    positions[first] = Some(first_pos);
-    field.occupy(Rect::new(first_pos, clusters[first].size.0, clusters[first].size.1));
+    let (w, h) = clusters[first].size;
+    field.occupy(Rect::new(first_pos, w, h));
+    state.commit(first, first_pos);
 
-    // All nets appearing in already-placed clusters, sorted for lookup.
-    let mut placed_nets: Vec<NetId> = clusters[first].nets().collect();
-    placed_nets.sort_unstable();
-    placed_nets.dedup();
-
-    for _ in 1..clusters.len() {
-        let next = (0..clusters.len())
-            .filter(|&i| positions[i].is_none())
-            .max_by_key(|&i| {
-                (
-                    clusters[i].shared_net_count(&placed_nets),
-                    clusters[i].weight,
-                    usize::MAX - i,
-                )
-            })
-            .expect("unplaced cluster remains");
-
-        // Gravity pair over the shared nets.
-        let shared: Vec<NetId> = clusters[next]
-            .nets()
-            .filter(|n| placed_nets.binary_search(n).is_ok())
-            .collect();
-        let is_shared = |n: NetId| shared.contains(&n);
-
-        let g0 = centroid(
-            &clusters[next]
-                .terms
-                .iter()
-                .filter(|&&(n, _)| is_shared(n))
-                .map(|&(_, p)| p)
-                .collect::<Vec<_>>(),
-        );
-        let g1_points: Vec<Point> = positions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, pos)| pos.map(|p| (i, p)))
-            .flat_map(|(i, pos)| {
-                clusters[i]
-                    .terms
-                    .iter()
-                    .filter(|&&(n, _)| is_shared(n))
-                    .map(move |&(_, p)| pos + p)
-            })
-            .collect();
-        let g1 = centroid(&g1_points);
-
-        let desired = match (g0, g1) {
+    while let Some((_, _, next)) = state.queue.pop_first() {
+        let cluster = &clusters[next];
+        let desired = match state.gravity_pair(next) {
             (Some(g0), Some(g1)) => g1 - g0,
             // No shared nets: aim at the centre of what is placed.
             _ => {
                 let b = field.bounding().expect("anchor placed");
-                b.center()
-                    - Point::new(clusters[next].size.0 / 2, clusters[next].size.1 / 2)
+                b.center() - Point::new(cluster.size.0 / 2, cluster.size.1 / 2)
             }
         };
-        let pos = field.place(clusters[next].size, desired);
-        positions[next] = Some(pos);
-        placed_nets.extend(clusters[next].nets());
-        placed_nets.sort_unstable();
-        placed_nets.dedup();
+        let pos = field.place(cluster.size, desired);
+        state.commit(next, pos);
+    }
+    *work += field.work();
+
+    state
+        .positions
+        .into_iter()
+        .map(|p| p.expect("all placed"))
+        .collect()
+}
+
+/// The placement so far, with the side tables that make choosing and
+/// aiming the next cluster cheap. Nets are renumbered densely over the
+/// clusters' own nets, so the tables cost what the clusters hold, not
+/// what the network holds.
+struct Progress<'a> {
+    clusters: &'a [Cluster],
+    positions: Vec<Option<Point>>,
+    /// Per cluster: its terminals, by renumbered net.
+    terms: Vec<Vec<(usize, Point)>>,
+    /// Per cluster: its distinct renumbered nets.
+    nets: Vec<Vec<usize>>,
+    /// Per net: the clusters with a terminal on it.
+    on_net: Vec<Vec<usize>>,
+    /// Per net: the sum of its placed terminal positions, once a
+    /// placed cluster has one.
+    placed_terms: Vec<Option<PointSum>>,
+    /// Per cluster: how many of its nets are placed.
+    shared: Vec<usize>,
+    /// Unplaced clusters by `(most shared nets, heaviest, lowest
+    /// index)`.
+    queue: BTreeSet<(usize, usize, usize)>,
+}
+
+impl<'a> Progress<'a> {
+    fn new(clusters: &'a [Cluster]) -> Self {
+        let mut ids: Vec<NetId> = clusters
+            .iter()
+            .flat_map(|c| c.terms.iter().map(|&(n, _)| n))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let terms: Vec<Vec<(usize, Point)>> = clusters
+            .iter()
+            .map(|c| {
+                let local = |n| ids.binary_search(&n).expect("every net collected");
+                c.terms.iter().map(|&(n, p)| (local(n), p)).collect()
+            })
+            .collect();
+        let nets: Vec<Vec<usize>> = terms
+            .iter()
+            .map(|terms| {
+                let mut nets: Vec<usize> = terms.iter().map(|&(n, _)| n).collect();
+                nets.sort_unstable();
+                nets.dedup();
+                nets
+            })
+            .collect();
+        let mut on_net = vec![Vec::new(); ids.len()];
+        for (i, ns) in nets.iter().enumerate() {
+            for &n in ns {
+                on_net[n].push(i);
+            }
+        }
+        let mut progress = Progress {
+            clusters,
+            positions: vec![None; clusters.len()],
+            terms,
+            nets,
+            on_net,
+            placed_terms: vec![None; ids.len()],
+            shared: vec![0; clusters.len()],
+            queue: BTreeSet::new(),
+        };
+        progress.queue = (0..clusters.len()).map(|i| progress.key(i)).collect();
+        progress
     }
 
-    positions.into_iter().map(|p| p.expect("all placed")).collect()
+    fn key(&self, i: usize) -> (usize, usize, usize) {
+        (
+            usize::MAX - self.shared[i],
+            usize::MAX - self.clusters[i].weight,
+            i,
+        )
+    }
+
+    /// The gravity centres of cluster `i`'s terminals on placed nets
+    /// (local) and of every placed terminal on those nets; `None`
+    /// without shared nets.
+    fn gravity_pair(&self, i: usize) -> (Option<Point>, Option<Point>) {
+        let mut own = PointSum::default();
+        for &(n, p) in &self.terms[i] {
+            if self.placed_terms[n].is_some() {
+                own.add(p);
+            }
+        }
+        let mut placed = PointSum::default();
+        for &n in &self.nets[i] {
+            if let Some(sum) = self.placed_terms[n] {
+                placed.merge(sum);
+            }
+        }
+        (own.centroid(), placed.centroid())
+    }
+
+    /// Records cluster `i` at `pos`: adds its terminals to the per-net
+    /// sums and bumps every unplaced cluster on a net placed for the
+    /// first time.
+    fn commit(&mut self, i: usize, pos: Point) {
+        self.queue.remove(&self.key(i));
+        self.positions[i] = Some(pos);
+        for t in 0..self.terms[i].len() {
+            let (n, p) = self.terms[i][t];
+            if self.placed_terms[n].is_none() {
+                for &j in &self.on_net[n] {
+                    if self.positions[j].is_none() {
+                        self.queue.remove(&self.key(j));
+                        self.shared[j] += 1;
+                        self.queue.insert(self.key(j));
+                    }
+                }
+            }
+            self.placed_terms[n]
+                .get_or_insert_with(PointSum::default)
+                .add(pos + p);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -160,7 +228,7 @@ mod tests {
             c((4, 4), 1, &[(0, (4, 2))]),
             c((6, 6), 3, &[(0, (0, 3))]),
         ];
-        let pos = place_clusters(&clusters, 0, None);
+        let pos = place_clusters(&clusters, 0, None, &mut 0);
         assert_eq!(pos[1], Point::ORIGIN);
     }
 
@@ -171,7 +239,7 @@ mod tests {
             c((4, 4), 1, &[(0, (0, 2))]),          // net 0 enters on the left
             c((4, 4), 1, &[(1, (0, 0)), (0, (0, 3))]),
         ];
-        let pos = place_clusters(&clusters, 0, None);
+        let pos = place_clusters(&clusters, 0, None, &mut 0);
         // No overlaps.
         let rects: Vec<Rect> = pos
             .iter()
@@ -196,7 +264,7 @@ mod tests {
             c((4, 4), 5, &[(0, (0, 2))]),
         ];
         let pin = Point::new(100, 50);
-        let pos = place_clusters(&clusters, 0, Some((0, pin)));
+        let pos = place_clusters(&clusters, 0, Some((0, pin)), &mut 0);
         assert_eq!(pos[0], pin);
         // The other cluster lands near the anchor despite being heavier.
         assert!(pos[1].manhattan(pin) < 30);
@@ -208,7 +276,7 @@ mod tests {
             c((8, 8), 4, &[(0, (4, 4))]),
             c((2, 2), 1, &[]), // no nets at all
         ];
-        let pos = place_clusters(&clusters, 1, None);
+        let pos = place_clusters(&clusters, 1, None, &mut 0);
         assert!(pos[1].manhattan(pos[0]) < 20, "{:?}", pos);
     }
 
@@ -218,7 +286,7 @@ mod tests {
             c((4, 4), 2, &[(0, (4, 2))]),
             c((4, 4), 1, &[(0, (0, 2))]),
         ];
-        let pos = place_clusters(&clusters, 3, None);
+        let pos = place_clusters(&clusters, 3, None, &mut 0);
         let a = Rect::new(pos[0], 4, 4);
         let b = Rect::new(pos[1], 4, 4);
         assert!(!a.inflate(3).overlaps_strictly(&b.inflate(3)), "{a} {b}");
@@ -229,7 +297,7 @@ mod tests {
         let clusters: Vec<Cluster> = (0..10)
             .map(|i| c((3, 3), 1, &[(i % 3, (1, 1))]))
             .collect();
-        let pos = place_clusters(&clusters, 1, None);
+        let pos = place_clusters(&clusters, 1, None, &mut 0);
         for i in 0..pos.len() {
             for j in i + 1..pos.len() {
                 let a = Rect::new(pos[i], 3, 3);

@@ -7,18 +7,119 @@
 //! *all* integer positions; we exploit that the quadratic objective over
 //! the free region attains its minimum either at the unconstrained
 //! optimum or on the boundary of an inflated obstacle, where it is found
-//! by clamping — giving the same answer in O(#placed) candidates. Each
-//! candidate is then tested against every placed rectangle, so one
-//! placement costs O(P²) for P placed rectangles, and placing a whole
-//! cluster of P rectangles O(P³).
+//! by clamping — twelve candidate origins per placed rectangle, of which
+//! the free one with the least `(distance², origin)` wins.
+//!
+//! Placed rectangles are kept in a uniform bucket grid whose cells are
+//! at least as large as any of them, so an overlap test looks at a
+//! few cells. Candidates are generated obstacle by obstacle in rings of
+//! cells around the desired origin, and the scan stops once a ring is
+//! too far away to hold a better candidate than the best free one; a
+//! candidate is tested for overlap only if it beats that best. When
+//! placements pack outward from an anchor, the best free candidate is
+//! a rectangle or two away, so a placement costs a bounded number of
+//! candidates and tests, where testing every candidate against every
+//! placed rectangle cost O(P²) for P placed rectangles. A desired
+//! origin deep inside a packed region still scans out to the region's
+//! edge, O(P) for that placement.
+
+use std::collections::HashMap;
+use std::ops::RangeInclusive;
 
 use netart_geom::{Point, Rect};
+
+/// The rectangle a `size` rectangle at `origin` claims with `spacing`
+/// tracks around it.
+fn effective(origin: Point, size: (i32, i32), spacing: i32) -> Rect {
+    Rect::new(
+        origin - Point::new(spacing, spacing),
+        size.0 + 2 * spacing,
+        size.1 + 2 * spacing,
+    )
+}
+
+/// Placed rectangles in a uniform bucket grid.
+#[derive(Debug, Clone, Default)]
+struct Grid {
+    rects: Vec<Rect>,
+    /// The cells are `2^shift` units square, at least as large as any
+    /// rectangle stored or searched for.
+    shift: u32,
+    /// Indices into `rects` of the rectangles touching each cell.
+    cells: HashMap<(i32, i32), Vec<u32>>,
+}
+
+impl Grid {
+    /// The cells touched by `[lo, hi]` on one axis.
+    fn span(&self, lo: i32, hi: i32) -> RangeInclusive<i32> {
+        (lo >> self.shift)..=(hi >> self.shift)
+    }
+
+    /// Grows the cells, if needed, to hold a `width`×`height`
+    /// rectangle in at most two cells per axis.
+    fn fit(&mut self, width: i32, height: i32) {
+        let extent = width.max(height).max(1) as u32;
+        let shift = extent.next_power_of_two().trailing_zeros();
+        if shift > self.shift {
+            self.shift = shift;
+            self.cells.clear();
+            for i in 0..self.rects.len() {
+                self.register(i);
+            }
+        }
+    }
+
+    fn insert(&mut self, rect: Rect) {
+        self.fit(rect.width(), rect.height());
+        self.rects.push(rect);
+        self.register(self.rects.len() - 1);
+    }
+
+    fn register(&mut self, i: usize) {
+        let (ll, ur) = (self.rects[i].lower_left(), self.rects[i].upper_right());
+        for cx in self.span(ll.x, ur.x) {
+            for cy in self.span(ll.y, ur.y) {
+                self.cells.entry((cx, cy)).or_default().push(i as u32);
+            }
+        }
+    }
+
+    fn cell(&self, x: i32, y: i32) -> &[u32] {
+        self.cells.get(&(x, y)).map_or(&[], Vec::as_slice)
+    }
+
+    /// `true` when `rect` strictly overlaps a placed rectangle; counts
+    /// each test in `work`.
+    fn collides(&self, rect: &Rect, work: &mut u64) -> bool {
+        let (ll, ur) = (rect.lower_left(), rect.upper_right());
+        for cx in self.span(ll.x, ur.x) {
+            for cy in self.span(ll.y, ur.y) {
+                for &i in self.cell(cx, cy) {
+                    *work += 1;
+                    if self.rects[i as usize].overlaps_strictly(rect) {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+}
 
 /// Incremental occupancy map for gravity placement.
 #[derive(Debug, Clone)]
 pub(crate) struct GravityField {
-    placed: Vec<Rect>,
+    /// Everything placed, each grown by `spacing`.
+    grid: Grid,
     spacing: i32,
+    hull: Option<Rect>,
+    /// Per placed rectangle: the last search that generated its
+    /// candidates.
+    visited: Vec<u32>,
+    search: u32,
+    /// Candidates considered plus overlap tests made, a deterministic
+    /// measure of the work done.
+    work: u64,
 }
 
 impl GravityField {
@@ -26,27 +127,27 @@ impl GravityField {
     /// tracks around itself.
     pub(crate) fn new(spacing: i32) -> Self {
         GravityField {
-            placed: Vec::new(),
+            grid: Grid::default(),
             spacing: spacing.max(0),
+            hull: None,
+            visited: Vec::new(),
+            search: 0,
+            work: 0,
         }
+    }
+
+    /// Candidates considered plus overlap tests made so far.
+    pub(crate) fn work(&self) -> u64 {
+        self.work
     }
 
     /// Marks a rectangle as occupied without searching (used for the
     /// first, anchor cluster and for preplaced parts).
     pub(crate) fn occupy(&mut self, rect: Rect) {
-        self.placed.push(rect.inflate(self.spacing));
-    }
-
-    fn collides(&self, rect: &Rect) -> bool {
-        self.placed.iter().any(|p| p.overlaps_strictly(rect))
-    }
-
-    fn effective(&self, origin: Point, size: (i32, i32)) -> Rect {
-        Rect::new(
-            origin - Point::new(self.spacing, self.spacing),
-            size.0 + 2 * self.spacing,
-            size.1 + 2 * self.spacing,
-        )
+        let rect = rect.inflate(self.spacing);
+        self.grid.insert(rect);
+        self.visited.push(0);
+        self.hull = Some(self.hull.map_or(rect, |h| h.hull(&rect)));
     }
 
     /// Finds the free origin for a `size` rectangle closest (squared
@@ -57,86 +158,168 @@ impl GravityField {
         origin
     }
 
-    fn best_position(&self, size: (i32, i32), desired: Point) -> Point {
-        if !self.collides(&self.effective(desired, size)) {
+    fn best_position(&mut self, size: (i32, i32), desired: Point) -> Point {
+        let Some(hull) = self.hull else {
+            return desired;
+        };
+        let at_desired = effective(desired, size, self.spacing);
+        self.grid.fit(at_desired.width(), at_desired.height());
+        if !self.grid.collides(&at_desired, &mut self.work) {
             return desired;
         }
-        let (w, h) = (size.0 + 2 * self.spacing, size.1 + 2 * self.spacing);
-        let mut best: Option<(i64, Point)> = None;
-        let mut consider = |origin: Point| {
-            let rect = self.effective(origin, size);
-            if self.collides(&rect) {
+        self.search += 1;
+        let (grid, spacing) = (&self.grid, self.spacing);
+        // An obstacle first met in ring k of cells around the desired
+        // origin's cell lies at least k cells away on some axis, so
+        // each of its candidates is more than `reach(k)` away.
+        let reach = |k: i32| {
+            i64::from(k - 1) * (1i64 << grid.shift) + 1
+                - i64::from(size.0.max(size.1))
+                - i64::from(spacing)
+        };
+        let (ll, ur) = (hull.lower_left(), hull.upper_right());
+        let (xs, ys) = (grid.span(ll.x, ur.x), grid.span(ll.y, ur.y));
+        let (cx, cy) = (desired.x >> grid.shift, desired.y >> grid.shift);
+        // Rings from the nearest to the farthest cell of the hull.
+        let first_ring = (xs.start() - cx)
+            .max(cx - xs.end())
+            .max(ys.start() - cy)
+            .max(cy - ys.end())
+            .max(0);
+        let last_ring = (cx - xs.start())
+            .max(xs.end() - cx)
+            .max(cy - ys.start())
+            .max(ys.end() - cy);
+        // The twelve origins touching an obstacle: the sliding
+        // coordinate's optimum is the clamp of the desired coordinate,
+        // and corners cover configurations blocked by neighbours.
+        let consider_around = |obstacle: Rect, best: &mut Option<(i64, Point)>, work: &mut u64| {
+            let s = spacing;
+            let (w, h) = (size.0 + 2 * s, size.1 + 2 * s);
+            let (ll, ur) = (obstacle.lower_left(), obstacle.upper_right());
+            // Every candidate lies in `[ll - (w, h), ur] + s`: skip the
+            // obstacle when even the nearest point of that box is
+            // farther than the best.
+            *work += 1;
+            let nearest = Point::new(
+                desired.x.clamp(ll.x - w + s, ur.x + s),
+                desired.y.clamp(ll.y - h + s, ur.y + s),
+            );
+            if best.is_some_and(|(d, _)| nearest.dist2(desired) > d) {
                 return;
             }
-            let score = (origin.dist2(desired), origin);
-            match &mut best {
-                Some((s, b)) if (*s, *b) <= (score.0, origin) => {}
-                _ => best = Some(score),
-            }
-        };
-        for obstacle in &self.placed {
-            let ll = obstacle.lower_left();
-            let ur = obstacle.upper_right();
-            // Touch from the left / right: the sliding coordinate's
-            // optimum is the clamp of the desired coordinate; corners
-            // cover configurations blocked by neighbours.
-            for x in [ll.x - w, ur.x] {
-                let x = x + self.spacing; // convert effective to true origin
+            let mut consider = |origin: Point| {
+                *work += 1;
+                let score = (origin.dist2(desired), origin);
+                if best.is_some_and(|b| b <= score) {
+                    return;
+                }
+                if !grid.collides(&effective(origin, size, s), work) {
+                    *best = Some(score);
+                }
+            };
+            // Touch from the left / right.
+            for x in [ll.x - w + s, ur.x + s] {
                 for y in [
-                    desired.y.clamp(ll.y - h + self.spacing, ur.y + self.spacing),
-                    ll.y - h + self.spacing,
-                    ur.y + self.spacing,
+                    desired.y.clamp(ll.y - h + s, ur.y + s),
+                    ll.y - h + s,
+                    ur.y + s,
                 ] {
                     consider(Point::new(x, y));
                 }
             }
             // Touch from below / above.
-            for y in [ll.y - h, ur.y] {
-                let y = y + self.spacing;
+            for y in [ll.y - h + s, ur.y + s] {
                 for x in [
-                    desired.x.clamp(ll.x - w + self.spacing, ur.x + self.spacing),
-                    ll.x - w + self.spacing,
-                    ur.x + self.spacing,
+                    desired.x.clamp(ll.x - w + s, ur.x + s),
+                    ll.x - w + s,
+                    ur.x + s,
                 ] {
                     consider(Point::new(x, y));
                 }
             }
+        };
+        let mut best: Option<(i64, Point)> = None;
+        for k in first_ring..=last_ring {
+            if let Some((d, _)) = best {
+                let r = reach(k);
+                if r > 0 && i128::from(r) * i128::from(r) > i128::from(d) {
+                    break;
+                }
+            }
+            // The cells of ring k inside the hull's span, each once.
+            for y in (cy - k).max(*ys.start())..=(cy + k).min(*ys.end()) {
+                let (row, step) = if y == cy - k || y == cy + k {
+                    ((cx - k).max(*xs.start())..=(cx + k).min(*xs.end()), 1)
+                } else {
+                    (cx - k..=cx + k, 2 * k as usize)
+                };
+                for x in row.step_by(step).filter(|x| xs.contains(x)) {
+                    for &i in grid.cell(x, y) {
+                        let i = i as usize;
+                        if std::mem::replace(&mut self.visited[i], self.search) != self.search {
+                            consider_around(grid.rects[i], &mut best, &mut self.work);
+                        }
+                    }
+                }
+            }
         }
-        if let Some((_, origin)) = best {
-            return origin;
-        }
-        // Dense corner cases (every touching position blocked by a
-        // neighbour): fall back to the first free spot right of
-        // everything, which always exists on the open plane.
-        let hull = self
-            .placed
-            .iter()
-            .skip(1)
-            .fold(self.placed[0], |acc, r| acc.hull(r));
-        Point::new(hull.upper_right().x + self.spacing, desired.y)
+        // The candidates right of the rightmost obstacle are always
+        // free, so the scan above always finds one.
+        let (_, origin) = best.expect("a free candidate touches the rightmost obstacle");
+        origin
     }
 
     /// The bounding rectangle over everything placed (including
     /// spacing), if anything is placed.
     pub(crate) fn bounding(&self) -> Option<Rect> {
-        let mut it = self.placed.iter();
-        let first = *it.next()?;
-        Some(it.fold(first, |acc, r| acc.hull(r)))
+        self.hull
+    }
+}
+
+/// A running sum of points, for centroids kept up to date as points
+/// arrive.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PointSum {
+    x: i64,
+    y: i64,
+    n: i64,
+}
+
+impl PointSum {
+    /// Adds one point.
+    pub(crate) fn add(&mut self, p: Point) {
+        self.x += i64::from(p.x);
+        self.y += i64::from(p.y);
+        self.n += 1;
+    }
+
+    /// Adds every point of another sum.
+    pub(crate) fn merge(&mut self, other: PointSum) {
+        self.x += other.x;
+        self.y += other.y;
+        self.n += other.n;
+    }
+
+    /// The integer (floor) centroid; `None` when empty.
+    pub(crate) fn centroid(&self) -> Option<Point> {
+        if self.n == 0 {
+            return None;
+        }
+        Some(Point::new(
+            self.x.div_euclid(self.n) as i32,
+            self.y.div_euclid(self.n) as i32,
+        ))
     }
 }
 
 /// Integer centroid of a set of points; `None` when empty.
 pub(crate) fn centroid(points: &[Point]) -> Option<Point> {
-    if points.is_empty() {
-        return None;
+    let mut sum = PointSum::default();
+    for &p in points {
+        sum.add(p);
     }
-    let n = points.len() as i64;
-    let sx: i64 = points.iter().map(|p| i64::from(p.x)).sum();
-    let sy: i64 = points.iter().map(|p| i64::from(p.y)).sum();
-    Some(Point::new(
-        (sx.div_euclid(n)) as i32,
-        (sy.div_euclid(n)) as i32,
-    ))
+    sum.centroid()
 }
 
 #[cfg(test)]

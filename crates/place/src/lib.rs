@@ -58,6 +58,8 @@ mod cluster;
 mod config;
 mod gravity;
 mod module_place;
+#[cfg(test)]
+mod oracle;
 mod pablo;
 mod partition;
 mod terminal_place;

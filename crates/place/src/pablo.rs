@@ -8,8 +8,9 @@ use netart_diagram::{Placement, PlacementStructure};
 
 use crate::cluster::{place_clusters, Cluster};
 use crate::module_place::layout_box;
+use crate::partition::partition_counted;
 use crate::terminal_place::place_system_terminals;
-use crate::{form_boxes, partition, PlaceConfig};
+use crate::{form_boxes, Partitioning, PlaceConfig};
 
 /// One partition after box placement: module geometry in
 /// partition-local coordinates plus the data needed to place the
@@ -19,6 +20,25 @@ struct PartitionLayout {
     size: (i32, i32),
     terms: Vec<(NetId, Point)>,
     boxes: Vec<Vec<ModuleId>>,
+}
+
+/// The two steps whose keys are kept incrementally, swappable so that
+/// tests can run the whole pipeline over their reference versions.
+#[derive(Clone, Copy)]
+pub(crate) struct Steps {
+    pub(crate) partition: fn(&Network, &[ModuleId], &PlaceConfig) -> (Partitioning, u64),
+    pub(crate) place_clusters: PlaceClusters,
+}
+
+/// Clusters, spacing, an optional anchored cluster and its origin, and
+/// the work counter, to the clusters' origins.
+type PlaceClusters = fn(&[Cluster], i32, Option<(usize, Point)>, &mut u64) -> Vec<Point>;
+
+impl Steps {
+    pub(crate) const INCREMENTAL: Steps = Steps {
+        partition: partition_counted,
+        place_clusters,
+    };
 }
 
 /// The placement phase of the generator: the `pablo` program of
@@ -52,6 +72,18 @@ impl Pablo {
     /// around the preplaced part, which is kept untouched and forms a
     /// partition of its own (the `-g` option of Appendix E).
     pub fn place_with_preplaced(&self, network: &Network, preplaced: Placement) -> Placement {
+        self.place_counted(network, preplaced, Steps::INCREMENTAL).0
+    }
+
+    /// [`Pablo::place_with_preplaced`], plus the work it counted:
+    /// partitioning's key updates and the gravity fields' candidates
+    /// and overlap tests.
+    pub(crate) fn place_counted(
+        &self,
+        network: &Network,
+        preplaced: Placement,
+        steps: Steps,
+    ) -> (Placement, u64) {
         let cfg = &self.config;
         let fixed: Vec<ModuleId> = network
             .modules()
@@ -64,11 +96,11 @@ impl Pablo {
 
         // 1. Partition the free modules; 2. form boxes; 3.+4. lay out
         // modules in boxes and boxes in partitions.
-        let parts = {
+        let (parts, mut work) = {
             let s = span!(Level::DEBUG, "pablo.partition", free = free.len() as u64);
             let _g = s.enter();
             netart_fault::fire_hard(netart_fault::sites::PLACE_PARTITION);
-            partition(network, free.iter().copied(), cfg)
+            (steps.partition)(network, &free, cfg)
         };
         debug!(
             "partitioned",
@@ -87,7 +119,7 @@ impl Pablo {
             parts
                 .partitions
                 .iter()
-                .map(|p| self.layout_partition(network, p))
+                .map(|p| self.layout_partition(network, p, steps, &mut work))
                 .collect()
         };
 
@@ -101,7 +133,7 @@ impl Pablo {
                 .reduce(|a, b| a.hull(&b))
                 .expect("non-empty fixed set");
             let origin = hull.lower_left();
-            let modules = fixed
+            let modules: Vec<_> = fixed
                 .iter()
                 .map(|&m| {
                     let placed = preplaced.module(m).expect("fixed is placed");
@@ -109,16 +141,7 @@ impl Pablo {
                 })
                 .collect();
             let layout = PartitionLayout {
-                terms: partition_terms(network, &fixed, &{
-                    // Build a lookup of local positions for the fixed part.
-                    fixed
-                        .iter()
-                        .map(|&m| {
-                            let placed = preplaced.module(m).expect("fixed is placed");
-                            (m, placed.position - origin, placed.rotation)
-                        })
-                        .collect::<Vec<_>>()
-                }),
+                terms: partition_terms(network, &modules),
                 modules,
                 size: (hull.width(), hull.height()),
                 boxes: vec![fixed.clone()],
@@ -141,7 +164,8 @@ impl Pablo {
                     weight: l.modules.len(),
                 })
                 .collect();
-            let positions = place_clusters(&clusters, cfg.part_spacing, anchored);
+            let positions =
+                (steps.place_clusters)(&clusters, cfg.part_spacing, anchored, &mut work);
 
             for (layout, pos) in layouts.iter().zip(&positions) {
                 for &(m, local, rot) in &layout.modules {
@@ -161,12 +185,18 @@ impl Pablo {
             netart_fault::fire_hard(netart_fault::sites::PLACE_TERMINAL);
             place_system_terminals(network, &mut placement);
         }
-        placement
+        (placement, work)
     }
 
     /// Boxes of one partition laid out and placed relative to each
     /// other; the result is normalised to a (0, 0) lower-left corner.
-    fn layout_partition(&self, network: &Network, part: &[ModuleId]) -> PartitionLayout {
+    fn layout_partition(
+        &self,
+        network: &Network,
+        part: &[ModuleId],
+        steps: Steps,
+        work: &mut u64,
+    ) -> PartitionLayout {
         let cfg = &self.config;
         let boxes = form_boxes(network, part, cfg);
         let box_layouts: Vec<_> = boxes
@@ -193,7 +223,7 @@ impl Pablo {
                     .collect(),
             })
             .collect();
-        let positions = place_clusters(&clusters, cfg.box_spacing, None);
+        let positions = (steps.place_clusters)(&clusters, cfg.box_spacing, None, work);
 
         // Normalise to a (0,0) lower-left corner.
         let hull = positions
@@ -210,7 +240,7 @@ impl Pablo {
                 modules.push((m, box_pos + delta + local, rot));
             }
         }
-        let terms = partition_terms(network, part, &modules);
+        let terms = partition_terms(network, &modules);
         PartitionLayout {
             modules,
             size: (hull.width(), hull.height()),
@@ -224,15 +254,10 @@ impl Pablo {
 /// geometry.
 fn partition_terms(
     network: &Network,
-    part: &[ModuleId],
     modules: &[(ModuleId, Point, Rotation)],
 ) -> Vec<(NetId, Point)> {
     let mut terms = Vec::new();
-    for &m in part {
-        let &(_, pos, rot) = modules
-            .iter()
-            .find(|(x, _, _)| *x == m)
-            .expect("module laid out");
+    for &(m, pos, rot) in modules {
         let tpl = network.template_of(m);
         for t in 0..tpl.terminal_count() {
             if let Some(n) = network.pin_net(Pin::Sub { module: m, term: t }) {
@@ -379,5 +404,66 @@ mod tests {
         let placement = Pablo::new(PlaceConfig::default()).place(&net);
         assert!(placement.is_complete());
         assert!(placement.bounding_box(&net).is_none());
+    }
+
+    /// A `rows`×`cols` systolic cell array: every cell drives its east
+    /// and its south neighbour.
+    fn cell_array(rows: usize, cols: usize) -> Network {
+        let mut lib = Library::new();
+        let t = lib
+            .add_template(
+                Template::new("cell", (40, 40))
+                    .unwrap()
+                    .with_terminal("a", (0, 10), TermType::In)
+                    .unwrap()
+                    .with_terminal("b", (0, 30), TermType::In)
+                    .unwrap()
+                    .with_terminal("x", (40, 10), TermType::Out)
+                    .unwrap()
+                    .with_terminal("y", (40, 30), TermType::Out)
+                    .unwrap(),
+            )
+            .unwrap();
+        let mut b = NetworkBuilder::new(lib);
+        let cells: Vec<Vec<ModuleId>> = (0..rows)
+            .map(|r| {
+                (0..cols)
+                    .map(|c| b.add_instance(format!("c{r}_{c}"), t).unwrap())
+                    .collect()
+            })
+            .collect();
+        for r in 0..rows {
+            for c in 0..cols {
+                if c + 1 < cols {
+                    b.connect_pin(&format!("e{r}_{c}"), cells[r][c], "x").unwrap();
+                    b.connect_pin(&format!("e{r}_{c}"), cells[r][c + 1], "a").unwrap();
+                }
+                if r + 1 < rows {
+                    b.connect_pin(&format!("s{r}_{c}"), cells[r][c], "y").unwrap();
+                    b.connect_pin(&format!("s{r}_{c}"), cells[r + 1][c], "b").unwrap();
+                }
+            }
+        }
+        b.finish().unwrap()
+    }
+
+    /// PABLO's counted work (partitioning's key updates plus the
+    /// gravity fields' candidates and overlap tests) grows about
+    /// linearly: four times the modules may cost at most six times the
+    /// work (≈N^1.3), where re-counting every key and testing every
+    /// candidate against every placed rectangle grew ≈N^2.7.
+    #[test]
+    fn placement_work_grows_near_linearly() {
+        for cfg in [PlaceConfig::default(), PlaceConfig::strings()] {
+            let work = |side: usize| {
+                let net = cell_array(side, side);
+                Pablo::new(cfg.clone())
+                    .place_counted(&net, Placement::new(&net), Steps::INCREMENTAL)
+                    .1
+            };
+            let (small, large) = (work(16), work(32));
+            assert!(small > 0, "{cfg:?}");
+            assert!(large <= 6 * small, "{cfg:?}: 256 modules {small}, 1024 modules {large}");
+        }
     }
 }

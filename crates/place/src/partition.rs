@@ -6,7 +6,9 @@
 //! the cluster, until the partition size limit or the outgoing-net limit
 //! is exceeded.
 
-use netart_netlist::{ModuleId, Network};
+use std::collections::BTreeSet;
+
+use netart_netlist::{ModuleId, NetId, Network};
 
 use crate::PlaceConfig;
 
@@ -36,80 +38,260 @@ impl Partitioning {
     }
 }
 
-/// `TAKE_A_SEED`: the free module with the most connections to the
-/// other free modules; ties broken by fewest connections to modules
-/// already absorbed into partitions, then by lowest id (the paper's
-/// "arbitrary choice", made deterministic).
-fn take_a_seed(network: &Network, free: &[ModuleId]) -> ModuleId {
-    let is_free = |m: ModuleId| free.contains(&m);
-    *free
-        .iter()
-        .min_by_key(|&&m| {
-            let to_free = network.connection_count_to_set(m, is_free);
-            let to_placed = network.connection_count_to_set(m, |o| !is_free(o));
-            // max to_free, then min to_placed, then min id.
-            (usize::MAX - to_free, to_placed, m)
-        })
-        .expect("take_a_seed requires at least one free module")
+/// Seed and absorption keys of the free pool, kept up to date as
+/// modules leave it instead of being re-counted for every choice.
+///
+/// A module's seed key is the tuple `TAKE_A_SEED` minimises: most
+/// connections to other free modules, then fewest to modules outside
+/// the pool, then lowest id. Its absorption key is the tuple
+/// `FORM_PARTITION` minimises: most connections into the growing
+/// partition, then fewest to modules outside it, then lowest id. Both
+/// count nets, so they change only when a net's count of free modules
+/// or of partition members crosses the threshold at which it starts or
+/// stops counting; that touches each net's modules a bounded number of
+/// times per partition.
+struct Pool<'a> {
+    network: &'a Network,
+    /// `free[m]`: `m` has not joined a partition yet.
+    free: Vec<bool>,
+    /// Per net: how many of its modules are free.
+    free_on: Vec<usize>,
+    /// Per free module: nets to another free module, and nets to a
+    /// module outside the pool.
+    to_free: Vec<usize>,
+    to_placed: Vec<usize>,
+    /// Free modules by seed key.
+    seeds: BTreeSet<(usize, usize, ModuleId)>,
+    /// Free modules by `(nets to any other module, id)`: the
+    /// absorption order when nothing is connected to the partition.
+    by_degree: BTreeSet<(usize, ModuleId)>,
+    /// The growing partition: members per net, the nets it touches
+    /// and how many of them also reach outside it.
+    in_part: Vec<usize>,
+    touched: Vec<NetId>,
+    external: usize,
+    /// Per free module connected to the partition: nets into it and
+    /// nets out of it, keyed in `candidates`.
+    inward: Vec<usize>,
+    outward: Vec<usize>,
+    adjacent: Vec<ModuleId>,
+    candidates: BTreeSet<(usize, usize, ModuleId)>,
+    /// Key insertions and removals made, a deterministic measure of
+    /// the work done.
+    key_updates: u64,
 }
 
-/// Number of nets leaving `partition` towards other modules of the
-/// network (the paper's `connections` counter in `FORM_PARTITION`).
-fn external_connections(network: &Network, partition: &[ModuleId]) -> usize {
-    let mut nets: Vec<_> = partition
+/// Nets of `m` that reach another module.
+fn degree(network: &Network, m: ModuleId) -> usize {
+    network
+        .module_nets(m)
         .iter()
-        .flat_map(|&m| network.module_nets(m).iter().copied())
-        .collect();
-    nets.sort_unstable();
-    nets.dedup();
-    nets.into_iter()
-        .filter(|&n| {
-            network
-                .net_modules(n)
-                .iter()
-                .any(|m| !partition.contains(m))
-        })
+        .filter(|&&n| network.net_modules(n).len() >= 2)
         .count()
 }
 
-/// `FORM_PARTITION`: grows a cluster around `seed` from the `free` pool
-/// (which must not contain `seed`), removing absorbed modules from
-/// `free`.
-fn form_partition(
-    network: &Network,
-    free: &mut Vec<ModuleId>,
-    seed: ModuleId,
-    config: &PlaceConfig,
-) -> Vec<ModuleId> {
-    let mut partition = vec![seed];
-    loop {
-        if free.is_empty() || partition.len() >= config.max_part_size {
-            break;
+impl<'a> Pool<'a> {
+    fn new(network: &'a Network, modules: &[ModuleId]) -> Self {
+        let mut free = vec![false; network.module_count()];
+        for m in modules {
+            free[m.index()] = true;
         }
-        if external_connections(network, &partition) >= config.max_connections {
-            break;
-        }
-        // Most connections into the partition; tie-break fewest to the
-        // outside; then lowest id.
-        let (idx, best) = free
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &m)| {
-                let inward = network.connection_count_to_set(m, |o| partition.contains(&o));
-                let outward = network.connection_count_to_set(m, |o| !partition.contains(&o));
-                (usize::MAX - inward, outward, m)
+        let free_on: Vec<usize> = network
+            .nets()
+            .map(|n| {
+                network
+                    .net_modules(n)
+                    .iter()
+                    .filter(|m| free[m.index()])
+                    .count()
             })
-            .map(|(i, &m)| (i, m))
-            .expect("free checked non-empty");
-        if config.stop_on_zero_affinity
-            && network.connection_count_to_set(best, |o| partition.contains(&o)) == 0
-        {
-            break;
+            .collect();
+        let mut pool = Pool {
+            network,
+            free_on,
+            to_free: vec![0; free.len()],
+            to_placed: vec![0; free.len()],
+            seeds: BTreeSet::new(),
+            by_degree: BTreeSet::new(),
+            in_part: vec![0; network.net_count()],
+            touched: Vec::new(),
+            external: 0,
+            inward: vec![0; free.len()],
+            outward: vec![0; free.len()],
+            adjacent: Vec::new(),
+            candidates: BTreeSet::new(),
+            key_updates: 0,
+            free,
+        };
+        for m in network.modules().filter(|m| pool.free[m.index()]) {
+            for &n in network.module_nets(m) {
+                let (len, free_on) = (network.net_modules(n).len(), pool.free_on[n.index()]);
+                pool.to_free[m.index()] += usize::from(free_on >= 2);
+                pool.to_placed[m.index()] += usize::from(len > free_on);
+            }
+            pool.seeds.insert(pool.seed_key(m));
+            pool.by_degree.insert((degree(network, m), m));
         }
-        free.swap_remove(idx);
-        partition.push(best);
+        pool
     }
-    partition
+
+    fn seed_key(&self, m: ModuleId) -> (usize, usize, ModuleId) {
+        (
+            usize::MAX - self.to_free[m.index()],
+            self.to_placed[m.index()],
+            m,
+        )
+    }
+
+    fn candidate_key(&self, m: ModuleId) -> (usize, usize, ModuleId) {
+        (
+            usize::MAX - self.inward[m.index()],
+            self.outward[m.index()],
+            m,
+        )
+    }
+
+    /// Changes the seed counts of free module `m` by the given deltas.
+    fn reseed(&mut self, m: ModuleId, to_free: isize, to_placed: isize) {
+        self.seeds.remove(&self.seed_key(m));
+        let i = m.index();
+        self.to_free[i] = self.to_free[i].wrapping_add_signed(to_free);
+        self.to_placed[i] = self.to_placed[i].wrapping_add_signed(to_placed);
+        self.seeds.insert(self.seed_key(m));
+        self.key_updates += 2;
+    }
+
+    /// Changes the absorption counts of free module `m` by the given
+    /// deltas. A module gets a key when it first connects inward; until
+    /// then no net of it touched the partition, so every net of it that
+    /// reaches another module led out.
+    fn rekey(&mut self, m: ModuleId, inward: isize, outward: isize) {
+        let i = m.index();
+        if self.inward[i] == 0 {
+            self.adjacent.push(m);
+            self.outward[i] = degree(self.network, m);
+        } else {
+            self.candidates.remove(&self.candidate_key(m));
+        }
+        self.inward[i] = self.inward[i].wrapping_add_signed(inward);
+        self.outward[i] = self.outward[i].wrapping_add_signed(outward);
+        self.candidates.insert(self.candidate_key(m));
+        self.key_updates += 2;
+    }
+
+    /// `TAKE_A_SEED`, or `None` once every module has joined a
+    /// partition.
+    fn seed(&self) -> Option<ModuleId> {
+        self.seeds.first().map(|&(_, _, m)| m)
+    }
+
+    /// The free module `FORM_PARTITION` absorbs next, with whether it
+    /// has any connection into the partition.
+    fn best_candidate(&self) -> Option<(ModuleId, bool)> {
+        match self.candidates.first() {
+            Some(&(_, _, m)) => Some((m, true)),
+            None => self.by_degree.first().map(|&(_, m)| (m, false)),
+        }
+    }
+
+    /// The modules of net `n` still in the pool.
+    fn free_on_net(&self, n: NetId) -> Vec<ModuleId> {
+        let modules = self.network.net_modules(n).iter().copied();
+        modules.filter(|m| self.free[m.index()]).collect()
+    }
+
+    /// Takes `x` out of the pool.
+    fn take(&mut self, x: ModuleId) {
+        let network = self.network;
+        self.seeds.remove(&self.seed_key(x));
+        self.by_degree.remove(&(degree(network, x), x));
+        if self.inward[x.index()] > 0 {
+            self.candidates.remove(&self.candidate_key(x));
+        }
+        self.key_updates += 2;
+        self.free[x.index()] = false;
+        for &n in network.module_nets(x) {
+            let before = self.free_on[n.index()];
+            self.free_on[n.index()] = before - 1;
+            // The net stops linking two free modules when one is left,
+            // and starts reaching outside the pool when the first
+            // module leaves.
+            let to_free = -isize::from(before == 2);
+            let to_placed = isize::from(before == network.net_modules(n).len());
+            if to_free != 0 || to_placed != 0 {
+                for o in self.free_on_net(n) {
+                    self.reseed(o, to_free, to_placed);
+                }
+            }
+        }
+    }
+
+    /// Adds `x`, already taken from the pool, to the growing
+    /// partition. The pool's modules are exactly the candidates, since
+    /// members have left it.
+    fn join(&mut self, x: ModuleId) {
+        let network = self.network;
+        for &n in network.module_nets(x) {
+            let len = network.net_modules(n).len();
+            let before = self.in_part[n.index()];
+            let after = before + 1;
+            self.in_part[n.index()] = after;
+            let reaches_out = |members: usize| members > 0 && members < len;
+            self.external = self.external + usize::from(reaches_out(after))
+                - usize::from(reaches_out(before));
+            if before == 0 {
+                self.touched.push(n);
+            }
+            // The net starts leading into the partition with its first
+            // member, and stops leading out of it from the one module
+            // it leaves outside.
+            let inward = isize::from(before == 0);
+            let outward = -isize::from(after + 1 == len);
+            if inward != 0 || outward != 0 {
+                for o in self.free_on_net(n) {
+                    self.rekey(o, inward, outward);
+                }
+            }
+        }
+    }
+
+    /// Forgets the partition just closed.
+    fn close(&mut self) {
+        for n in self.touched.drain(..) {
+            self.in_part[n.index()] = 0;
+        }
+        for m in self.adjacent.drain(..) {
+            self.inward[m.index()] = 0;
+            self.outward[m.index()] = 0;
+        }
+        self.candidates.clear();
+        self.external = 0;
+    }
+
+    /// `FORM_PARTITION`: grows a cluster around `seed`, already taken
+    /// from the pool.
+    fn form_partition(&mut self, seed: ModuleId, config: &PlaceConfig) -> Vec<ModuleId> {
+        let mut partition = vec![seed];
+        loop {
+            if self.seeds.is_empty() || partition.len() >= config.max_part_size {
+                break;
+            }
+            // Members join lazily, so a partition closed by its size
+            // never pays for its last member's nets.
+            self.join(*partition.last().expect("seeded"));
+            if self.external >= config.max_connections {
+                break;
+            }
+            let (best, connected) = self.best_candidate().expect("pool checked non-empty");
+            if config.stop_on_zero_affinity && !connected {
+                break;
+            }
+            self.take(best);
+            partition.push(best);
+        }
+        self.close();
+        partition
+    }
 }
 
 /// Partitions the given modules of a network into functional parts.
@@ -122,16 +304,23 @@ pub fn partition(
     modules: impl IntoIterator<Item = ModuleId>,
     config: &PlaceConfig,
 ) -> Partitioning {
-    let mut free: Vec<ModuleId> = modules.into_iter().collect();
-    free.sort_unstable();
-    free.dedup();
+    let modules: Vec<ModuleId> = modules.into_iter().collect();
+    partition_counted(network, &modules, config).0
+}
+
+/// [`partition`], plus the number of key updates it made.
+pub(crate) fn partition_counted(
+    network: &Network,
+    modules: &[ModuleId],
+    config: &PlaceConfig,
+) -> (Partitioning, u64) {
+    let mut pool = Pool::new(network, modules);
     let mut partitions = Vec::new();
-    while !free.is_empty() {
-        let seed = take_a_seed(network, &free);
-        free.retain(|&m| m != seed);
-        partitions.push(form_partition(network, &mut free, seed, config));
+    while let Some(seed) = pool.seed() {
+        pool.take(seed);
+        partitions.push(pool.form_partition(seed, config));
     }
-    Partitioning { partitions }
+    (Partitioning { partitions }, pool.key_updates)
 }
 
 #[cfg(test)]
