@@ -293,6 +293,39 @@ pub(crate) fn budget_from_args(args: &ParsedArgs) -> Result<Budget, ArgError> {
     Ok(budget)
 }
 
+/// The placement options of `pablo` and `netart`: `-p`/`-b` part and
+/// box sizes, `-e`/`-i`/`-s` spacings and the `-c` connection cap.
+pub(crate) fn place_config_from_args(args: &ParsedArgs) -> Result<PlaceConfig, ArgError> {
+    let mut config = PlaceConfig::new()
+        .with_max_part_size(args.parsed("p", 1usize)?)
+        .with_max_box_size(args.parsed("b", 1usize)?)
+        .with_part_spacing(args.parsed("e", 0i32)?)
+        .with_box_spacing(args.parsed("i", 0i32)?)
+        .with_module_spacing(args.parsed("s", 0i32)?);
+    if args.has("c") {
+        config = config.with_max_connections(args.parsed("c", 0usize)?);
+    }
+    Ok(config)
+}
+
+/// The routing options the routing commands share: `-m` margin, the
+/// `--route-timeout`/`--max-nodes` budget, `--order`, `--no-claims`
+/// and `--no-salvage`. A flag the command does not accept reads as
+/// absent.
+pub(crate) fn route_config_from_args(args: &ParsedArgs) -> Result<RouteConfig, ArgError> {
+    let mut config = RouteConfig::new()
+        .with_margin(args.parsed("m", 4i32)?)
+        .with_budget(budget_from_args(args)?)
+        .with_order(order_from_args(args)?);
+    if args.has("no-claims") {
+        config = config.without_claimpoints();
+    }
+    if args.has("no-salvage") {
+        config = config.without_salvage();
+    }
+    Ok(config)
+}
+
 /// Any failure of a CLI run.
 #[derive(Debug)]
 pub enum CliError {
@@ -803,18 +836,7 @@ pub fn run_pablo(argv: &[String]) -> Result<RunOutput, CliError> {
             Err(e) => return Err(e),
         };
 
-    let mut config = PlaceConfig::new()
-        .with_max_part_size(args.parsed("p", 1usize)?)
-        .with_max_box_size(args.parsed("b", 1usize)?)
-        .with_part_spacing(args.parsed("e", 0i32)?)
-        .with_box_spacing(args.parsed("i", 0i32)?)
-        .with_module_spacing(args.parsed("s", 0i32)?);
-    if let Some(c) = args.value("c") {
-        config = config.with_max_connections(c.parse().map_err(|_| ArgError::BadValue {
-            flag: "c".into(),
-            value: c.into(),
-        })?);
-    }
+    let config = place_config_from_args(&args)?;
 
     let preplaced = match args.value("g") {
         Some(file) => {
@@ -1021,9 +1043,7 @@ pub fn run_eureka(argv: &[String]) -> Result<RunOutput, CliError> {
     drop(parse_tag);
     let parse_ns = ns(t_parse.elapsed());
 
-    let mut config = RouteConfig::new()
-        .with_margin(args.parsed("m", 4i32)?)
-        .with_budget(budget_from_args(&args)?);
+    let mut config = route_config_from_args(&args)?;
     if args.has("u") {
         config = config.with_fixed_up();
     }
@@ -1039,13 +1059,6 @@ pub fn run_eureka(argv: &[String]) -> Result<RunOutput, CliError> {
     if args.has("s") {
         config = config.with_swapped_tiebreak();
     }
-    if args.has("no-claims") {
-        config = config.without_claimpoints();
-    }
-    if args.has("no-salvage") {
-        config = config.without_salvage();
-    }
-    config = config.with_order(order_from_args(&args)?);
 
     let outcome = Generator::new()
         .with_routing(config)
@@ -1162,32 +1175,9 @@ pub fn run_netart(argv: &[String]) -> Result<RunOutput, CliError> {
     drop(parse_tag);
     let parse_ns = ns(t_parse.elapsed());
 
-    let mut place = PlaceConfig::new()
-        .with_max_part_size(args.parsed("p", 1usize)?)
-        .with_max_box_size(args.parsed("b", 1usize)?)
-        .with_part_spacing(args.parsed("e", 0i32)?)
-        .with_box_spacing(args.parsed("i", 0i32)?)
-        .with_module_spacing(args.parsed("s", 0i32)?);
-    if let Some(c) = args.value("c") {
-        place = place.with_max_connections(c.parse().map_err(|_| ArgError::BadValue {
-            flag: "c".into(),
-            value: c.into(),
-        })?);
-    }
-    let mut route = RouteConfig::new()
-        .with_margin(args.parsed("m", 4i32)?)
-        .with_budget(budget_from_args(&args)?);
-    if args.has("no-claims") {
-        route = route.without_claimpoints();
-    }
-    if args.has("no-salvage") {
-        route = route.without_salvage();
-    }
-    route = route.with_order(order_from_args(&args)?);
-
     let outcome = netart::Generator::new()
-        .with_placing(place)
-        .with_routing(route)
+        .with_placing(place_config_from_args(&args)?)
+        .with_routing(route_config_from_args(&args)?)
         .generate(network);
     let diagram = &outcome.diagram;
     let out = args.value("o").unwrap_or("netart_out");

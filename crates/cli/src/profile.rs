@@ -14,11 +14,11 @@
 
 use netart::obs::{ProfileCell, ProfileReport, ProfileTotals};
 use netart::place::PlaceConfig;
-use netart::route::{NetRouteStats, RouteConfig};
+use netart::route::NetRouteStats;
 use netart::Outcome;
 
 use crate::commands::{
-    arm_faults, budget_from_args, input_policy, install_subscriber, load_network, order_from_args,
+    arm_faults, input_policy, install_subscriber, load_network, route_config_from_args,
     write_or_stdout, write_trace, CliError, RunOutput,
 };
 use crate::{ArgError, ParsedArgs};
@@ -212,14 +212,9 @@ pub fn run_profile(argv: &[String]) -> Result<RunOutput, CliError> {
         Err(e) => return Err(e),
     };
 
-    let order = order_from_args(&args)?;
-    let route = RouteConfig::new()
-        .with_margin(args.parsed("m", 4i32)?)
-        .with_order(order)
-        .with_budget(budget_from_args(&args)?);
     let outcome = netart::Generator::new()
         .with_placing(PlaceConfig::new())
-        .with_routing(route)
+        .with_routing(route_config_from_args(&args)?)
         .generate(network);
 
     let profile = build_profile(&outcome, grid);

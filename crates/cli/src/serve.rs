@@ -26,7 +26,8 @@
 //! * **live telemetry** — `GET /metrics` exposes the
 //!   [`Telemetry`] registry in Prometheus text exposition (counters
 //!   by outcome, queue/cache gauges, latency and routing-effort
-//!   histograms), `--access-log` appends one JSON line per request
+//!   histograms), `GET /stats` reads its counters back from the same
+//!   registry, `--access-log` appends one JSON line per request
 //!   (request id, cache outcome, deadline fate, phase timings), and
 //!   the same request id stamps the `tracing` spans so a
 //!   `--trace-out` Perfetto trace correlates line-for-line with the
@@ -82,13 +83,20 @@ const ACCEPT_TICK: Duration = Duration::from_millis(5);
 /// artifact bytes (key, map entry, report structure).
 const CACHE_ENTRY_OVERHEAD: usize = 512;
 
-/// Requests by final outcome (`outcome` ∈ clean, degraded, failed,
-/// shed, drain_reject, panic).
+/// Diagram requests by final outcome (`outcome` ∈ clean, degraded,
+/// failed, mem_reject, shed, drain_reject, panic), counted as each
+/// request resolves.
 const M_REQUESTS: &str = "netart_serve_requests_total";
 /// Cache consultations by result (`result` ∈ hit, miss, coalesced).
 const M_CACHE: &str = "netart_serve_cache_requests_total";
 /// Requests whose deadline cancelled the pipeline mid-run.
 const M_DEADLINE: &str = "netart_serve_deadline_cancelled_total";
+/// Requests refused with `413` because the declared body exceeds
+/// `--max-body`.
+const M_TOO_LARGE: &str = "netart_serve_too_large_total";
+/// Panics caught outside the service worker (routing or framing a
+/// response), each answered `500` with the connection alone lost.
+const M_CONNECTION_PANICS: &str = "netart_serve_connection_panics_total";
 /// Telemetry recording attempts lost to an injected `serve.telemetry`
 /// fault (the observed request itself is unaffected).
 const M_TELEMETRY_FAULTS: &str = "netart_serve_telemetry_faults_total";
@@ -172,27 +180,12 @@ struct HandlerState {
     mem_budget: Arc<MemBudget>,
 }
 
-#[derive(Default)]
-struct Counters {
-    requests: AtomicU64,
-    clean: AtomicU64,
-    degraded: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
-    too_large: AtomicU64,
-    drain_rejects: AtomicU64,
-    deadline_cancelled: AtomicU64,
-    panics: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    coalesced: AtomicU64,
-}
-
 struct ServerState {
     service: Service<DiagramJob, Computed>,
     flight: SingleFlight<String, Arc<FlightResult>>,
     cache: ByteCache<String, Arc<ServeReport>>,
-    counters: Counters,
+    /// The one account of the server's traffic: `/metrics` renders it
+    /// and `/stats` reads its counters back.
     telemetry: Arc<Telemetry>,
     /// Monotonic request-id source (`r000000`, `r000001`, …; shard
     /// workers prefix their index: `s2-r000000`, …).
@@ -502,18 +495,6 @@ fn write_access_log(state: &ServerState, acc: &AccessRecord) {
     }
 }
 
-fn count(counter: &AtomicU64) {
-    counter.fetch_add(1, Ordering::Relaxed);
-}
-
-fn count_status(counters: &Counters, status: ServeStatus) {
-    match status {
-        ServeStatus::Clean => count(&counters.clean),
-        ServeStatus::Degraded => count(&counters.degraded),
-        ServeStatus::Failed => count(&counters.failed),
-    }
-}
-
 /// One framed response: status code, content type, extra headers,
 /// body.
 struct HttpReply {
@@ -550,23 +531,17 @@ impl HttpReply {
 /// `POST /v1/diagram`: parse the request document, consult the cache,
 /// coalesce with identical concurrent requests, admit through the
 /// bounded queue, frame the outcome. Fills `acc` for the access log
-/// as the request resolves.
+/// and the request counters as the request resolves.
 fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord) -> HttpReply {
-    count(&state.counters.requests);
-
     let parsed = std::str::from_utf8(body)
         .map_err(|_| "request body is not UTF-8".to_owned())
         .and_then(|text| Json::parse(text).map_err(|e| format!("request body is not JSON: {e}")));
     let doc = match parsed {
         Ok(doc) => doc,
-        Err(message) => {
-            count(&state.counters.failed);
-            return HttpReply::report(400, &ServeReport::failure(message));
-        }
+        Err(message) => return HttpReply::report(400, &ServeReport::failure(message)),
     };
     let field = |name: &str| doc.get(name).and_then(Json::as_str).map(str::to_owned);
     let (Some(net), Some(cal)) = (field("net"), field("cal")) else {
-        count(&state.counters.failed);
         return HttpReply::report(
             422,
             &ServeReport::failure(
@@ -581,7 +556,6 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
         None => state.default_options.margin,
         Some(Ok(m)) if i32::try_from(m).is_ok() => m as i32,
         _ => {
-            count(&state.counters.failed);
             return HttpReply::report(
                 422,
                 &ServeReport::failure("options.margin must be a small non-negative integer"),
@@ -594,7 +568,6 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
         Some("most") => NetOrder::MostPinsFirst,
         Some("few") => NetOrder::FewestPinsFirst,
         Some(other) => {
-            count(&state.counters.failed);
             return HttpReply::report(
                 422,
                 &ServeReport::failure(format!(
@@ -607,7 +580,6 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
         None | Some(Ok(0)) => state.default_timeout,
         Some(Ok(ms)) => Duration::from_millis(ms),
         Some(Err(())) => {
-            count(&state.counters.failed);
             return HttpReply::report(
                 422,
                 &ServeReport::failure("options.timeout_ms must be a non-negative integer"),
@@ -621,8 +593,6 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
     acc.artifact = key.clone();
 
     if let Some(cached) = cache_get(state, &key) {
-        count(&state.counters.cache_hits);
-        count_status(&state.counters, cached.status);
         acc.outcome = cached.status.as_str().to_owned();
         acc.cache = "hit".to_owned();
         if let Some(run) = &cached.report {
@@ -634,7 +604,6 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
     }
 
     if !state.ready.load(Ordering::Acquire) {
-        count(&state.counters.drain_rejects);
         acc.outcome = "drain_reject".to_owned();
         return HttpReply::report(503, &ServeReport::failure("draining: not accepting work"));
     }
@@ -670,18 +639,12 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
     match &*result {
         FlightResult::Done(computed) => {
             let outcome = if leads {
-                count(&state.counters.cache_misses);
                 acc.cache = "miss".to_owned();
                 CacheOutcome::Miss
             } else {
-                count(&state.counters.coalesced);
                 acc.cache = "coalesced".to_owned();
                 CacheOutcome::Coalesced
             };
-            count_status(&state.counters, computed.report.status);
-            if computed.deadline_cancelled {
-                count(&state.counters.deadline_cancelled);
-            }
             acc.outcome = computed.report.status.as_str().to_owned();
             acc.deadline_cancelled = computed.deadline_cancelled;
             if let Some(run) = &computed.report.report {
@@ -737,7 +700,6 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
             HttpReply::report(status, &report)
         }
         FlightResult::Shed => {
-            count(&state.counters.shed);
             acc.outcome = "shed".to_owned();
             let mut reply = HttpReply::report(
                 429,
@@ -747,13 +709,10 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
             reply
         }
         FlightResult::Draining => {
-            count(&state.counters.drain_rejects);
             acc.outcome = "drain_reject".to_owned();
             HttpReply::report(503, &ServeReport::failure("draining: not accepting work"))
         }
         FlightResult::Panicked(message) => {
-            count(&state.counters.panics);
-            count(&state.counters.failed);
             acc.outcome = "panic".to_owned();
             if leads {
                 dump_blackbox(state, "panic", Some(&acc.rid));
@@ -766,10 +725,14 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
     }
 }
 
+/// The `/stats` body: every counter is read back from the telemetry
+/// series `/metrics` renders, so the two endpoints never disagree.
 fn stats_snapshot(state: &ServerState) -> ServeStats {
     let cache = state.cache.stats();
-    let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-    let win = state.telemetry.window_summary(M_LATENCY);
+    let t = &state.telemetry;
+    let requests = |outcome: &str| t.counter(M_REQUESTS, &[("outcome", outcome)]);
+    let consulted = |result: &str| t.counter(M_CACHE, &[("result", result)]);
+    let win = t.window_summary(M_LATENCY);
     let (shard_live, shard_restarts) = match &state.shard {
         Some(s) => (s.fleet.live_count() as u64, s.fleet.restarts()),
         None => (0, 0),
@@ -777,18 +740,18 @@ fn stats_snapshot(state: &ServerState) -> ServeStats {
     ServeStats {
         shard_live,
         shard_restarts,
-        requests: load(&state.counters.requests),
-        clean: load(&state.counters.clean),
-        degraded: load(&state.counters.degraded),
-        failed: load(&state.counters.failed),
-        shed: load(&state.counters.shed),
-        too_large: load(&state.counters.too_large),
-        drain_rejects: load(&state.counters.drain_rejects),
-        deadline_cancelled: load(&state.counters.deadline_cancelled),
-        panics: load(&state.counters.panics),
-        cache_hits: load(&state.counters.cache_hits),
-        cache_misses: load(&state.counters.cache_misses),
-        coalesced: load(&state.counters.coalesced),
+        requests: t.counter_sum(M_REQUESTS),
+        clean: requests("clean"),
+        degraded: requests("degraded"),
+        failed: requests("failed") + requests("mem_reject") + requests("panic"),
+        shed: requests("shed"),
+        too_large: t.counter(M_TOO_LARGE, &[]),
+        drain_rejects: requests("drain_reject"),
+        deadline_cancelled: t.counter(M_DEADLINE, &[]),
+        panics: requests("panic") + t.counter(M_CONNECTION_PANICS, &[]),
+        cache_hits: consulted("hit"),
+        cache_misses: consulted("miss"),
+        coalesced: consulted("coalesced"),
         cache_bytes: cache.bytes as u64,
         cache_entries: cache.entries as u64,
         in_flight: state.service.in_flight() as u64,
@@ -938,7 +901,9 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
                     })) {
                         Ok(reply) => reply,
                         Err(_) => {
-                            count(&state.counters.panics);
+                            record_telemetry(&state.telemetry, |t| {
+                                t.inc(M_CONNECTION_PANICS, &[], 1);
+                            });
                             HttpReply::report(
                                 500,
                                 &ServeReport::failure(
@@ -953,7 +918,7 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
             }
         }
         Err(RequestError::BodyTooLarge { declared, .. }) if declared > state.max_body => {
-            count(&state.counters.too_large);
+            record_telemetry(&state.telemetry, |t| t.inc(M_TOO_LARGE, &[], 1));
             HttpReply::report(
                 413,
                 &ServeReport::failure(format!(
@@ -1178,7 +1143,6 @@ pub fn run_serve(argv: &[String]) -> Result<RunOutput, CliError> {
         service,
         flight: SingleFlight::new(),
         cache: ByteCache::new(args.parsed("cache-bytes", 16 * 1024 * 1024usize)?),
-        counters: Counters::default(),
         telemetry,
         seq: AtomicU64::new(0),
         rid_prefix,

@@ -4,8 +4,8 @@
 //! content-addressed cache replays (byte-identical), single-flight
 //! coalescing, admission-control shedding under overload, deadline
 //! propagation into structured degraded responses, the `/metrics`
-//! Prometheus exposition, the `--access-log` JSONL stream, and the
-//! SIGTERM-drain exit path.
+//! Prometheus exposition and the `/stats` view of it, the
+//! `--access-log` JSONL stream, and the SIGTERM-drain exit path.
 
 mod common;
 
@@ -420,6 +420,66 @@ fn metrics_exposition_is_valid_and_counters_are_monotone() {
     assert_eq!(after_stats.win_latency_count, 2);
     assert!(after_stats.win_latency_p50_ns > 0);
     assert!(after_stats.win_latency_p99_ns >= after_stats.win_latency_p50_ns);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn stats_counters_are_views_of_the_metrics_registry() {
+    let dir = scratch("stats-view");
+    let server = ServeProc::start(&write_lib(&dir), &["--max-body", "2048"]);
+
+    let (net, cal, io) = chain_inputs(3);
+    let body = diagram_request(&net, &cal, Some(&io)).render_pretty();
+    let (net, cal, io) = chain_inputs(100);
+    let oversized = diagram_request(&net, &cal, Some(&io)).render_pretty();
+    assert!(body.len() <= 2048 && oversized.len() > 2048);
+    assert_eq!(server.exchange("POST", "/v1/diagram", Some(&body)).status, 200);
+    assert_eq!(server.exchange("POST", "/v1/diagram", Some(&body)).status, 200);
+    assert_eq!(server.exchange("POST", "/v1/diagram", Some("not json")).status, 400);
+    assert_eq!(server.exchange("POST", "/v1/diagram", Some(&oversized)).status, 413);
+
+    let s = stats(&server);
+    let scrape = server.exchange("GET", "/metrics", None);
+    assert_eq!(scrape.status, 200);
+    let (series, _) = parse_exposition(&scrape.body);
+    let m = |name: &str| series.get(name).copied().unwrap_or(0);
+    let outcome = |o: &str| m(&format!("netart_serve_requests_total{{outcome=\"{o}\"}}"));
+    let cache = |r: &str| m(&format!("netart_serve_cache_requests_total{{result=\"{r}\"}}"));
+    let all_outcomes: u64 = series
+        .iter()
+        .filter(|(name, _)| name.starts_with("netart_serve_requests_total{"))
+        .map(|(_, v)| v)
+        .sum();
+
+    assert_eq!(
+        (s.requests, s.clean, s.failed, s.too_large, s.cache_hits, s.cache_misses),
+        (3, 2, 1, 1, 1, 1),
+        "the four requests land where expected"
+    );
+    assert_eq!(s.requests, all_outcomes, "requests");
+    assert_eq!(s.clean, outcome("clean"), "clean");
+    assert_eq!(s.degraded, outcome("degraded"), "degraded");
+    assert_eq!(
+        s.failed,
+        outcome("failed") + outcome("mem_reject") + outcome("panic"),
+        "failed"
+    );
+    assert_eq!(s.shed, outcome("shed"), "shed");
+    assert_eq!(s.too_large, m("netart_serve_too_large_total"), "too_large");
+    assert_eq!(s.drain_rejects, outcome("drain_reject"), "drain_rejects");
+    assert_eq!(
+        s.deadline_cancelled,
+        m("netart_serve_deadline_cancelled_total"),
+        "deadline_cancelled"
+    );
+    assert_eq!(
+        s.panics,
+        outcome("panic") + m("netart_serve_connection_panics_total"),
+        "panics"
+    );
+    assert_eq!(s.cache_hits, cache("hit"), "cache_hits");
+    assert_eq!(s.cache_misses, cache("miss"), "cache_misses");
+    assert_eq!(s.coalesced, cache("coalesced"), "coalesced");
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -64,8 +64,7 @@ use netart_diagram::{Diagram, Placement};
 use netart_geom::{Point, Rotation};
 use netart_netlist::{NetId, Network};
 use netart_obs::{
-    DegradationReport, Metrics, MetricsSnapshot, NetReport, NetworkReport, QualityReport,
-    RunReport,
+    DegradationReport, MetricsSnapshot, NetReport, NetworkReport, QualityReport, RunReport,
 };
 use netart_place::{Pablo, PlaceConfig};
 use netart_route::{Eureka, RouteConfig, RouteReport, SalvageStep};
@@ -152,7 +151,8 @@ pub enum Degradation {
 
 /// Everything a generator run produces: the finished diagram, the
 /// routing report, the phase timings (the quantities of the paper's
-/// table 6.1), and any [`Degradation`]s the run had to accept.
+/// table 6.1), and any [`Degradation`]s the run had to accept. The
+/// run's metrics are derived from these in [`Outcome::run_report`].
 #[derive(Debug)]
 pub struct Outcome {
     /// The generated schematic diagram.
@@ -166,9 +166,6 @@ pub struct Outcome {
     /// Everything that went wrong without stopping the run, in the
     /// order it happened. Empty on a clean run.
     pub degradations: Vec<Degradation>,
-    /// The run's frozen metrics registry: deterministic counters
-    /// (routing effort, quality) plus wall-clock histograms.
-    pub metrics: MetricsSnapshot,
 }
 
 impl Outcome {
@@ -181,8 +178,9 @@ impl Outcome {
     /// Freezes the run into its machine-readable [`RunReport`]:
     /// network size, `place`/`route` phase timings, per-net router
     /// effort, per-degradation context, §4.4 quality metrics and the
-    /// metrics snapshot. Callers (the CLIs, the bench harness) may add
-    /// their own phases around the pipeline's with
+    /// run's [`MetricsSnapshot`], all derived here with one
+    /// [`Diagram::metrics`] call. Callers (the CLIs, the bench harness)
+    /// may add their own phases around the pipeline's with
     /// [`RunReport::push_phase_front`] / [`RunReport::push_phase`].
     pub fn run_report(&self, tool: &str) -> RunReport {
         let network = self.diagram.network();
@@ -204,7 +202,7 @@ impl Outcome {
                 bounding_area: q.bounding_area,
                 completion: q.completion(),
             },
-            metrics: self.metrics.clone(),
+            metrics: self.metrics(&q),
             is_clean: self.is_clean(),
             ..RunReport::default()
         };
@@ -229,6 +227,49 @@ impl Outcome {
         }
         report.attach_phase_quantiles();
         report
+    }
+
+    /// The run's metrics, derived from the outcome and its quality
+    /// metrics `q`. Counters get only deterministic quantities; the
+    /// wall-clock phase times go into histograms.
+    fn metrics(&self, q: &DiagramMetrics) -> MetricsSnapshot {
+        let report = &self.report;
+        let nets = || report.net_stats.iter();
+        let salvaged = |step| report.salvaged.iter().filter(|s| s.step == step).count() as u64;
+        let degraded = |is: fn(&Degradation) -> bool| {
+            self.degradations.iter().filter(|d| is(d)).count() as u64
+        };
+        let counters = [
+            ("route.nets_routed", report.routed.len() as u64),
+            ("route.nets_failed", report.failed.len() as u64),
+            ("route.nets_salvaged", report.salvaged.len() as u64),
+            ("route.nodes_expanded", nets().map(|s| s.nodes_expanded).sum()),
+            ("route.over_budget_nets", nets().filter(|s| s.over_budget).count() as u64),
+            ("route.retried_nets", nets().filter(|s| s.retried).count() as u64),
+            ("route.prerouted_nets", nets().filter(|s| s.prerouted).count() as u64),
+            ("route.ripup_victims", nets().map(|s| u64::from(s.ripup_victims)).sum()),
+            ("route.ghost_wires", salvaged(SalvageStep::GhostWire)),
+            ("route.lee_fallbacks", salvaged(SalvageStep::LeeFallback)),
+            ("degradations", self.degradations.len() as u64),
+            ("place.fallback", degraded(|d| matches!(d, Degradation::PlacementRecovered(_)))),
+            ("route.aborted", degraded(|d| matches!(d, Degradation::RoutingAborted(_)))),
+            ("quality.routed_nets", q.routed_nets as u64),
+            ("quality.unrouted_nets", q.unrouted_nets as u64),
+            ("quality.total_length", q.total_length),
+            ("quality.total_bends", q.total_bends),
+            ("quality.crossovers", q.crossovers),
+            ("quality.branch_points", q.branch_points),
+            ("quality.bounding_area", q.bounding_area),
+        ];
+        let mut metrics = MetricsSnapshot {
+            counters: counters.into_iter().map(|(name, v)| (name.to_owned(), v)).collect(),
+            ..MetricsSnapshot::default()
+        };
+        let place_ns = (self.place_time > Duration::ZERO).then(|| duration_ns(self.place_time));
+        metrics.observe("phase.place_ns", place_ns);
+        metrics.observe("phase.route_ns", [duration_ns(self.route_time)]);
+        metrics.observe("route.net_nodes", nets().map(|s| s.nodes_expanded));
+        metrics
     }
 
     /// One degradation with the context the report schema wants: the
@@ -311,88 +352,6 @@ fn route_degradations(network: &Network, report: &RouteReport) -> Vec<Degradatio
         }
     }
     out
-}
-
-/// Fills the run's metrics registry from the finished diagram and
-/// routing report. Counters get only deterministic quantities; the
-/// wall-clock phase times go into histograms.
-fn fill_metrics(
-    metrics: &mut Metrics,
-    diagram: &Diagram,
-    report: &RouteReport,
-    degradations: &[Degradation],
-    place_time: Duration,
-    route_time: Duration,
-) {
-    metrics.set("route.nets_routed", report.routed.len() as u64);
-    metrics.set("route.nets_failed", report.failed.len() as u64);
-    metrics.set("route.nets_salvaged", report.salvaged.len() as u64);
-    metrics.set(
-        "route.nodes_expanded",
-        report.net_stats.iter().map(|s| s.nodes_expanded).sum(),
-    );
-    metrics.set(
-        "route.over_budget_nets",
-        report.net_stats.iter().filter(|s| s.over_budget).count() as u64,
-    );
-    metrics.set(
-        "route.retried_nets",
-        report.net_stats.iter().filter(|s| s.retried).count() as u64,
-    );
-    metrics.set(
-        "route.prerouted_nets",
-        report.net_stats.iter().filter(|s| s.prerouted).count() as u64,
-    );
-    metrics.set(
-        "route.ripup_victims",
-        report.net_stats.iter().map(|s| u64::from(s.ripup_victims)).sum(),
-    );
-    metrics.set(
-        "route.ghost_wires",
-        report
-            .salvaged
-            .iter()
-            .filter(|s| s.step == SalvageStep::GhostWire)
-            .count() as u64,
-    );
-    metrics.set(
-        "route.lee_fallbacks",
-        report
-            .salvaged
-            .iter()
-            .filter(|s| s.step == SalvageStep::LeeFallback)
-            .count() as u64,
-    );
-    metrics.set("degradations", degradations.len() as u64);
-    metrics.set(
-        "place.fallback",
-        degradations
-            .iter()
-            .filter(|d| matches!(d, Degradation::PlacementRecovered(_)))
-            .count() as u64,
-    );
-    metrics.set(
-        "route.aborted",
-        degradations
-            .iter()
-            .filter(|d| matches!(d, Degradation::RoutingAborted(_)))
-            .count() as u64,
-    );
-    let q = diagram.metrics();
-    metrics.set("quality.routed_nets", q.routed_nets as u64);
-    metrics.set("quality.unrouted_nets", q.unrouted_nets as u64);
-    metrics.set("quality.total_length", q.total_length);
-    metrics.set("quality.total_bends", q.total_bends);
-    metrics.set("quality.crossovers", q.crossovers);
-    metrics.set("quality.branch_points", q.branch_points);
-    metrics.set("quality.bounding_area", q.bounding_area);
-    if place_time > Duration::ZERO {
-        metrics.observe("phase.place_ns", duration_ns(place_time));
-    }
-    metrics.observe("phase.route_ns", duration_ns(route_time));
-    for s in &report.net_stats {
-        metrics.observe("route.net_nodes", s.nodes_expanded);
-    }
 }
 
 /// Renders a caught panic payload as text.
@@ -520,7 +479,6 @@ impl Generator {
     /// propagated.
     pub fn generate_with_preplaced(&self, network: Network, preplaced: Placement) -> Outcome {
         let mut degradations = Vec::new();
-        let mut metrics = Metrics::new();
 
         let t0 = Instant::now();
         let placement = {
@@ -575,14 +533,6 @@ impl Generator {
         };
         let route_time = t1.elapsed();
         degradations.extend(route_degradations(diagram.network(), &report));
-        fill_metrics(
-            &mut metrics,
-            &diagram,
-            &report,
-            &degradations,
-            place_time,
-            route_time,
-        );
         info!(
             "pipeline finished",
             routed = report.routed.len() as u64,
@@ -596,7 +546,6 @@ impl Generator {
             place_time,
             route_time,
             degradations,
-            metrics: metrics.snapshot(),
         }
     }
 
@@ -633,7 +582,6 @@ impl Generator {
         if !diagram.placement().is_complete() {
             return Err(PipelineError::IncompletePlacement);
         }
-        let mut metrics = Metrics::new();
         let t1 = Instant::now();
         let report = {
             let s = span!(
@@ -649,21 +597,12 @@ impl Generator {
         };
         let route_time = t1.elapsed();
         let degradations = route_degradations(diagram.network(), &report);
-        fill_metrics(
-            &mut metrics,
-            &diagram,
-            &report,
-            &degradations,
-            Duration::ZERO,
-            route_time,
-        );
         Ok(Outcome {
             diagram,
             report,
             place_time: Duration::ZERO,
             route_time,
             degradations,
-            metrics: metrics.snapshot(),
         })
     }
 }

@@ -23,7 +23,7 @@
 //!   drain completes within the grace bound.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -128,7 +128,6 @@ struct ServiceShared<Req, R> {
     stopped: AtomicBool,
     workers_alive: AtomicUsize,
     in_flight: AtomicUsize,
-    served: AtomicU64,
     drain_grace: Duration,
 }
 
@@ -156,7 +155,6 @@ impl<Req: Send + 'static, R: Send + 'static> Service<Req, R> {
             stopped: AtomicBool::new(false),
             workers_alive: AtomicUsize::new(workers),
             in_flight: AtomicUsize::new(0),
-            served: AtomicU64::new(0),
             drain_grace: config.drain_grace,
         });
         let handler = Arc::new(handler);
@@ -196,7 +194,6 @@ impl<Req: Send + 'static, R: Send + 'static> Service<Req, R> {
                         .unwrap_or_else(PoisonError::into_inner) = Some(outcome);
                     task.slot.done.notify_all();
                     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    shared.served.fetch_add(1, Ordering::SeqCst);
                 }
                 shared.workers_alive.fetch_sub(1, Ordering::SeqCst);
             }));
@@ -272,11 +269,6 @@ impl<Req: Send + 'static, R: Send + 'static> Service<Req, R> {
     /// Requests admitted but not yet started.
     pub fn queued(&self) -> usize {
         self.shared.queue.len()
-    }
-
-    /// Requests resolved since boot (panicked ones included).
-    pub fn served(&self) -> u64 {
-        self.shared.served.load(Ordering::SeqCst)
     }
 
     /// Drains (if not already draining) and joins every thread.

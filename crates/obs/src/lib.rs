@@ -2,10 +2,10 @@
 //!
 //! Three pieces, all free of global state:
 //!
-//! * a [`Metrics`] registry (counters + log-2 histograms) that the
-//!   `Generator` owns per run and freezes into a [`MetricsSnapshot`]
-//!   on the outcome — counters are deterministic for a given input,
-//!   histograms absorb the wall-clock observations;
+//! * the per-run [`MetricsSnapshot`] (counters + log-2 histogram
+//!   summaries) that a run report derives from its outcome — counters
+//!   are deterministic for a given input, histograms absorb the
+//!   wall-clock observations;
 //! * the [`RunReport`] schema (versioned, golden-file pinned): network
 //!   size, per-phase wall times, per-net router effort, degradation
 //!   context, §4.4 quality metrics and the metrics snapshot, rendered
@@ -19,8 +19,9 @@
 //!   and [`baseline`]'s [`ReportDiff`] compares two [`RunReport`]s so
 //!   `netart report diff` and the CI perf-gate can fail on regressions;
 //! * the live layer: a process-lifetime [`Telemetry`] registry
-//!   (counters, gauges, rolling-window histograms) with Prometheus
-//!   text exposition behind `netart serve`'s `/metrics`, and the
+//!   (counters, gauges, rolling-window histograms) on the same
+//!   histogram core, rendered as Prometheus text behind `netart
+//!   serve`'s `/metrics` and read back for its `/stats`, and the
 //!   [`ProfileReport`] heat-map schema behind `netart profile`;
 //! * the post-mortem layer: the [`FlightRecorder`] ring subscriber
 //!   whose [`BlackboxDump`]s freeze the last moments before a panic,
@@ -58,7 +59,7 @@ pub use flight::{
     BlackboxDump, FlightHandle, FlightRecord, FlightRecorder, BLACKBOX_SCHEMA_VERSION,
 };
 pub use json::{expect_schema_version, Json, JsonParseError};
-pub use metrics::{Histogram, HistogramSummary, Metrics, MetricsSnapshot};
+pub use metrics::{Histogram, HistogramSummary, MetricsSnapshot};
 pub use profile::{
     ProfileCell, ProfileReport, ProfileTotals, PROFILE_KIND, PROFILE_SCHEMA_VERSION,
 };

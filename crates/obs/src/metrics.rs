@@ -1,13 +1,12 @@
-//! The metrics registry: named counters and histograms with no global
-//! state.
+//! Named counters and histograms with no global state.
 //!
-//! A [`Metrics`] is owned by whoever runs a pipeline (the `Generator`
-//! creates one per run) and snapshotted into the run's outcome. The
-//! split between counters and histograms is semantic, not just
-//! structural: **counters hold only deterministic quantities** (nets
-//! routed, nodes expanded, bends, …) so two runs of the same input
-//! produce identical counter maps — the property the determinism guard
-//! test pins — while **histograms absorb the wall-clock observations**
+//! A [`MetricsSnapshot`] is a run's metrics, derived once when the
+//! outcome is frozen into its run report. The split between counters
+//! and histograms is semantic, not just structural: **counters hold
+//! only deterministic quantities** (nets routed, nodes expanded,
+//! bends, …) so two runs of the same input produce identical counter
+//! maps — the property the determinism guard test pins — while
+//! **histograms absorb the wall-clock observations**
 //! (phase times, per-net durations) that legitimately vary.
 
 use std::collections::BTreeMap;
@@ -62,8 +61,8 @@ impl Histogram {
         }
     }
 
-    /// Records one observation. Public so telemetry registries can
-    /// reuse the same core the per-run [`Metrics`] uses.
+    /// Records one observation. Public so the process-lifetime
+    /// telemetry registry shares the per-run histogram core.
     pub fn record(&mut self, value: u64) {
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
@@ -171,61 +170,8 @@ impl HistogramSummary {
     }
 }
 
-/// A registry of named counters and histograms.
-#[derive(Debug, Clone, Default)]
-pub struct Metrics {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl Metrics {
-    /// An empty registry.
-    pub fn new() -> Metrics {
-        Metrics::default()
-    }
-
-    /// Adds `by` to the named counter, creating it at zero.
-    pub fn inc(&mut self, name: &str, by: u64) {
-        *self
-            .counters
-            .entry(name.to_owned())
-            .or_insert(0) += by;
-    }
-
-    /// Sets the named counter to `value` (for gauge-like quantities
-    /// such as final quality metrics).
-    pub fn set(&mut self, name: &str, value: u64) {
-        self.counters.insert(name.to_owned(), value);
-    }
-
-    /// Records one observation into the named histogram.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .record(value);
-    }
-
-    /// The current value of a counter (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Freezes the registry into an exportable snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self.counters.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.summary()))
-                .collect(),
-        }
-    }
-}
-
 json_record! {
-    /// A frozen [`Metrics`]: plain maps, ready for comparison or export.
+    /// A run's metrics: plain maps, ready for comparison or export.
     /// Reading one back skips non-numeric counters and malformed
     /// histograms rather than rejecting them.
     #[derive(Debug, Clone, PartialEq, Default)]
@@ -237,28 +183,39 @@ json_record! {
     }
 }
 
+impl MetricsSnapshot {
+    /// Summarises `values` as the named histogram, replacing any
+    /// earlier one. An empty sequence leaves no histogram at all.
+    pub fn observe(&mut self, name: &str, values: impl IntoIterator<Item = u64>) {
+        let mut h = Histogram::default();
+        for v in values {
+            h.record(v);
+        }
+        if h.count > 0 {
+            self.histograms.insert(name.to_owned(), h.summary());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_set() {
-        let mut m = Metrics::new();
-        m.inc("route.nets", 3);
-        m.inc("route.nets", 2);
-        m.set("quality.bends", 7);
-        assert_eq!(m.counter("route.nets"), 5);
-        assert_eq!(m.counter("quality.bends"), 7);
-        assert_eq!(m.counter("absent"), 0);
+    fn observing_nothing_leaves_no_histogram() {
+        let mut m = MetricsSnapshot::default();
+        m.observe("absent", None);
+        m.observe("empty", Vec::new());
+        assert!(m.histograms.is_empty());
+        m.observe("one", Some(0));
+        assert_eq!(m.histograms["one"].count, 1);
     }
 
     #[test]
     fn histogram_summary_totals() {
-        let mut m = Metrics::new();
-        for v in [1u64, 2, 3, 100] {
-            m.observe("lat", v);
-        }
-        let s = m.snapshot().histograms["lat"];
+        let mut m = MetricsSnapshot::default();
+        m.observe("lat", [1u64, 2, 3, 100]);
+        let s = m.histograms["lat"];
         assert_eq!(s.count, 4);
         assert_eq!(s.sum, 106);
         assert_eq!(s.min, 1);
@@ -293,20 +250,20 @@ mod tests {
     #[test]
     fn snapshots_of_equal_runs_compare_equal() {
         let run = || {
-            let mut m = Metrics::new();
-            m.inc("a", 1);
-            m.observe("h", 42);
-            m.snapshot()
+            let mut m = MetricsSnapshot::default();
+            m.counters.insert("a".to_owned(), 1);
+            m.observe("h", [42]);
+            m
         };
         assert_eq!(run(), run());
     }
 
     #[test]
     fn snapshot_json_shape() {
-        let mut m = Metrics::new();
-        m.inc("c", 2);
-        m.observe("h", 5);
-        let j = m.snapshot().to_json();
+        let mut m = MetricsSnapshot::default();
+        m.counters.insert("c".to_owned(), 2);
+        m.observe("h", [5]);
+        let j = m.to_json();
         assert_eq!(j.get("counters").and_then(|c| c.get("c")), Some(&Json::Uint(2)));
         let h = j.get("histograms").and_then(|h| h.get("h")).expect("histogram");
         assert_eq!(h.get("count"), Some(&Json::Uint(1)));

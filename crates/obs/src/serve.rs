@@ -110,11 +110,12 @@ impl ServeReport {
 
 json_record! {
     document
-    /// The `/stats` endpoint's body: lifetime counters and current
-    /// gauges of one serve process.
+    /// The `/stats` endpoint's body: lifetime counters, read back
+    /// from the `/metrics` registry, and current gauges of one serve
+    /// process.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct ServeStats {
-        /// Requests that reached admission (every `POST /v1/diagram`).
+        /// Resolved `POST /v1/diagram` requests, `413` refusals aside.
         pub requests: u64,
         /// Responses per status.
         pub clean: u64,

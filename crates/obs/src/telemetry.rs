@@ -1,14 +1,15 @@
-//! The live telemetry registry behind `netart serve`'s `/metrics`
-//! endpoint.
+//! The live telemetry registry behind `netart serve`'s `/metrics` and
+//! `/stats` endpoints.
 //!
-//! Where [`Metrics`](crate::Metrics) is per-run and frozen into the
-//! outcome, a [`Telemetry`] lives for the whole process and is shared
-//! across threads: monotone counters (optionally labelled), gauges,
-//! and histograms that keep **two** views of every series — a lifetime
-//! [`Histogram`] whose buckets only ever grow (what Prometheus
-//! exposition requires of a `histogram` type) and a rolling ring of
-//! time slots whose aggregate answers "what were the quantiles over
-//! the last minute" for `/stats`.
+//! Where a [`MetricsSnapshot`](crate::MetricsSnapshot) is per-run and
+//! derived in the run report, a [`Telemetry`] lives for the whole
+//! process and is shared across threads: monotone counters (optionally
+//! labelled), gauges, and histograms that keep **two** views of every
+//! series — a lifetime [`Histogram`] whose buckets only ever grow (what
+//! Prometheus exposition requires of a `histogram` type) and a rolling
+//! ring of time slots whose aggregate answers "what were the quantiles
+//! over the last minute" for `/stats`. `/stats` reads its counters
+//! from the same series `/metrics` renders.
 //!
 //! The exposition is the hand-rolled Prometheus text format (version
 //! `0.0.4`): `# TYPE` lines, `_total` counters, cumulative `le`
@@ -221,6 +222,14 @@ impl Telemetry {
             .unwrap_or(0)
     }
 
+    /// The sum of a counter over all its label sets (0 when absent).
+    pub fn counter_sum(&self, name: &str) -> u64 {
+        self.lock()
+            .counters
+            .get(name)
+            .map_or(0, |series| series.values().sum())
+    }
+
     /// The rolling-window quantiles of the named histogram (all zeros
     /// when the series does not exist or the window is empty).
     pub fn window_summary(&self, name: &str) -> WindowSummary {
@@ -326,6 +335,8 @@ mod tests {
         assert_eq!(t.counter("req_total", &[("outcome", "failed")]), 1);
         assert_eq!(t.counter("plain_total", &[]), 5);
         assert_eq!(t.counter("absent_total", &[]), 0);
+        assert_eq!(t.counter_sum("req_total"), 4);
+        assert_eq!(t.counter_sum("absent_total"), 0);
     }
 
     #[test]

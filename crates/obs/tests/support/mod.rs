@@ -8,7 +8,8 @@
 use std::path::PathBuf;
 
 use netart_obs::{
-    DegradationReport, Metrics, NetReport, NetworkReport, PhaseReport, QualityReport, RunReport,
+    DegradationReport, MetricsSnapshot, NetReport, NetworkReport, PhaseReport, QualityReport,
+    RunReport,
 };
 
 /// Asserts that `rendered` matches `tests/golden/<file>` byte for
@@ -36,14 +37,20 @@ pub fn assert_golden(file: &str, rendered: &str, version: &str) {
 /// A run report exercising every member of the schema with fixed
 /// values, `null`s included.
 pub fn run_report_exemplar() -> RunReport {
-    let mut metrics = Metrics::new();
-    metrics.inc("route.nets_routed", 2);
-    metrics.inc("route.nets_failed", 1);
-    metrics.inc("route.nodes_expanded", 190);
-    metrics.set("quality.total_bends", 4);
-    metrics.observe("phase.route_ns", 1_500);
-    metrics.observe("route.net_nodes", 40);
-    metrics.observe("route.net_nodes", 150);
+    let mut metrics = MetricsSnapshot {
+        counters: [
+            ("route.nets_routed", 2),
+            ("route.nets_failed", 1),
+            ("route.nodes_expanded", 190),
+            ("quality.total_bends", 4),
+        ]
+        .into_iter()
+        .map(|(name, v)| (name.to_owned(), v))
+        .collect(),
+        ..MetricsSnapshot::default()
+    };
+    metrics.observe("phase.route_ns", [1_500]);
+    metrics.observe("route.net_nodes", [40, 150]);
 
     let mut report = RunReport {
         tool: "netart".to_owned(),
@@ -118,7 +125,7 @@ pub fn run_report_exemplar() -> RunReport {
             bounding_area: 1_200,
             completion: 2.0 / 3.0,
         },
-        metrics: metrics.snapshot(),
+        metrics,
         is_clean: false,
     };
     // The `route` phase has a `phase.route_ns` histogram, so it alone

@@ -1,15 +1,21 @@
 //! Observability guarantees: metrics determinism and run-report
 //! coherence over full pipeline runs.
 //!
-//! Counters are the deterministic half of the metrics registry — two
+//! Counters are the deterministic half of a run report's metrics — two
 //! runs of the same input must produce identical counter maps, while
 //! histograms (which absorb wall-clock observations) may differ. The
 //! run report must agree with the outcome it was derived from.
 
 use netart::place::PlaceConfig;
 use netart::route::RouteConfig;
-use netart::Generator;
+use netart::obs::MetricsSnapshot;
+use netart::{Generator, Outcome};
 use netart_workloads::{controller_cluster, life, random_network, string_chain, RandomSpec};
+
+/// The metrics of a run, as its run report derives them.
+fn metrics(outcome: &Outcome) -> MetricsSnapshot {
+    outcome.run_report("netart").metrics
+}
 
 #[test]
 fn counters_are_identical_across_reruns() {
@@ -21,17 +27,17 @@ fn counters_are_identical_across_reruns() {
             .generate(random_network(&spec))
     };
     for seed in [0, 3, 7] {
-        let a = run(seed);
-        let b = run(seed);
+        let a = metrics(&run(seed));
+        let b = metrics(&run(seed));
         assert_eq!(
-            a.metrics.counters, b.metrics.counters,
+            a.counters, b.counters,
             "seed {seed}: counter snapshots differ between identical runs"
         );
         // The timing histograms exist in both runs even when their
         // observed values differ.
         assert_eq!(
-            a.metrics.histograms.keys().collect::<Vec<_>>(),
-            b.metrics.histograms.keys().collect::<Vec<_>>(),
+            a.histograms.keys().collect::<Vec<_>>(),
+            b.histograms.keys().collect::<Vec<_>>(),
             "seed {seed}: histogram sets differ between identical runs"
         );
     }
@@ -40,7 +46,7 @@ fn counters_are_identical_across_reruns() {
 #[test]
 fn counters_are_identical_across_paper_workload_reruns() {
     let run = || Generator::new().generate(controller_cluster());
-    assert_eq!(run().metrics.counters, run().metrics.counters);
+    assert_eq!(metrics(&run()).counters, metrics(&run()).counters);
 
     let route_life = || {
         let network = life::network();
@@ -49,7 +55,7 @@ fn counters_are_identical_across_paper_workload_reruns() {
             .route_only(network, hand)
             .expect("hand placement is complete")
     };
-    assert_eq!(route_life().metrics.counters, route_life().metrics.counters);
+    assert_eq!(metrics(&route_life()).counters, metrics(&route_life()).counters);
 }
 
 #[test]
@@ -68,7 +74,8 @@ fn route_only_counters_and_reports_are_deterministic() {
     let a = run();
     let b = run();
     assert_eq!(
-        a.metrics.counters, b.metrics.counters,
+        metrics(&a).counters,
+        metrics(&b).counters,
         "route-only counter snapshots differ between identical runs"
     );
     assert_eq!(
