@@ -180,30 +180,40 @@ impl NetPath {
     /// point of `terminals`.
     ///
     /// This is the electrical soundness check: a routed net must be one
-    /// connected tree through all its pins.
+    /// connected tree through all its pins. Two segments are joined when
+    /// they share a point, which is exactly when their unit edges meet,
+    /// so the check runs on the k segments (a union-find fed by a sweep
+    /// in x order) and costs nothing per unit of wire length.
     pub fn connects(&self, terminals: &[Point]) -> bool {
-        if terminals.is_empty() {
+        let Some(&first) = terminals.first() else {
             return true;
-        }
-        let adj = self.adjacency();
-        if terminals.iter().any(|t| !adj.contains_key(t)) {
-            return false;
-        }
-        // BFS from the first terminal over unit edges.
-        let mut seen = HashSet::new();
-        let mut queue = vec![terminals[0]];
-        seen.insert(terminals[0]);
-        while let Some(p) = queue.pop() {
-            if let Some(dirs) = adj.get(&p) {
-                for &d in dirs {
-                    let q = p.step(d);
-                    if seen.insert(q) {
-                        queue.push(q);
-                    }
+        };
+        let segs = &self.segments;
+        let x_range = |s: &Segment| match s.axis() {
+            Axis::Horizontal => (s.span().lo(), s.span().hi()),
+            Axis::Vertical => (s.track(), s.track()),
+        };
+        let mut order: Vec<usize> = (0..segs.len()).collect();
+        order.sort_unstable_by_key(|&i| x_range(&segs[i]).0);
+        let mut parent: Vec<usize> = (0..segs.len()).collect();
+        // Only segments whose x ranges overlap can share a point.
+        for (k, &i) in order.iter().enumerate() {
+            let x_hi = x_range(&segs[i]).1;
+            for &j in order[k + 1..].iter().take_while(|&&j| x_range(&segs[j]).0 <= x_hi) {
+                if segs[i].crossing(&segs[j]).is_some() || segs[i].overlap(&segs[j]).is_some() {
+                    let (a, b) = (root(&mut parent, i), root(&mut parent, j));
+                    parent[a] = b;
                 }
             }
         }
-        terminals.iter().all(|t| seen.contains(t))
+        let mut component = |p: Point| {
+            let i = segs.iter().position(|s| s.contains(p))?;
+            Some(root(&mut parent, i))
+        };
+        let Some(c) = component(first) else {
+            return false;
+        };
+        terminals[1..].iter().all(|&t| component(t) == Some(c))
     }
 
     /// `true` when the covered geometry contains a cycle, in any
@@ -308,6 +318,16 @@ impl NetPath {
     }
 }
 
+/// The representative of `i`'s set in a union-find forest, halving the
+/// path on the way.
+fn root(parent: &mut [usize], mut i: usize) -> usize {
+    while parent[i] != i {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    i
+}
+
 impl FromIterator<Segment> for NetPath {
     fn from_iter<I: IntoIterator<Item = Segment>>(iter: I) -> Self {
         NetPath::from_segments(iter.into_iter().collect())
@@ -335,6 +355,33 @@ mod tests {
             .count() as u32
     }
 
+    /// The unit-edge search that `connects` replaced, kept as its
+    /// oracle: a walk from the first terminal over the covered unit
+    /// edges must reach every terminal.
+    fn connects_by_unit_edges(path: &NetPath, terminals: &[Point]) -> bool {
+        if terminals.is_empty() {
+            return true;
+        }
+        let adj = path.adjacency();
+        if terminals.iter().any(|t| !adj.contains_key(t)) {
+            return false;
+        }
+        let mut seen = HashSet::new();
+        let mut queue = vec![terminals[0]];
+        seen.insert(terminals[0]);
+        while let Some(p) = queue.pop() {
+            if let Some(dirs) = adj.get(&p) {
+                for &d in dirs {
+                    let q = p.step(d);
+                    if seen.insert(q) {
+                        queue.push(q);
+                    }
+                }
+            }
+        }
+        terminals.iter().all(|t| seen.contains(t))
+    }
+
     /// Segments on a small grid, so overlaps, collinear touches,
     /// zero-length pieces, self-crossings and T-junctions are common.
     fn segment_strategy() -> impl Strategy<Value = Segment> {
@@ -355,6 +402,35 @@ mod tests {
         ) {
             let path = NetPath::from_segments(segments);
             prop_assert_eq!(path.bends(), bends_by_adjacency(&path), "{:?}", path.segments());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The segment union-find agrees with the unit-edge walk on any
+        /// segment soup and any terminals, on or off the wire.
+        #[test]
+        fn connects_matches_the_unit_edge_oracle(
+            segments in prop::collection::vec(segment_strategy(), 0..9),
+            terminals in prop::collection::vec((any::<bool>(), 0i32..11, 0i32..11, 0usize..9), 0..4),
+        ) {
+            // Half the terminals sit on a segment's endpoint.
+            let terminals: Vec<Point> = terminals
+                .into_iter()
+                .map(|(free, x, y, i)| match segments.get(i) {
+                    Some(s) if !free => s.endpoints().1,
+                    _ => Point::new(x, y),
+                })
+                .collect();
+            let path = NetPath::from_segments(segments);
+            prop_assert_eq!(
+                path.connects(&terminals),
+                connects_by_unit_edges(&path, &terminals),
+                "{:?} {:?}",
+                path.segments(),
+                terminals
+            );
         }
     }
 

@@ -22,13 +22,20 @@
 //! candidates contains the minimum-bend paths; among those candidates
 //! the best (fewest crossovers, then shortest — or swapped under `-s`)
 //! is reconstructed by walking originator links.
-
-use std::collections::BTreeMap;
+//!
+//! The search keeps its per-track state in the same chunked
+//! [`TrackTable`] as the obstacle map: the actives of each front per
+//! axis (swept against and scanned for meetings) and the coverage
+//! ledger per front and direction. A ledger track stays sorted and
+//! coalesced, so [`cover`] finds the uncovered pieces of a new active
+//! by binary search. The sweep's working lists live in buffers the
+//! search owns and reuses, so a sweep step allocates nothing.
 
 use netart_geom::{Axis, Dir, Interval, Point, Segment};
 use netart_netlist::NetId;
 
 use crate::budget::BudgetMeter;
+use crate::tracks::TrackTable;
 use crate::{ObstacleKind, ObstacleMap};
 
 /// Which wavefront an active segment belongs to.
@@ -190,15 +197,16 @@ pub(crate) struct Search<'a> {
     arena: Vec<Active>,
     /// `index[front][axis]`: occupied tracks → active ids, for sweeps
     /// and meet detection.
-    index: [[BTreeMap<i32, Vec<usize>>; 2]; 2],
+    index: [[TrackTable<usize>; 2]; 2],
     /// `covered[front][dir]`: track → union of spans ever activated
     /// *with that expansion direction*. A front never re-activates
     /// covered ground — the paper's "every zone is searched just once"
     /// made airtight, which also bounds the total work of an exhaustive
     /// (unroutable) search by four times the plane area. Keyed per
     /// direction because the same segment expanding up and expanding
-    /// down explores different half-planes.
-    covered: [[BTreeMap<i32, Vec<Interval>>; 4]; 2],
+    /// down explores different half-planes. Each track's ledger is
+    /// sorted and coalesced (see [`cover`]).
+    covered: [[TrackTable<Interval>; 4]; 2],
     pending: [Vec<usize>; 2],
     candidates: Vec<Candidate>,
     /// Bounding box of every activated piece, as
@@ -206,29 +214,94 @@ pub(crate) struct Search<'a> {
     /// touched, fed to the `netart profile` heat map. Deterministic
     /// for a given obstacle configuration.
     explored: Option<(i32, i32, i32, i32)>,
-    /// The entries of the track being swept; one buffer reused by
-    /// every sweep.
-    entries: Vec<(Interval, Action)>,
+    /// Reused buffers of `expand` and the steps below it, taken out of
+    /// the search while in use.
+    bufs: Buffers,
     /// Test-only switch back to unpruned sweeps, the oracle of the hull
     /// test in `sweep_track`.
     #[cfg(test)]
     full_sweeps: bool,
 }
 
-/// Removes the union of `covered` from `span`, returning the leftover
-/// pieces in ascending order.
-fn subtract_all(span: Interval, covered: &[Interval]) -> Vec<Interval> {
-    let mut pieces = vec![span];
-    for &c in covered {
-        pieces = pieces
-            .into_iter()
-            .flat_map(|p| {
-                let (l, r) = p.subtract(c);
-                l.into_iter().chain(r)
-            })
-            .collect();
+/// The working lists of one expansion, kept across expansions so their
+/// capacity is reused.
+#[derive(Default)]
+struct Buffers {
+    /// The entries of the track being swept.
+    entries: Vec<(Interval, Action)>,
+    /// The swept pieces: (columns, crossings accumulated).
+    work: Vec<(Interval, u32)>,
+    /// The pieces that continue past the entry being applied.
+    next_work: Vec<(Interval, u32)>,
+    /// Where each group of columns stopped: (columns, last reached track).
+    ends: Vec<(Interval, i32)>,
+    /// Nets crossed during the sweep: (track, columns).
+    crossed: Vec<(i32, Interval)>,
+    /// `make_borders`' end events: (columns, progress).
+    events: Vec<(Interval, i32)>,
+    /// The tracks where the sweep crossed a net at a border's column.
+    cuts: Vec<i32>,
+    /// The pieces of one border between those crossings.
+    borders: Vec<Interval>,
+    /// The uncovered pieces of an active being pushed.
+    uncovered: Vec<Interval>,
+    /// Meetings found by `check_meets`: (far id, near entry, far entry).
+    meets: Vec<(usize, i32, i32)>,
+}
+
+/// Adds `span` to one track's coverage ledger and appends to `out` the
+/// pieces of `span` that were not covered before, ascending.
+///
+/// The ledger is kept sorted, and coalesced: no two of its intervals
+/// overlap or touch. The intervals that meet `span` are found by binary
+/// search and replaced by their union with it, so each new piece is a
+/// maximal uncovered run, as subtracting the ledger one interval at a
+/// time would leave it.
+fn cover(ledger: &mut Vec<Interval>, span: Interval, out: &mut Vec<Interval>) {
+    let (lo, hi) = (i64::from(span.lo()), i64::from(span.hi()));
+    let first = ledger.partition_point(|c| i64::from(c.hi()) + 1 < lo);
+    let last = first + ledger[first..].partition_point(|c| i64::from(c.lo()) <= hi + 1);
+    // The lowest point of `span` not yet known to be covered.
+    let mut next = lo;
+    for c in &ledger[first..last] {
+        if i64::from(c.lo()) > next {
+            out.push(Interval::new(next as i32, (i64::from(c.lo()) - 1).min(hi) as i32));
+        }
+        next = next.max(i64::from(c.hi()) + 1);
     }
-    pieces
+    if next <= hi {
+        out.push(Interval::new(next as i32, span.hi()));
+    }
+    let merged = match ledger[first..last] {
+        [] => span,
+        [a, ..] => span.hull(a).hull(ledger[last - 1]),
+    };
+    ledger.splice(first..last, [merged]);
+}
+
+/// Appends to `out` the pieces of `span` left after cutting out the
+/// points `cuts` (in any order, repeats allowed), ascending.
+fn cut_border(span: Interval, cuts: &mut [i32], out: &mut Vec<Interval>) {
+    cuts.sort_unstable();
+    let mut next = i64::from(span.lo());
+    for &c in cuts.iter() {
+        let c = i64::from(c);
+        if c < next || c > i64::from(span.hi()) {
+            continue;
+        }
+        if c > next {
+            out.push(Interval::new(next as i32, (c - 1) as i32));
+        }
+        next = c + 1;
+    }
+    if next <= i64::from(span.hi()) {
+        out.push(Interval::new(next as i32, span.hi()));
+    }
+}
+
+/// `values` without consecutive repeats, as `Vec::dedup` leaves them.
+fn dedup<const N: usize>(values: [i32; N]) -> impl Iterator<Item = i32> {
+    (0..N).filter(move |&i| i == 0 || values[i - 1] != values[i]).map(move |i| values[i])
 }
 
 fn axis_idx(axis: Axis) -> usize {
@@ -260,7 +333,7 @@ impl<'a> Search<'a> {
             pending: [Vec::new(), Vec::new()],
             candidates: Vec::new(),
             explored: None,
-            entries: Vec::new(),
+            bufs: Buffers::default(),
             #[cfg(test)]
             full_sweeps: false,
         }
@@ -296,12 +369,11 @@ impl<'a> Search<'a> {
     fn push_active(&mut self, a: Active) {
         // Only the uncovered parts of the span become active; the rest
         // was reached before with no more bends than now.
-        let cov = self.covered[a.front.idx()][dir_idx(a.dir)]
-            .entry(a.track)
-            .or_default();
-        let pieces = subtract_all(a.span, cov);
-        cov.extend(pieces.iter().copied());
-        for span in pieces {
+        let mut pieces = std::mem::take(&mut self.bufs.uncovered);
+        pieces.clear();
+        self.covered[a.front.idx()][dir_idx(a.dir)]
+            .edit(a.track, |ledger| cover(ledger, a.span, &mut pieces));
+        for &span in &pieces {
             let id = self.arena.len();
             let mut piece = a.clone();
             piece.span = span;
@@ -315,14 +387,12 @@ impl<'a> Search<'a> {
                     (ex0.min(x0), ey0.min(y0), ex1.max(x1), ey1.max(y1))
                 }
             });
-            self.index[piece.front.idx()][axis_idx(piece.axis())]
-                .entry(piece.track)
-                .or_default()
-                .push(id);
+            self.index[piece.front.idx()][axis_idx(piece.axis())].push(piece.track, id);
             self.pending[piece.front.idx()].push(id);
             self.arena.push(piece);
             self.check_meets(id);
         }
+        self.bufs.uncovered = pieces;
     }
 
     /// Runs the alternating wavefront search. `two_front` distinguishes
@@ -410,8 +480,8 @@ impl<'a> Search<'a> {
         for f in 0..2 {
             let lanes = &self.index[f][axis];
             let cand = match dir {
-                Dir::Up | Dir::Right => lanes.range(from + 1..).next().map(|(&t, _)| t),
-                Dir::Down | Dir::Left => lanes.range(..from).next_back().map(|(&t, _)| t),
+                Dir::Up | Dir::Right => lanes.next_above(from),
+                Dir::Down | Dir::Left => lanes.next_below(from),
             };
             best = match (best, cand) {
                 (None, c) => c,
@@ -432,30 +502,34 @@ impl<'a> Search<'a> {
         let dir = a.dir;
         let step = dir.sign();
 
-        // The swept pieces: (columns, crossings accumulated).
-        let mut pieces: Vec<(Interval, u32)> = vec![(a.span, a.crossings)];
-        // Where each group of columns stopped: (columns, last reached track).
-        let mut ends: Vec<(Interval, i32)> = Vec::new();
-        // Nets crossed during this sweep: (track, columns).
-        let mut crossed: Vec<(i32, Interval)> = Vec::new();
+        let mut work = std::mem::take(&mut self.bufs.work);
+        let mut ends = std::mem::take(&mut self.bufs.ends);
+        let mut crossed = std::mem::take(&mut self.bufs.crossed);
+        work.clear();
+        ends.clear();
+        crossed.clear();
+        work.push((a.span, a.crossings));
 
         let mut track = a.track;
-        while !pieces.is_empty() {
+        while !work.is_empty() {
             let Some(next) = self.next_track(dir, track) else {
                 // No plane border? Terminate everything here (the
                 // router always installs a border, so this is a guard).
-                ends.extend(pieces.drain(..).map(|(iv, _)| (iv, track)));
+                ends.extend(work.drain(..).map(|(iv, _)| (iv, track)));
                 break;
             };
             track = next;
-            pieces = self.sweep_track(&a, id, track, step, pieces, &mut ends, &mut crossed);
+            self.sweep_track(&a, id, track, step, &mut work, &mut ends, &mut crossed);
         }
 
         self.make_borders(&a, id, &ends, &crossed);
+        self.bufs.work = work;
+        self.bufs.ends = ends;
+        self.bufs.crossed = crossed;
     }
 
-    /// Processes all obstacles on one track against the live pieces;
-    /// returns the pieces that continue past it.
+    /// Processes all obstacles on one track against the live pieces in
+    /// `work`, leaving there the pieces that continue past it.
     #[allow(clippy::too_many_arguments)]
     fn sweep_track(
         &mut self,
@@ -463,20 +537,20 @@ impl<'a> Search<'a> {
         a_id: usize,
         track: i32,
         step: i32,
-        pieces: Vec<(Interval, u32)>,
+        work: &mut Vec<(Interval, u32)>,
         ends: &mut Vec<(Interval, i32)>,
         crossed: &mut Vec<(i32, Interval)>,
-    ) -> Vec<(Interval, u32)> {
+    ) {
         // Pieces only shrink inside their starting hull (even `Cross`
         // keeps just an interior), so an entry outside it can never act
         // and skipping it is exact. The kept entries stay in insertion
         // order, so the stable rank sort below orders them as before.
-        let Some(hull) = pieces.iter().map(|&(iv, _)| iv).reduce(Interval::hull) else {
-            return pieces;
+        let Some(hull) = work.iter().map(|&(iv, _)| iv).reduce(Interval::hull) else {
+            return;
         };
         #[cfg(test)]
         let hull = if self.full_sweeps { Interval::new(i32::MIN, i32::MAX) } else { hull };
-        let mut entries = std::mem::take(&mut self.entries);
+        let mut entries = std::mem::take(&mut self.bufs.entries);
         entries.clear();
         for o in self.map.at(a.axis(), track) {
             if !o.span.overlaps(hull) {
@@ -490,28 +564,26 @@ impl<'a> Search<'a> {
             entries.push((o.span, action));
         }
         for f in [a.front, a.front.other()] {
-            if let Some(ids) = self.index[f.idx()][axis_idx(a.axis())].get(&track) {
-                for &oid in ids {
-                    let act = &self.arena[oid];
-                    if oid == a_id || !act.alive || !act.span.overlaps(hull) {
-                        continue;
-                    }
-                    let action = if f == a.front {
-                        Action::BlockOwn(oid)
-                    } else {
-                        Action::Meet(oid)
-                    };
-                    entries.push((act.span, action));
+            for &oid in self.index[f.idx()][axis_idx(a.axis())].get(track) {
+                let act = &self.arena[oid];
+                if oid == a_id || !act.alive || !act.span.overlaps(hull) {
+                    continue;
                 }
+                let action = if f == a.front {
+                    Action::BlockOwn(oid)
+                } else {
+                    Action::Meet(oid)
+                };
+                entries.push((act.span, action));
             }
         }
         entries.sort_by_key(|(_, e)| e.rank());
 
         let stop = track - step;
-        let mut work = pieces;
+        let mut next_work = std::mem::take(&mut self.bufs.next_work);
         for &(span, action) in &entries {
-            let mut next_work: Vec<(Interval, u32)> = Vec::new();
-            for (iv, cr) in work {
+            next_work.clear();
+            for &(iv, cr) in work.iter() {
                 let Some(ov) = iv.intersect(span) else {
                     next_work.push((iv, cr));
                     continue;
@@ -551,10 +623,10 @@ impl<'a> Search<'a> {
                     }
                 }
             }
-            work = next_work;
+            std::mem::swap(work, &mut next_work);
         }
-        self.entries = entries;
-        work
+        self.bufs.next_work = next_work;
+        self.bufs.entries = entries;
     }
 
     /// Cuts `ov` out of a same-front active reached by a sweep
@@ -569,10 +641,7 @@ impl<'a> Search<'a> {
                 // Re-register the sibling; `push_active` puts it back in
                 // the pending list when still unexpanded.
                 let sid = self.arena.len();
-                self.index[sibling.front.idx()][axis_idx(sibling.axis())]
-                    .entry(sibling.track)
-                    .or_default()
-                    .push(sid);
+                self.index[sibling.front.idx()][axis_idx(sibling.axis())].push(sibling.track, sid);
                 if !sibling.expanded {
                     self.pending[sibling.front.idx()].push(sid);
                 }
@@ -626,9 +695,7 @@ impl<'a> Search<'a> {
         track: i32,
         cr: u32,
     ) {
-        let mut entries = vec![ov.clamp(self.pull(near)), ov.lo(), ov.hi()];
-        entries.dedup();
-        for s in entries {
+        for s in dedup([ov.clamp(self.pull(near)), ov.lo(), ov.hi()]) {
             // Joining at an endpoint of the existing segment avoids a
             // new branching node (§5.6.3 UPDATE_SOLUTION).
             let branches = s != target.lo() && s != target.hi();
@@ -657,15 +724,14 @@ impl<'a> Search<'a> {
         cr: u32,
     ) {
         let far_cross = self.arena[oid].crossings;
-        let mut entries = vec![
+        let mut entries = [
             ov.clamp(self.pull(near)),
             ov.clamp(self.pull(oid)),
             ov.lo(),
             ov.hi(),
         ];
         entries.sort_unstable();
-        entries.dedup();
-        for s in entries {
+        for s in dedup(entries) {
             let bridge = self.bridge(a, s, track);
             self.push_candidate(Candidate {
                 bends: 0,
@@ -704,10 +770,11 @@ impl<'a> Search<'a> {
         // reach(column) relative: convert "last reached track" into a
         // signed progression so one code path serves all directions.
         let prog = |t: i32| (t - a.track) * step; // 0 = no progress
-        let mut events: Vec<(Interval, i32)> = ends
-            .iter()
-            .map(|&(iv, reach)| (iv, prog(reach)))
-            .collect();
+        let mut events = std::mem::take(&mut self.bufs.events);
+        let mut cuts = std::mem::take(&mut self.bufs.cuts);
+        let mut borders = std::mem::take(&mut self.bufs.borders);
+        events.clear();
+        events.extend(ends.iter().map(|&(iv, reach)| (iv, prog(reach))));
         events.push((Interval::point(a.span.lo() - 1), 0));
         events.push((Interval::point(a.span.hi() + 1), 0));
         events.sort_by_key(|&(iv, _)| iv.lo());
@@ -734,27 +801,15 @@ impl<'a> Search<'a> {
             let t1 = a.track + hi_p * step;
             let span = Interval::new(t0.min(t1), t0.max(t1));
             // Cut out the rows where this sweep crossed a net at `col`.
-            let mut sub_spans = vec![span];
-            for &(ct, civ) in crossed {
-                if !civ.contains(col) {
-                    continue;
-                }
-                sub_spans = sub_spans
-                    .into_iter()
-                    .flat_map(|sp| {
-                        let (l, r) = sp.subtract(Interval::point(ct));
-                        l.into_iter().chain(r)
-                    })
-                    .collect();
-            }
-            for sp in sub_spans {
+            cuts.clear();
+            cuts.extend(crossed.iter().filter(|&&(_, civ)| civ.contains(col)).map(|&(ct, _)| ct));
+            borders.clear();
+            cut_border(span, &mut cuts, &mut borders);
+            for &sp in &borders {
                 // Crossings below the border piece: nets crossed by the
                 // escape line from the originator up to the piece.
                 let cr = a.crossings
-                    + crossed
-                        .iter()
-                        .filter(|&&(ct, civ)| civ.contains(col) && prog(ct) < prog_of(sp, a, step))
-                        .count() as u32;
+                    + cuts.iter().filter(|&&ct| prog(ct) < prog_of(sp, a, step)).count() as u32;
                 self.push_active(Active {
                     parent: Some(id),
                     front: a.front,
@@ -768,6 +823,9 @@ impl<'a> Search<'a> {
                 });
             }
         }
+        self.bufs.events = events;
+        self.bufs.cuts = cuts;
+        self.bufs.borders = borders;
     }
 
     /// Completeness backstop: a freshly created active that geometrically
@@ -779,43 +837,31 @@ impl<'a> Search<'a> {
             return; // roots are seeded before the other front exists
         }
         let other = a.front.other();
+        let mut meets = std::mem::take(&mut self.bufs.meets);
+        meets.clear();
         // Collinear: same axis, same track, overlapping span.
-        if let Some(ids) = self.index[other.idx()][axis_idx(a.axis())].get(&a.track) {
-            for oid in ids.clone() {
-                let b = &self.arena[oid];
-                if !b.alive {
-                    continue;
-                }
-                if let Some(ov) = a.span.intersect(b.span) {
-                    let b_cross = b.crossings;
-                    for s in [ov.clamp(self.pull(id)), ov.clamp(self.pull(oid))] {
-                        self.push_candidate(Candidate {
-                            bends: 0,
-                            crossings: a.crossings + b_cross,
-                            length: self.trace_len(id, s) + self.trace_len(oid, s),
-                            branches: false,
-                            near: id,
-                            near_entry: s,
-                            bridge: None,
-                            far: FarSide::Active { id: oid, entry: s },
-                        });
-                    }
+        for &oid in self.index[other.idx()][axis_idx(a.axis())].get(a.track) {
+            let b = &self.arena[oid];
+            if !b.alive {
+                continue;
+            }
+            if let Some(ov) = a.span.intersect(b.span) {
+                for s in [ov.clamp(self.pull(id)), ov.clamp(self.pull(oid))] {
+                    meets.push((oid, s, s));
                 }
             }
         }
         // Crossing: perpendicular active of the other front through us.
         let perp = a.axis().perpendicular();
-        let lanes = &self.index[other.idx()][axis_idx(perp)];
-        let mut hits: Vec<(usize, i32, i32)> = Vec::new();
-        for (&t, ids) in lanes.range(a.span.lo()..=a.span.hi()) {
+        for (t, ids) in self.index[other.idx()][axis_idx(perp)].range(a.span.lo(), a.span.hi()) {
             for &oid in ids {
                 let b = &self.arena[oid];
                 if b.alive && b.span.contains(a.track) {
-                    hits.push((oid, t, a.track));
+                    meets.push((oid, t, a.track));
                 }
             }
         }
-        for (oid, s_near, s_far) in hits {
+        for &(oid, s_near, s_far) in &meets {
             let b_cross = self.arena[oid].crossings;
             self.push_candidate(Candidate {
                 bends: 0,
@@ -828,6 +874,7 @@ impl<'a> Search<'a> {
                 far: FarSide::Active { id: oid, entry: s_far },
             });
         }
+        self.bufs.meets = meets;
     }
 
     /// Builds the wire geometry of one candidate.
@@ -1256,6 +1303,111 @@ mod tests {
         }
         assert_eq!(run_search(&map, &seeds, false), before);
         assert_eq!(run_search(&map, &seeds, true), before);
+    }
+
+    /// The coverage subtraction that [`cover`] replaced, kept as its
+    /// oracle: the leftover pieces of `span` in ascending order, after
+    /// removing each ledger interval in turn.
+    fn subtract_all(span: Interval, covered: &[Interval]) -> Vec<Interval> {
+        let mut pieces = vec![span];
+        for &c in covered {
+            pieces = pieces
+                .into_iter()
+                .flat_map(|p| {
+                    let (l, r) = p.subtract(c);
+                    l.into_iter().chain(r)
+                })
+                .collect();
+        }
+        pieces
+    }
+
+    /// The border cutting that [`cut_border`] replaced, kept as its
+    /// oracle: each crossing point subtracted from every piece in turn.
+    fn sub_spans(span: Interval, cuts: &[i32]) -> Vec<Interval> {
+        let mut sub_spans = vec![span];
+        for &ct in cuts {
+            sub_spans = sub_spans
+                .into_iter()
+                .flat_map(|sp| {
+                    let (l, r) = sp.subtract(Interval::point(ct));
+                    l.into_iter().chain(r)
+                })
+                .collect();
+        }
+        sub_spans
+    }
+
+    /// Intervals clustered near a few centres, including both ends of
+    /// `i32`.
+    fn interval_strategy() -> impl Strategy<Value = Interval> {
+        let centres = [i32::MIN, -20, 0, i32::MAX - 31];
+        (prop::sample::select(centres.to_vec()), 0i32..24, 0i32..8)
+            .prop_map(|(c, lo, len)| Interval::new(c + lo, c + lo + len))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// A coalesced ledger yields the same pieces, in the same order,
+        /// as subtracting an append-only ledger, and covers the same
+        /// points.
+        #[test]
+        fn cover_matches_subtract_all(spans in prop::collection::vec(interval_strategy(), 0..24)) {
+            let mut ledger = Vec::new();
+            let mut appended: Vec<Interval> = Vec::new();
+            for &span in &spans {
+                let mut pieces = Vec::new();
+                cover(&mut ledger, span, &mut pieces);
+                let want = subtract_all(span, &appended);
+                appended.extend(want.iter().copied());
+                prop_assert_eq!(&pieces, &want, "{:?} over {:?}", span, spans);
+                prop_assert!(ledger.windows(2).all(|w| i64::from(w[0].hi()) + 1 < i64::from(w[1].lo())));
+                for &probe in &spans {
+                    for v in [probe.lo(), probe.hi()] {
+                        prop_assert_eq!(
+                            ledger.iter().any(|c| c.contains(v)),
+                            appended.iter().any(|c| c.contains(v))
+                        );
+                    }
+                }
+            }
+        }
+
+        /// Cutting a border at sorted crossing points leaves the same
+        /// pieces as subtracting the points one at a time.
+        #[test]
+        fn cut_border_matches_point_subtraction(
+            span in interval_strategy(),
+            mut cuts in prop::collection::vec((0u8..8, -22i32..28).prop_map(|(k, v)| match k {
+                0 => i32::MIN,
+                1 => i32::MAX,
+                _ => v,
+            }), 0..8),
+        ) {
+            let want = sub_spans(span, &cuts);
+            let mut got = Vec::new();
+            cut_border(span, &mut cuts, &mut got);
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    /// On a plane bounded at 2³⁰ × 2³⁰, a route between two facing
+    /// points takes a handful of nodes and no time: no step may walk
+    /// coordinates instead of occupied tracks.
+    #[test]
+    fn a_huge_plane_costs_no_more_than_a_small_one() {
+        let side = 1 << 30;
+        let map = bounded(side, side);
+        let mut s = Search::new(&map, nid(), false, 32);
+        s.seed(Front::A, Point::new(2, side / 2), Dir::Right);
+        s.seed(Front::B, Point::new(side - 2, side / 3), Dir::Left);
+        let mut meter = BudgetMeter::start(crate::Budget::new().with_node_limit(64));
+        let conn = s.run(&mut meter).connected().expect("open plane routes");
+        assert!(meter.spent() <= 16, "{} nodes", meter.spent());
+        let path = netart_diagram::NetPath::from_segments(conn.segments.clone());
+        assert!(path.connects(&[Point::new(2, side / 2), Point::new(side - 2, side / 3)]));
+        assert_eq!(path.bends(), 1, "{:?}", conn.segments);
     }
 
     fn seed_strategy() -> impl Strategy<Value = (Point, Dir)> {

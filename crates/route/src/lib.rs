@@ -62,6 +62,7 @@ pub mod lee;
 pub mod line_expansion;
 mod obstacles;
 mod router;
+mod tracks;
 
 pub use budget::{Budget, BudgetBreach, BudgetMeter, CancelToken, TIME_POLL_STRIDE};
 pub use config::{NetOrder, RouteConfig};

@@ -6,16 +6,21 @@
 //! segments and claimpoints all live here. A sweep moving vertically
 //! consults horizontal obstacles and vice versa.
 //!
+//! Each axis keeps its lanes in one [`TrackTable`]: tracks grouped in
+//! chunks of 64 coordinates, each with an occupancy word. A lookup is a
+//! binary search over the chunks, and the sweep's "next track with
+//! obstacles" step is a bit scan, so neither depends on how far apart
+//! the tracks lie.
+//!
 //! The map also remembers, per net, which tracks hold that net's
 //! segments, caps and claims, so ripping a net up or lifting its claims
 //! visits only those tracks instead of the whole plane.
-
-use std::collections::BTreeMap;
 
 use netart_geom::{Axis, Dir, Interval, Point, Rect, Segment};
 use netart_netlist::NetId;
 
 use crate::expand::{merge_collinear, split_at_junctions};
+use crate::tracks::TrackTable;
 
 /// What an obstacle is; the router reacts differently to each kind
 /// (§5.6.3 `EXPAND_SEGMENT`).
@@ -68,8 +73,8 @@ pub struct Obstacle {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ObstacleMap {
-    horizontal: BTreeMap<i32, Vec<Obstacle>>, // key: y; spans are x ranges
-    vertical: BTreeMap<i32, Vec<Obstacle>>,   // key: x; spans are y ranges
+    horizontal: TrackTable<Obstacle>, // key: y; spans are x ranges
+    vertical: TrackTable<Obstacle>,   // key: x; spans are y ranges
     /// Indexed by net: every `(axis, track)` that may hold one of the
     /// net's segments, caps or claims. A superset with repeats; the
     /// per-net removals compact it.
@@ -82,14 +87,14 @@ impl ObstacleMap {
         ObstacleMap::default()
     }
 
-    fn lanes(&self, axis: Axis) -> &BTreeMap<i32, Vec<Obstacle>> {
+    fn lanes(&self, axis: Axis) -> &TrackTable<Obstacle> {
         match axis {
             Axis::Horizontal => &self.horizontal,
             Axis::Vertical => &self.vertical,
         }
     }
 
-    fn lanes_mut(&mut self, axis: Axis) -> &mut BTreeMap<i32, Vec<Obstacle>> {
+    fn lanes_mut(&mut self, axis: Axis) -> &mut TrackTable<Obstacle> {
         match axis {
             Axis::Horizontal => &mut self.horizontal,
             Axis::Vertical => &mut self.vertical,
@@ -119,9 +124,7 @@ impl ObstacleMap {
     /// Stores one obstacle and records its track under its net.
     fn push(&mut self, seg: Segment, kind: ObstacleKind) {
         self.lanes_mut(seg.axis())
-            .entry(seg.track())
-            .or_default()
-            .push(Obstacle { span: seg.span(), kind });
+            .push(seg.track(), Obstacle { span: seg.span(), kind });
         if let Some(net) = kind.net() {
             if self.net_tracks.len() <= net.index() {
                 self.net_tracks.resize_with(net.index() + 1, Vec::new);
@@ -153,10 +156,7 @@ impl ObstacleMap {
     /// The obstacles on a track, in insertion order (empty slice when
     /// the track is clear).
     pub fn at(&self, axis: Axis, track: i32) -> &[Obstacle] {
-        self.lanes(axis)
-            .get(&track)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.lanes(axis).get(track)
     }
 
     /// The next track strictly beyond `from` in direction `dir` that
@@ -166,49 +166,16 @@ impl ObstacleMap {
     pub fn next_track(&self, dir: Dir, from: i32) -> Option<i32> {
         let lanes = self.lanes(dir.segment_axis());
         match dir {
-            Dir::Up | Dir::Right => lanes.range(from + 1..).next().map(|(&t, _)| t),
-            Dir::Down | Dir::Left => lanes.range(..from).next_back().map(|(&t, _)| t),
+            Dir::Up | Dir::Right => lanes.next_above(from),
+            Dir::Down | Dir::Left => lanes.next_below(from),
         }
     }
 
     /// Removes every obstacle matching `pred`, visiting the whole map.
     /// Returns how many were dropped.
     fn retain_not(&mut self, mut pred: impl FnMut(Axis, i32, &Obstacle) -> bool) -> usize {
-        let mut removed = 0;
-        for (axis, lanes) in [
-            (Axis::Horizontal, &mut self.horizontal),
-            (Axis::Vertical, &mut self.vertical),
-        ] {
-            lanes.retain(|&track, v| {
-                let before = v.len();
-                v.retain(|o| !pred(axis, track, o));
-                removed += before - v.len();
-                !v.is_empty()
-            });
-        }
-        removed
-    }
-
-    /// Removes the obstacles on one track for which `pred` holds.
-    /// An emptied track is dropped, because `next_track` stops at every
-    /// track that is present. Returns how many were dropped.
-    fn retain_track(
-        &mut self,
-        axis: Axis,
-        track: i32,
-        mut pred: impl FnMut(&Obstacle) -> bool,
-    ) -> usize {
-        let lanes = self.lanes_mut(axis);
-        let Some(v) = lanes.get_mut(&track) else {
-            return 0;
-        };
-        let before = v.len();
-        v.retain(|o| !pred(o));
-        let removed = before - v.len();
-        if v.is_empty() {
-            lanes.remove(&track);
-        }
-        removed
+        self.horizontal.remove_all_where(|track, o| pred(Axis::Horizontal, track, o))
+            + self.vertical.remove_all_where(|track, o| pred(Axis::Vertical, track, o))
     }
 
     /// Removes the obstacles of `net` whose kind matches `pred`,
@@ -223,7 +190,7 @@ impl ObstacleMap {
         let mut removed = 0;
         let owned = |o: &Obstacle| o.kind.net() == Some(net);
         tracks.retain(|&(axis, track)| {
-            removed += self.retain_track(axis, track, |o| owned(o) && pred(o.kind));
+            removed += self.lanes_mut(axis).remove_where(track, |o| owned(o) && pred(o.kind));
             // Keep the track while the net still holds something there.
             self.at(axis, track).iter().any(owned)
         });
@@ -267,7 +234,7 @@ impl ObstacleMap {
         let mut removed = 0;
         for p in points {
             for (axis, track, at) in [(Axis::Horizontal, p.y, p.x), (Axis::Vertical, p.x, p.y)] {
-                removed += self.retain_track(axis, track, |o| {
+                removed += self.lanes_mut(axis).remove_where(track, |o| {
                     o.kind == ObstacleKind::Module && o.span == Interval::point(at)
                 });
             }
@@ -297,8 +264,11 @@ impl ObstacleMap {
 
     /// Total number of stored obstacles (diagnostics).
     pub fn len(&self) -> usize {
-        self.horizontal.values().map(Vec::len).sum::<usize>()
-            + self.vertical.values().map(Vec::len).sum::<usize>()
+        [&self.horizontal, &self.vertical]
+            .iter()
+            .flat_map(|lanes| lanes.iter())
+            .map(|(_, v)| v.len())
+            .sum()
     }
 
     /// `true` when the plane is empty.

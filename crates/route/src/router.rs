@@ -992,6 +992,34 @@ mod tests {
         assert!(d.check().is_ok(), "{}", d.check());
     }
 
+    /// Routing cost follows the wires' segments, not their length:
+    /// three buffers 10⁹ apart route as fast as three side by side.
+    #[test]
+    fn buffers_far_apart_route_in_no_time() {
+        let (lib, t) = buf_lib();
+        let mut b = NetworkBuilder::new(lib);
+        let u0 = b.add_instance("u0", t).unwrap();
+        let u1 = b.add_instance("u1", t).unwrap();
+        let u2 = b.add_instance("u2", t).unwrap();
+        b.connect_pin("n", u0, "y").unwrap();
+        b.connect_pin("n", u1, "a").unwrap();
+        b.connect_pin("m", u1, "y").unwrap();
+        b.connect_pin("m", u2, "a").unwrap();
+        let network = b.finish().unwrap();
+        let mut placement = netart_diagram::Placement::new(&network);
+        let far = 1_000_000_000;
+        placement.place_module(u0, Point::new(0, 0), Rotation::R0);
+        placement.place_module(u1, Point::new(far, 0), Rotation::R0);
+        placement.place_module(u2, Point::new(2 * far, 0), Rotation::R0);
+        let mut d = Diagram::new(network, placement);
+        let start = std::time::Instant::now();
+        let report = Eureka::new(RouteConfig::default()).route(&mut d);
+        let took = start.elapsed();
+        assert!(report.failed.is_empty(), "{report:?}");
+        assert_eq!(report.routed.len(), 2);
+        assert!(took < std::time::Duration::from_millis(250), "{took:?}");
+    }
+
     #[test]
     fn system_terminal_net() {
         let (lib, t) = buf_lib();
