@@ -128,7 +128,7 @@ pub fn render(diagram: &Diagram) -> String {
                 Axis::Horizontal => '-',
                 Axis::Vertical => '|',
             };
-            for v in span.iter() {
+            for v in span.lo()..=span.hi() {
                 canvas.put_wire(seg.point_at(v), glyph);
             }
             // Segment ends are corners or junctions unless they continue.
@@ -145,8 +145,7 @@ pub fn render(diagram: &Diagram) -> String {
             }
         }
         // Corners: points where the path bends.
-        let p = crate::NetPath::from_segments(path.segments().to_vec());
-        for b in p.branch_points() {
+        for b in path.branch_points() {
             canvas.put(b, '+');
         }
     }

@@ -1,8 +1,9 @@
 use std::fmt;
 
-use netart_geom::{Interval, Point};
-use netart_netlist::NetId;
+use netart_geom::{Axis, Point, Rect, Segment};
+use netart_netlist::{ModuleId, NetId};
 
+use crate::sweep::{self, Wire};
 use crate::Diagram;
 
 /// One violation found by [`CheckReport::run`].
@@ -125,6 +126,106 @@ impl CheckReport {
             errors.push(CheckError::PlacementOverlap { detail });
         }
 
+        // A wire may touch a module boundary, where terminals live and
+        // tracks run, but never enter it; a segment can only enter the
+        // modules whose left edge is at most the widest width left of it.
+        let mut by_left: Vec<(ModuleId, Rect)> =
+            network.modules().map(|m| (m, placement.module_rect(network, m))).collect();
+        by_left.sort_unstable_by_key(|(_, r)| r.lower_left().x);
+        let widest = by_left.iter().map(|(_, r)| i64::from(r.width())).max().unwrap_or(0);
+
+        // Per-net checks.
+        let mut wires: Vec<(NetId, Wire)> = Vec::new();
+        for (n, path) in diagram.routes() {
+            let name = network.net(n).name().to_owned();
+            let pins: Vec<Point> = network
+                .net(n)
+                .pins()
+                .iter()
+                .map(|&p| placement.pin_position(network, p))
+                .collect();
+            let wire = Wire::new(path.segments());
+            if !wire.connects(&pins) {
+                errors.push(CheckError::NetDisconnected { net: n, name: name.clone() });
+            }
+            if !wire.is_tree() {
+                errors.push(CheckError::NetCyclic { net: n, name: name.clone() });
+            }
+            wires.push((n, wire));
+
+            let mut entries = Vec::new();
+            for (k, seg) in path.segments().iter().enumerate() {
+                let (lo, hi) = seg.endpoints();
+                let reach = i64::from(lo.x) - widest;
+                let from = by_left.partition_point(|(_, r)| i64::from(r.lower_left().x) < reach);
+                for (m, r) in by_left[from..].iter().take_while(|(_, r)| r.lower_left().x <= hi.x) {
+                    entries.extend(first_inside(seg, r).map(|at| (*m, k, at)));
+                }
+            }
+            entries.sort_unstable();
+            errors.extend(entries.into_iter().map(|(m, _, at)| CheckError::NetOverModule {
+                net: n,
+                module: network.instance(m).name().to_owned(),
+                at,
+            }));
+
+            // Foreign system terminals.
+            for st in network.system_terms() {
+                if network.system_term_net(st) == Some(n) {
+                    continue;
+                }
+                let p = placement
+                    .system_term(st)
+                    .expect("checked placed above");
+                if path.contains(p) {
+                    errors.push(CheckError::NetOverForeignTerminal {
+                        net: n,
+                        terminal: network.system_term(st).name().to_owned(),
+                    });
+                }
+            }
+        }
+
+        // Net contacts, each pair with its least illegal point.
+        for (a, b, at) in sweep::contacts(wires.iter().map(|(_, w)| w)) {
+            errors.push(CheckError::NetContact { a: wires[a].0, b: wires[b].0, at });
+        }
+
+        CheckReport { errors }
+    }
+
+    /// The checker that the sweep replaced, kept as its tests' oracle:
+    /// it rasterises each segment over every module and compares the
+    /// unit-edge graphs of every pair of routed nets.
+    #[cfg(test)]
+    fn run_by_rasterising(diagram: &Diagram) -> Self {
+        let mut errors = Vec::new();
+        let network = diagram.network();
+        let placement = diagram.placement();
+
+        for m in network.modules() {
+            if placement.module(m).is_none() {
+                errors.push(CheckError::Unplaced {
+                    item: format!("module {}", network.instance(m).name()),
+                });
+            }
+        }
+        for st in network.system_terms() {
+            if placement.system_term(st).is_none() {
+                errors.push(CheckError::Unplaced {
+                    item: format!("system terminal {}", network.system_term(st).name()),
+                });
+            }
+        }
+        if !errors.is_empty() {
+            // Geometry checks need a complete placement.
+            return CheckReport { errors };
+        }
+
+        for detail in placement.overlap_violations(network) {
+            errors.push(CheckError::PlacementOverlap { detail });
+        }
+
         // Per-net checks.
         for (n, path) in diagram.routes() {
             let name = network.net(n).name().to_owned();
@@ -134,10 +235,10 @@ impl CheckReport {
                 .iter()
                 .map(|&p| placement.pin_position(network, p))
                 .collect();
-            if !path.connects(&pins) {
+            if !crate::path::tests::connects_by_unit_edges(path, &pins) {
                 errors.push(CheckError::NetDisconnected { net: n, name: name.clone() });
             }
-            if !path.is_tree() {
+            if !path.is_tree_by_adjacency() {
                 errors.push(CheckError::NetCyclic { net: n, name: name.clone() });
             }
 
@@ -167,7 +268,7 @@ impl CheckReport {
                             (ov.lo(), ov.hi())
                         }
                     };
-                    for v in Interval::new(tlo, thi).iter() {
+                    for v in tlo..=thi {
                         let p = seg.point_at(v);
                         if rect.contains_strictly(p) {
                             errors.push(CheckError::NetOverModule {
@@ -222,6 +323,14 @@ impl CheckReport {
     }
 }
 
+/// The first point along `seg` strictly inside `rect`, if any.
+fn first_inside(seg: &Segment, rect: &Rect) -> Option<Point> {
+    let corner = rect.lower_left();
+    let edge = if seg.axis() == Axis::Horizontal { corner.x } else { corner.y };
+    let p = seg.point_at(seg.span().lo().max(edge.saturating_add(1)));
+    (rect.contains_strictly(p) && seg.contains(p)).then_some(p)
+}
+
 impl fmt::Display for CheckReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.errors.is_empty() {
@@ -237,10 +346,87 @@ impl fmt::Display for CheckReport {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::{NetPath, Placement};
     use netart_geom::{Point, Rotation, Segment};
     use netart_netlist::{Library, ModuleId, Network, NetworkBuilder, Template, TermType};
+
+    /// A chain `i → u0 → u1 → u2 → o` of three gates between two
+    /// system terminals, one net per link.
+    fn chain() -> (Network, Vec<ModuleId>, Vec<netart_netlist::SystemTermId>) {
+        let mut lib = Library::new();
+        let t = lib
+            .add_template(
+                Template::new("gate", (4, 2))
+                    .unwrap()
+                    .with_terminal("a", (0, 1), TermType::In)
+                    .unwrap()
+                    .with_terminal("y", (4, 1), TermType::Out)
+                    .unwrap(),
+            )
+            .unwrap();
+        let mut b = NetworkBuilder::new(lib);
+        let us: Vec<ModuleId> =
+            (0..3).map(|i| b.add_instance(format!("u{i}"), t).unwrap()).collect();
+        let i = b.add_system_terminal("i", TermType::In).unwrap();
+        let o = b.add_system_terminal("o", TermType::Out).unwrap();
+        b.connect("n0", i).unwrap();
+        b.connect_pin("n0", us[0], "a").unwrap();
+        b.connect_pin("n1", us[0], "y").unwrap();
+        b.connect_pin("n1", us[1], "a").unwrap();
+        b.connect_pin("n2", us[1], "y").unwrap();
+        b.connect_pin("n2", us[2], "a").unwrap();
+        b.connect_pin("n3", us[2], "y").unwrap();
+        b.connect("n3", o).unwrap();
+        (b.finish().unwrap(), us, vec![i, o])
+    }
+
+    /// Segments on a small grid, so wires touch, overlap, cross and
+    /// enter modules often; zero-length pieces included.
+    fn segment_soup() -> impl Strategy<Value = Vec<Segment>> {
+        let segment = (any::<bool>(), 0i32..16, 0i32..16, 0i32..6).prop_map(
+            |(horizontal, track, lo, len)| {
+                let axis = if horizontal { Axis::Horizontal } else { Axis::Vertical };
+                Segment::on_axis(axis, track, netart_geom::Interval::new(lo, lo + len))
+            },
+        );
+        prop::collection::vec(segment, 0..7)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// On three gates at any positions and rotations (overlaps
+        /// allowed), two system terminals and any routes, the sweep
+        /// finds the oracle's errors, in its order, with its witnesses,
+        /// and the oracle's metrics.
+        #[test]
+        fn check_and_metrics_match_their_oracles(
+            modules in prop::collection::vec((0i32..12, 0i32..12, 0usize..4), 3),
+            terms in prop::collection::vec((0i32..16, 0i32..16), 2),
+            routes in prop::collection::vec((any::<bool>(), segment_soup()), 4),
+        ) {
+            let (net, us, sts) = chain();
+            let mut p = Placement::new(&net);
+            for (&m, &(x, y, r)) in us.iter().zip(&modules) {
+                p.place_module(m, Point::new(x, y), Rotation::ALL[r]);
+            }
+            for (&st, &(x, y)) in sts.iter().zip(&terms) {
+                p.place_system_term(st, Point::new(x, y));
+            }
+            let mut d = Diagram::new(net, p);
+            for (i, (routed, segments)) in routes.into_iter().enumerate() {
+                if routed {
+                    d.set_route(NetId::from_index(i), NetPath::from_segments(segments));
+                }
+            }
+            let (got, want) = (d.check(), CheckReport::run_by_rasterising(&d));
+            prop_assert_eq!(got.errors(), want.errors());
+            prop_assert_eq!(d.metrics(), d.metrics_by_pairs());
+        }
+    }
 
     fn network() -> (Network, ModuleId, ModuleId) {
         let mut lib = Library::new();

@@ -1,6 +1,7 @@
-use netart_geom::Point;
+use netart_geom::{Point, Segment};
 use netart_netlist::{NetId, Network};
 
+use crate::sweep::{self, Wire};
 use crate::{CheckReport, DiagramMetrics, NetPath, Placement};
 
 /// A straight-line placeholder for a net that could not be routed: the
@@ -130,10 +131,34 @@ impl Diagram {
         for route in &self.routes {
             match route {
                 Some(p) => {
+                    let wire = Wire::new(p.segments());
                     m.routed_nets += 1;
-                    m.total_length += u64::from(p.length());
-                    m.total_bends += u64::from(p.bends());
-                    m.branch_points += p.branch_points().len() as u64;
+                    m.total_length += wire.length();
+                    m.total_bends += u64::from(wire.bends());
+                    m.branch_points += wire.branch_points().len() as u64;
+                }
+                None => m.unrouted_nets += 1,
+            }
+        }
+        let routed: Vec<&[Segment]> = self.routes.iter().flatten().map(NetPath::segments).collect();
+        m.crossovers = sweep::crossings(&routed).len() as u64;
+        if let Some(bb) = self.placement.bounding_box(&self.network) {
+            m.bounding_area = bb.width() as u64 * bb.height() as u64;
+        }
+        m
+    }
+
+    /// The metrics that the sweep replaced, kept as their tests' oracle.
+    #[cfg(test)]
+    pub(crate) fn metrics_by_pairs(&self) -> DiagramMetrics {
+        let mut m = DiagramMetrics::default();
+        for route in &self.routes {
+            match route {
+                Some(p) => {
+                    m.routed_nets += 1;
+                    m.total_length += u64::from(p.length_by_unit_edges());
+                    m.total_bends += u64::from(crate::path::tests::bends_by_adjacency(p));
+                    m.branch_points += p.branch_points_by_adjacency().len() as u64;
                 }
                 None => m.unrouted_nets += 1,
             }
@@ -141,7 +166,7 @@ impl Diagram {
         let routed: Vec<&NetPath> = self.routes.iter().flatten().collect();
         for (i, a) in routed.iter().enumerate() {
             for b in &routed[i + 1..] {
-                m.crossovers += a.crossings_with(b).len() as u64;
+                m.crossovers += a.crossings_by_pairs(b).len() as u64;
             }
         }
         if let Some(bb) = self.placement.bounding_box(&self.network) {

@@ -55,6 +55,7 @@ mod metrics;
 mod path;
 mod placement;
 pub mod svg;
+mod sweep;
 
 pub use check::{CheckError, CheckReport};
 pub use diagram::{Diagram, GhostWire};

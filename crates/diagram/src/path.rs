@@ -1,6 +1,11 @@
+#[cfg(test)]
 use std::collections::{HashMap, HashSet};
 
-use netart_geom::{Axis, Dir, Point, Segment};
+#[cfg(test)]
+use netart_geom::{Axis, Dir};
+use netart_geom::{Point, Segment};
+
+use crate::sweep::{self, Wire};
 
 /// The routed geometry of one net: a set of axis-aligned segments that
 /// together form the net's wires.
@@ -10,14 +15,10 @@ use netart_geom::{Axis, Dir, Point, Segment};
 /// makes them robust against overlapping or touching segment
 /// representations of the same wire.
 ///
-/// [`NetPath::bends`] does not build that graph. A corner needs exactly
-/// one horizontal and one vertical unit edge, and a point strictly
-/// inside a segment already has both edges along that segment's axis,
-/// so only segment endpoints can be corners. `bends` therefore looks
-/// only at the distinct endpoints and, for each, collects the unit-edge
-/// directions of the segments through it: the same adjacency the graph
-/// would give that point, in O(k²) for k segments instead of O(wire
-/// length) hashing. The router ranks every solution candidate by it.
+/// None of them builds that graph: they read the segments' *runs*, the
+/// maximal pieces per axis and track, and the *meets* of horizontal and
+/// vertical runs found by one plane sweep, in O(k log k + meets) for k
+/// segments and nothing per unit of wire length.
 ///
 /// # Examples
 ///
@@ -67,6 +68,66 @@ impl NetPath {
         self.segments.is_empty()
     }
 
+    /// Total wire length: the distinct unit edges covered, at most `u32::MAX`.
+    pub fn length(&self) -> u32 {
+        u32::try_from(Wire::new(&self.segments).length()).unwrap_or(u32::MAX)
+    }
+
+    /// Number of bends: points where the wire turns a corner (degree-2
+    /// points whose two incident edges are perpendicular).
+    ///
+    /// Rule 6 of the paper asks to keep this low; the line-expansion
+    /// router minimises it per net.
+    pub fn bends(&self) -> u32 {
+        Wire::new(&self.segments).bends()
+    }
+
+    /// Points where the net branches (degree ≥ 3): the paper's
+    /// "branching nodes", kept low by Rule 6.
+    pub fn branch_points(&self) -> Vec<Point> {
+        Wire::new(&self.segments).branch_points()
+    }
+
+    /// `true` when `p` lies on the path.
+    pub fn contains(&self, p: Point) -> bool {
+        self.segments.iter().any(|s| s.contains(p))
+    }
+
+    /// `true` when the covered geometry is connected and touches every
+    /// point of `terminals`.
+    ///
+    /// This is the electrical soundness check: a routed net must be one
+    /// connected tree through all its pins.
+    pub fn connects(&self, terminals: &[Point]) -> bool {
+        Wire::new(&self.segments).connects(terminals)
+    }
+
+    /// `true` when the covered geometry contains a cycle, in any
+    /// connected component. Partial preroutes may be disconnected (the
+    /// router completes them) but Appendix F forbids cycles.
+    pub fn has_cycle(&self) -> bool {
+        Wire::new(&self.segments).has_cycle()
+    }
+
+    /// `true` when the covered geometry is a tree (connected and without
+    /// cycles). An empty path is trivially a tree.
+    pub fn is_tree(&self) -> bool {
+        Wire::new(&self.segments).is_tree()
+    }
+
+    /// Interior crossing points between this path and another net's
+    /// path: the "crossovers" of Rule 6. Each geometric point is
+    /// reported once.
+    pub fn crossings_with(&self, other: &NetPath) -> Vec<Point> {
+        let found = sweep::crossings(&[&self.segments, &other.segments]);
+        found.into_iter().map(|(_, _, p)| p).collect()
+    }
+}
+
+/// The unit-edge graph measures the sweep replaced, kept as the
+/// reference their tests compare against.
+#[cfg(test)]
+impl NetPath {
     /// The set of unit edges covered, as (point, direction-right-or-up)
     /// pairs, deduplicated.
     fn unit_edges(&self) -> HashSet<(Point, Axis)> {
@@ -112,55 +173,13 @@ impl NetPath {
     }
 
     /// Total wire length: the number of distinct unit edges covered.
-    pub fn length(&self) -> u32 {
+    pub(crate) fn length_by_unit_edges(&self) -> u32 {
         self.unit_edges().len() as u32
-    }
-
-    /// Number of bends: points where the wire turns a corner (degree-2
-    /// points whose two incident edges are perpendicular).
-    ///
-    /// Rule 6 of the paper asks to keep this low; the line-expansion
-    /// router minimises it per net. Only segment endpoints can be
-    /// corners (see the type docs), so the count visits just those.
-    pub fn bends(&self) -> u32 {
-        let mut ends: Vec<Point> = self
-            .segments
-            .iter()
-            .filter(|s| !s.is_point())
-            .flat_map(|s| {
-                let (a, b) = s.endpoints();
-                [a, b]
-            })
-            .collect();
-        ends.sort_unstable();
-        ends.dedup();
-        ends.into_iter().filter(|&p| self.is_corner(p)).count() as u32
-    }
-
-    /// `true` when the unit edges at `p` are exactly one horizontal and
-    /// one vertical step.
-    fn is_corner(&self, p: Point) -> bool {
-        // Bits: 0 towards lower, 1 towards higher coordinate; horizontal
-        // edges in `h`, vertical ones in `v`.
-        let (mut h, mut v) = (0u8, 0u8);
-        for s in self.segments.iter().filter(|s| s.contains(p)) {
-            let (along, bits) = match s.axis() {
-                Axis::Horizontal => (p.x, &mut h),
-                Axis::Vertical => (p.y, &mut v),
-            };
-            if along > s.span().lo() {
-                *bits |= 1;
-            }
-            if along < s.span().hi() {
-                *bits |= 2;
-            }
-        }
-        h.count_ones() == 1 && v.count_ones() == 1
     }
 
     /// Points where the net branches (degree ≥ 3): the paper's
     /// "branching nodes", kept low by Rule 6.
-    pub fn branch_points(&self) -> Vec<Point> {
+    pub(crate) fn branch_points_by_adjacency(&self) -> Vec<Point> {
         let mut pts: Vec<Point> = self
             .adjacency()
             .into_iter()
@@ -171,55 +190,10 @@ impl NetPath {
         pts
     }
 
-    /// `true` when `p` lies on the path.
-    pub fn contains(&self, p: Point) -> bool {
-        self.segments.iter().any(|s| s.contains(p))
-    }
-
-    /// `true` when the covered geometry is connected and touches every
-    /// point of `terminals`.
-    ///
-    /// This is the electrical soundness check: a routed net must be one
-    /// connected tree through all its pins. Two segments are joined when
-    /// they share a point, which is exactly when their unit edges meet,
-    /// so the check runs on the k segments (a union-find fed by a sweep
-    /// in x order) and costs nothing per unit of wire length.
-    pub fn connects(&self, terminals: &[Point]) -> bool {
-        let Some(&first) = terminals.first() else {
-            return true;
-        };
-        let segs = &self.segments;
-        let x_range = |s: &Segment| match s.axis() {
-            Axis::Horizontal => (s.span().lo(), s.span().hi()),
-            Axis::Vertical => (s.track(), s.track()),
-        };
-        let mut order: Vec<usize> = (0..segs.len()).collect();
-        order.sort_unstable_by_key(|&i| x_range(&segs[i]).0);
-        let mut parent: Vec<usize> = (0..segs.len()).collect();
-        // Only segments whose x ranges overlap can share a point.
-        for (k, &i) in order.iter().enumerate() {
-            let x_hi = x_range(&segs[i]).1;
-            for &j in order[k + 1..].iter().take_while(|&&j| x_range(&segs[j]).0 <= x_hi) {
-                if segs[i].crossing(&segs[j]).is_some() || segs[i].overlap(&segs[j]).is_some() {
-                    let (a, b) = (root(&mut parent, i), root(&mut parent, j));
-                    parent[a] = b;
-                }
-            }
-        }
-        let mut component = |p: Point| {
-            let i = segs.iter().position(|s| s.contains(p))?;
-            Some(root(&mut parent, i))
-        };
-        let Some(c) = component(first) else {
-            return false;
-        };
-        terminals[1..].iter().all(|&t| component(t) == Some(c))
-    }
-
     /// `true` when the covered geometry contains a cycle, in any
     /// connected component. Partial preroutes may be disconnected (the
     /// router completes them) but Appendix F forbids cycles.
-    pub fn has_cycle(&self) -> bool {
+    pub(crate) fn has_cycle_by_adjacency(&self) -> bool {
         let adj = self.adjacency();
         let edges = self.unit_edges().len();
         // Count connected components over the covered points.
@@ -245,7 +219,7 @@ impl NetPath {
 
     /// `true` when the covered geometry is a tree (connected and without
     /// cycles). An empty path is trivially a tree.
-    pub fn is_tree(&self) -> bool {
+    pub(crate) fn is_tree_by_adjacency(&self) -> bool {
         let adj = self.adjacency();
         if adj.is_empty() {
             return true;
@@ -274,7 +248,7 @@ impl NetPath {
     /// Interior crossing points between this path and another net's
     /// path: the "crossovers" of Rule 6. Each geometric point is
     /// reported once.
-    pub fn crossings_with(&self, other: &NetPath) -> Vec<Point> {
+    pub(crate) fn crossings_by_pairs(&self, other: &NetPath) -> Vec<Point> {
         let mut pts = HashSet::new();
         for a in &self.segments {
             for b in &other.segments {
@@ -294,7 +268,7 @@ impl NetPath {
     /// crossings — i.e. overlaps or T-touches between different nets,
     /// which the routing postcondition forbids ("the only common points
     /// of different nets are crossing points", §5.3).
-    pub fn illegal_contacts_with(&self, other: &NetPath) -> Vec<Point> {
+    pub(crate) fn illegal_contacts_with(&self, other: &NetPath) -> Vec<Point> {
         let my_adj = self.adjacency();
         let their_adj = other.adjacency();
         let mut bad: Vec<Point> = my_adj
@@ -318,16 +292,6 @@ impl NetPath {
     }
 }
 
-/// The representative of `i`'s set in a union-find forest, halving the
-/// path on the way.
-fn root(parent: &mut [usize], mut i: usize) -> usize {
-    while parent[i] != i {
-        parent[i] = parent[parent[i]];
-        i = parent[i];
-    }
-    i
-}
-
 impl FromIterator<Segment> for NetPath {
     fn from_iter<I: IntoIterator<Item = Segment>>(iter: I) -> Self {
         NetPath::from_segments(iter.into_iter().collect())
@@ -341,14 +305,14 @@ impl Extend<Segment> for NetPath {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use proptest::prelude::*;
 
     use super::*;
 
     /// The unit-edge adjacency count that `bends` replaced, kept as its
     /// oracle: every covered point whose two edges are perpendicular.
-    fn bends_by_adjacency(path: &NetPath) -> u32 {
+    pub(crate) fn bends_by_adjacency(path: &NetPath) -> u32 {
         path.adjacency()
             .values()
             .filter(|dirs| dirs.len() == 2 && dirs[0].axis() != dirs[1].axis())
@@ -358,7 +322,7 @@ mod tests {
     /// The unit-edge search that `connects` replaced, kept as its
     /// oracle: a walk from the first terminal over the covered unit
     /// edges must reach every terminal.
-    fn connects_by_unit_edges(path: &NetPath, terminals: &[Point]) -> bool {
+    pub(crate) fn connects_by_unit_edges(path: &NetPath, terminals: &[Point]) -> bool {
         if terminals.is_empty() {
             return true;
         }
@@ -431,6 +395,51 @@ mod tests {
                 path.segments(),
                 terminals
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// On three segment soups, near the origin or an `i32` extreme,
+        /// every per-net measure and the crossings and first contact of
+        /// each pair agree with the unit-edge graph.
+        #[test]
+        fn measures_match_the_unit_edge_oracles(
+            base in prop::sample::select(vec![0, i32::MIN, i32::MAX - 10]),
+            nets in prop::collection::vec(prop::collection::vec(segment_strategy(), 0..7), 3),
+            terminals in prop::collection::vec((any::<bool>(), 0i32..11, 0i32..11, 0usize..7), 0..4),
+        ) {
+            let shift = |s: &Segment| {
+                let span = netart_geom::Interval::new(s.span().lo() + base, s.span().hi() + base);
+                Segment::on_axis(s.axis(), s.track() + base, span)
+            };
+            // Half the terminals sit on an endpoint of the first net.
+            let terminals: Vec<Point> = terminals
+                .into_iter()
+                .map(|(free, x, y, i)| match nets[0].get(i) {
+                    Some(s) if !free => shift(s).endpoints().0,
+                    _ => Point::new(x + base, y + base),
+                })
+                .collect();
+            let paths: Vec<NetPath> = nets.iter().map(|n| n.iter().map(shift).collect()).collect();
+            let mut first_contacts = Vec::new();
+            for (i, a) in paths.iter().enumerate() {
+                prop_assert_eq!(a.length(), a.length_by_unit_edges());
+                prop_assert_eq!(a.bends(), bends_by_adjacency(a));
+                prop_assert_eq!(a.branch_points(), a.branch_points_by_adjacency());
+                prop_assert_eq!(a.connects(&terminals), connects_by_unit_edges(a, &terminals));
+                prop_assert_eq!(a.has_cycle(), a.has_cycle_by_adjacency());
+                prop_assert_eq!(a.is_tree(), a.is_tree_by_adjacency());
+                for (j, b) in paths.iter().enumerate().skip(i + 1) {
+                    prop_assert_eq!(a.crossings_with(b), a.crossings_by_pairs(b));
+                    if let Some(&p) = a.illegal_contacts_with(b).first() {
+                        first_contacts.push((i, j, p));
+                    }
+                }
+            }
+            let wires: Vec<Wire> = paths.iter().map(|p| Wire::new(p.segments())).collect();
+            prop_assert_eq!(sweep::contacts(wires.iter()), first_contacts);
         }
     }
 
@@ -581,6 +590,16 @@ mod tests {
         // Touch at an endpoint is not a crossing.
         let touch = NetPath::from_segments(vec![Segment::vertical(0, 0, 3)]);
         assert!(h.crossings_with(&touch).is_empty());
+    }
+
+    #[test]
+    fn crossings_count_once_per_pair_of_nets() {
+        let p = Point::new(2, 2);
+        let h = [Segment::horizontal(2, 0, 4)];
+        // Two pieces of one net cross `h` at `p`, and so does a third net.
+        let v = [Segment::vertical(2, 0, 4), Segment::vertical(2, 1, 3)];
+        let w = [Segment::vertical(2, 1, 4)];
+        assert_eq!(sweep::crossings(&[&h, &v, &w]), vec![(0, 1, p), (0, 2, p)]);
     }
 
     #[test]

@@ -112,11 +112,6 @@ impl Interval {
     pub fn clamp(self, v: i32) -> i32 {
         v.clamp(self.lo, self.hi)
     }
-
-    /// Iterates over the integer points of the interval in order.
-    pub fn iter(self) -> impl Iterator<Item = i32> {
-        self.lo..=self.hi
-    }
 }
 
 impl fmt::Display for Interval {
@@ -186,11 +181,5 @@ mod tests {
         assert_eq!(a.clamp(0), 2);
         assert_eq!(a.clamp(9), 4);
         assert_eq!(a.clamp(3), 3);
-    }
-
-    #[test]
-    fn iteration_order() {
-        let pts: Vec<i32> = Interval::new(-1, 2).iter().collect();
-        assert_eq!(pts, vec![-1, 0, 1, 2]);
     }
 }

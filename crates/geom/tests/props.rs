@@ -21,7 +21,7 @@ proptest! {
     #[test]
     fn interval_subtract_preserves_points(a in interval(), b in interval()) {
         let (l, r) = a.subtract(b);
-        for v in a.iter() {
+        for v in a.lo()..=a.hi() {
             let kept = l.is_some_and(|i| i.contains(v)) || r.is_some_and(|i| i.contains(v));
             prop_assert_eq!(kept, !b.contains(v), "point {} of {} vs {}", v, a, b);
         }
@@ -118,7 +118,7 @@ proptest! {
                 prop_assert!(m.span().contains_interval(a.span()));
                 prop_assert!(m.span().contains_interval(b.span()));
                 // No gap: every point of the merge is in a or b.
-                for v in m.span().iter() {
+                for v in m.span().lo()..=m.span().hi() {
                     prop_assert!(a.span().contains(v) || b.span().contains(v));
                 }
             }

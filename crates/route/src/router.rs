@@ -1014,9 +1014,15 @@ mod tests {
         let mut d = Diagram::new(network, placement);
         let start = std::time::Instant::now();
         let report = Eureka::new(RouteConfig::default()).route(&mut d);
+        // Measuring and checking the 2×10⁹ units of wire costs nothing
+        // per unit either.
+        let metrics = d.metrics();
+        let check = d.check();
         let took = start.elapsed();
         assert!(report.failed.is_empty(), "{report:?}");
         assert_eq!(report.routed.len(), 2);
+        assert!(metrics.total_length > far as u64, "{metrics:?}");
+        assert!(check.is_ok(), "{check}");
         assert!(took < std::time::Duration::from_millis(250), "{took:?}");
     }
 
