@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use netart::diagram::{escher, svg, Diagram};
+use netart::diagram::{escher, svg, Diagram, DiagramMetrics};
 use netart::netlist::doctor::{self, DoctorCode, DoctorFile, DoctorReport, InputPolicy, Severity};
 use netart::netlist::format::quinto;
 use netart::netlist::ingest::{self, IngestBudgets, IngestError, Record};
@@ -748,6 +748,8 @@ pub(crate) struct Artifacts {
     pub svg: String,
     /// The run report, complete but for caller-specific degradations.
     pub report: RunReport,
+    /// The diagram's quality metrics, as the report states them.
+    pub metrics: DiagramMetrics,
 }
 
 /// The emit-and-report step every pipeline driver ends with. Inside an
@@ -770,7 +772,8 @@ pub(crate) fn emit_artifacts(
     let escher = checked_escher(name, &outcome.diagram, degs)?;
     let svg = render_svg(&outcome.diagram);
     drop(emit_tag);
-    let mut report = outcome.run_report(tool);
+    let metrics = outcome.diagram.metrics();
+    let mut report = outcome.run_report_with(tool, &metrics);
     report.push_phase_front(front.0, front.1);
     report.push_phase("emit", ns(t_emit.elapsed()));
     netart::obs::attach_alloc_profile(&mut report, alloc_base);
@@ -781,6 +784,7 @@ pub(crate) fn emit_artifacts(
         escher,
         svg,
         report,
+        metrics,
     })
 }
 
@@ -1091,7 +1095,7 @@ pub fn run_eureka(argv: &[String]) -> Result<RunOutput, CliError> {
     write_report(&args, &artifacts.report)?;
     write_trace(&args, trace_buffer.as_ref())?;
     Ok(RunOutput {
-        message: format!("{summary}\n{}\n{files}", outcome.diagram.metrics()),
+        message: format!("{summary}\n{}\n{files}", artifacts.metrics),
         degraded: !outcome.is_clean() || !cli_degs.is_empty(),
         strict: args.has("strict"),
         message_to_stderr,
@@ -1201,7 +1205,7 @@ pub fn run_netart(argv: &[String]) -> Result<RunOutput, CliError> {
         outcome.report.routed.len(),
         outcome.report.routed.len() + outcome.report.failed.len(),
         outcome.route_time,
-        diagram.metrics(),
+        artifacts.metrics,
     );
     summary.push_str(&salvage_summary(diagram, &outcome.report));
     for d in &outcome.degradations {

@@ -378,6 +378,7 @@ fn handle_job(state: &HandlerState, job: DiagramJob, ctx: &JobContext) -> Comput
         escher,
         svg,
         report: mut run_report,
+        ..
     } = match artifacts {
         Ok(artifacts) => artifacts,
         Err(e) => {

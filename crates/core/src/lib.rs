@@ -183,8 +183,13 @@ impl Outcome {
     /// may add their own phases around the pipeline's with
     /// [`RunReport::push_phase_front`] / [`RunReport::push_phase`].
     pub fn run_report(&self, tool: &str) -> RunReport {
+        self.run_report_with(tool, &self.diagram.metrics())
+    }
+
+    /// [`Outcome::run_report`] from the diagram's metrics `q`, for a
+    /// caller that needs them too and has measured them already.
+    pub fn run_report_with(&self, tool: &str, q: &DiagramMetrics) -> RunReport {
         let network = self.diagram.network();
-        let q = self.diagram.metrics();
         let mut report = RunReport {
             tool: tool.to_owned(),
             network: NetworkReport {
@@ -202,7 +207,7 @@ impl Outcome {
                 bounding_area: q.bounding_area,
                 completion: q.completion(),
             },
-            metrics: self.metrics(&q),
+            metrics: self.metrics(q),
             is_clean: self.is_clean(),
             ..RunReport::default()
         };

@@ -143,7 +143,7 @@ impl Diagram {
         let routed: Vec<&[Segment]> = self.routes.iter().flatten().map(NetPath::segments).collect();
         m.crossovers = sweep::crossings(&routed).len() as u64;
         if let Some(bb) = self.placement.bounding_box(&self.network) {
-            m.bounding_area = bb.width() as u64 * bb.height() as u64;
+            m.bounding_area = bb.area();
         }
         m
     }
@@ -170,7 +170,7 @@ impl Diagram {
             }
         }
         if let Some(bb) = self.placement.bounding_box(&self.network) {
-            m.bounding_area = bb.width() as u64 * bb.height() as u64;
+            m.bounding_area = bb.area();
         }
         m
     }

@@ -179,8 +179,93 @@ impl Placement {
     /// lies inside a module or coincides with another terminal.
     ///
     /// Returns a human-readable description per violation; empty means
-    /// the placement is legal.
+    /// the placement is legal. The module pairs come first, in module
+    /// order, then each terminal's violations, in terminal order.
+    ///
+    /// The modules are swept in order of their left edge, so a module is
+    /// compared only with the modules whose left edge lies left of its
+    /// right edge, and a terminal only with the modules whose left edge
+    /// lies within the widest module's width left of it.
     pub fn overlap_violations(&self, network: &Network) -> Vec<String> {
+        let placed: Vec<(ModuleId, Rect)> = network
+            .modules()
+            .filter(|m| self.modules[m.index()].is_some())
+            .map(|m| (m, self.module_rect(network, m)))
+            .collect();
+        let mut by_left: Vec<(usize, Rect)> = placed.iter().map(|&(_, r)| r).enumerate().collect();
+        by_left.sort_unstable_by_key(|(_, r)| r.lower_left().x);
+        let widest = by_left.iter().map(|(_, r)| i64::from(r.width())).max().unwrap_or(0);
+
+        let mut pairs = Vec::new();
+        for (k, &(i, ra)) in by_left.iter().enumerate() {
+            let right = ra.upper_right().x;
+            for &(j, rb) in by_left[k + 1..].iter().take_while(|(_, r)| r.lower_left().x < right) {
+                if ra.overlaps_strictly(&rb) {
+                    pairs.push((i.min(j), i.max(j)));
+                }
+            }
+        }
+        pairs.sort_unstable();
+        let mut violations: Vec<String> = pairs
+            .into_iter()
+            .map(|(i, j)| {
+                let ((a, ra), (b, rb)) = (placed[i], placed[j]);
+                format!(
+                    "modules {} and {} overlap ({ra} vs {rb})",
+                    network.instance(a).name(),
+                    network.instance(b).name()
+                )
+            })
+            .collect();
+
+        let terms: Vec<(SystemTermId, Point)> = network
+            .system_terms()
+            .filter_map(|st| self.system_terms[st.index()].map(|p| (st, p)))
+            .collect();
+        // (terminal, 0, module) for a terminal inside a module, then
+        // (terminal, 1, later terminal) for two that coincide.
+        let mut found = Vec::new();
+        for (t, &(_, p)) in terms.iter().enumerate() {
+            let reach = i64::from(p.x) - widest;
+            let from = by_left.partition_point(|(_, r)| i64::from(r.lower_left().x) < reach);
+            for &(i, r) in by_left[from..].iter().take_while(|(_, r)| r.lower_left().x < p.x) {
+                if r.contains_strictly(p) {
+                    found.push((t, 0, i));
+                }
+            }
+        }
+        let mut by_point: Vec<(Point, usize)> =
+            terms.iter().enumerate().map(|(t, &(_, p))| (p, t)).collect();
+        by_point.sort_unstable();
+        for group in by_point.chunk_by(|a, b| a.0 == b.0) {
+            for (k, &(_, t)) in group.iter().enumerate() {
+                found.extend(group[k + 1..].iter().map(|&(_, u)| (t, 1, u)));
+            }
+        }
+        found.sort_unstable();
+        violations.extend(found.into_iter().map(|(t, kind, other)| {
+            let (st, p) = terms[t];
+            if kind == 0 {
+                format!(
+                    "system terminal {} at {p} lies inside module {}",
+                    network.system_term(st).name(),
+                    network.instance(placed[other].0).name()
+                )
+            } else {
+                format!(
+                    "system terminals {} and {} coincide at {p}",
+                    network.system_term(st).name(),
+                    network.system_term(terms[other].0).name()
+                )
+            }
+        }));
+        violations
+    }
+
+    /// The pair loops that [`Placement::overlap_violations`] replaced,
+    /// kept as its oracle.
+    #[cfg(test)]
+    fn overlap_violations_by_pairs(&self, network: &Network) -> Vec<String> {
         let mut violations = Vec::new();
         let placed: Vec<ModuleId> = network
             .modules()
@@ -359,5 +444,57 @@ mod tests {
         assert_eq!(s.longest_string(), 2);
         p.set_structure(s.clone());
         assert_eq!(p.structure(), Some(&s));
+    }
+
+    /// A network of `modules` instances of three templates and `terms`
+    /// system terminals.
+    fn crowd(modules: usize, terms: usize) -> Network {
+        let mut lib = Library::new();
+        let sizes = [(4, 2), (2, 6), (1, 1)];
+        let templates: Vec<_> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &size)| {
+                lib.add_template(Template::new(format!("t{i}"), size).unwrap()).unwrap()
+            })
+            .collect();
+        let mut b = NetworkBuilder::new(lib);
+        for m in 0..modules {
+            b.add_instance(format!("u{m}"), templates[m % 3]).unwrap();
+        }
+        for t in 0..terms {
+            b.add_system_terminal(format!("s{t}"), TermType::In).unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The left-edge sweep reports the same violations, in the same
+        /// order, as comparing every pair, on crowded placements with
+        /// unplaced modules and terminals, rotations, shared edges and
+        /// coinciding terminals.
+        #[test]
+        fn swept_overlaps_match_the_pair_loops(
+            modules in proptest::collection::vec((0u8..10, 0i32..12, 0i32..12, 0usize..4), 0..12),
+            terms in proptest::collection::vec((0u8..10, 0i32..12, 0i32..12), 0..6),
+        ) {
+            // One spot in ten stays unplaced.
+            let net = crowd(modules.len(), terms.len());
+            let mut p = Placement::new(&net);
+            for (m, &(placed, x, y, r)) in net.modules().zip(&modules) {
+                if placed > 0 {
+                    p.place_module(m, Point::new(x, y), Rotation::ALL[r]);
+                }
+            }
+            for (st, &(placed, x, y)) in net.system_terms().zip(&terms) {
+                if placed > 0 {
+                    p.place_system_term(st, Point::new(x, y));
+                }
+            }
+            let want = p.overlap_violations_by_pairs(&net);
+            proptest::prop_assert_eq!(p.overlap_violations(&net), want);
+        }
     }
 }

@@ -2,12 +2,18 @@ use std::fmt;
 
 use crate::{Interval, Point, Segment, Side};
 
-/// An axis-aligned rectangle given by its lower-left corner and size.
+/// An axis-aligned rectangle given by its lower-left and upper-right
+/// corners.
 ///
 /// Modules, box bounding-boxes, partition bounding-boxes and the routing
 /// plane itself are all rectangles. Width and height may be zero (a
 /// degenerate rectangle still has a well-defined boundary), matching the
 /// paper where system terminals are treated as zero-size obstacles.
+///
+/// The corners are stored, not the size, so any two points of the
+/// `i32` plane span a rectangle: its corners, spans, containment,
+/// overlap, hull and [`Rect::area`] take no differences, and nothing
+/// overflows for a rectangle wider than `i32::MAX`.
 ///
 /// # Examples
 ///
@@ -17,12 +23,13 @@ use crate::{Interval, Point, Segment, Side};
 /// let r = Rect::new(Point::new(1, 2), 4, 3);
 /// assert_eq!(r.upper_right(), Point::new(5, 5));
 /// assert!(r.overlaps(&Rect::new(Point::new(4, 4), 2, 2)));
+/// let wide = Rect::from_corners(Point::new(-2_000_000_000, 0), Point::new(2_000_000_000, 1));
+/// assert_eq!(wide.area(), 4_000_000_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rect {
-    origin: Point,
-    width: i32,
-    height: i32,
+    lo: Point,
+    hi: Point,
 }
 
 impl Rect {
@@ -33,52 +40,58 @@ impl Rect {
     /// Panics if `width` or `height` is negative.
     pub fn new(origin: Point, width: i32, height: i32) -> Self {
         assert!(width >= 0 && height >= 0, "negative rectangle size {width}x{height}");
-        Rect { origin, width, height }
+        Rect { lo: origin, hi: Point::new(origin.x + width, origin.y + height) }
     }
 
     /// The smallest rectangle containing both corner points.
     pub fn from_corners(a: Point, b: Point) -> Self {
-        let origin = Point::new(a.x.min(b.x), a.y.min(b.y));
         Rect {
-            origin,
-            width: (a.x - b.x).abs(),
-            height: (a.y - b.y).abs(),
+            lo: Point::new(a.x.min(b.x), a.y.min(b.y)),
+            hi: Point::new(a.x.max(b.x), a.y.max(b.y)),
         }
     }
 
     /// Lower-left corner.
     pub fn lower_left(&self) -> Point {
-        self.origin
+        self.lo
     }
 
     /// Upper-right corner.
     pub fn upper_right(&self) -> Point {
-        Point::new(self.origin.x + self.width, self.origin.y + self.height)
+        self.hi
     }
 
-    /// Width (x extent).
+    /// Width (x extent). Overflows for a rectangle wider than
+    /// `i32::MAX`; [`Rect::area`] does not.
     pub fn width(&self) -> i32 {
-        self.width
+        self.hi.x - self.lo.x
     }
 
-    /// Height (y extent).
+    /// Height (y extent). Overflows for a rectangle taller than
+    /// `i32::MAX`; [`Rect::area`] does not.
     pub fn height(&self) -> i32 {
-        self.height
+        self.hi.y - self.lo.y
+    }
+
+    /// Width times height, exact for any rectangle of the `i32` plane.
+    pub fn area(&self) -> u64 {
+        u64::from(self.hi.x.abs_diff(self.lo.x)) * u64::from(self.hi.y.abs_diff(self.lo.y))
     }
 
     /// The horizontal span `[left, right]`.
     pub fn x_span(&self) -> Interval {
-        Interval::new(self.origin.x, self.origin.x + self.width)
+        Interval::new(self.lo.x, self.hi.x)
     }
 
     /// The vertical span `[bottom, top]`.
     pub fn y_span(&self) -> Interval {
-        Interval::new(self.origin.y, self.origin.y + self.height)
+        Interval::new(self.lo.y, self.hi.y)
     }
 
     /// Geometric centre, rounded towards the lower-left.
     pub fn center(&self) -> Point {
-        Point::new(self.origin.x + self.width / 2, self.origin.y + self.height / 2)
+        let mid = |lo: i32, hi: i32| ((i64::from(lo) + i64::from(hi)) >> 1) as i32;
+        Point::new(mid(self.lo.x, self.hi.x), mid(self.lo.y, self.hi.y))
     }
 
     /// `true` when `p` lies inside or on the boundary.
@@ -88,10 +101,7 @@ impl Rect {
 
     /// `true` when `p` lies strictly inside (not on the boundary).
     pub fn contains_strictly(&self, p: Point) -> bool {
-        self.origin.x < p.x
-            && p.x < self.origin.x + self.width
-            && self.origin.y < p.y
-            && p.y < self.origin.y + self.height
+        self.lo.x < p.x && p.x < self.hi.x && self.lo.y < p.y && p.y < self.hi.y
     }
 
     /// `true` when the closed rectangles share at least one point.
@@ -107,10 +117,10 @@ impl Rect {
     /// area, and a system terminal (a point) may sit on a module edge but
     /// not inside it.
     pub fn overlaps_strictly(&self, other: &Rect) -> bool {
-        self.origin.x < other.origin.x + other.width
-            && other.origin.x < self.origin.x + self.width
-            && self.origin.y < other.origin.y + other.height
-            && other.origin.y < self.origin.y + self.height
+        self.lo.x < other.hi.x
+            && other.lo.x < self.hi.x
+            && self.lo.y < other.hi.y
+            && other.lo.y < self.hi.y
     }
 
     /// The rectangle grown by `margin` tracks on every side.
@@ -119,32 +129,23 @@ impl Rect {
     ///
     /// Panics if a negative `margin` would invert the rectangle.
     pub fn inflate(&self, margin: i32) -> Rect {
-        Rect::new(
-            Point::new(self.origin.x - margin, self.origin.y - margin),
-            self.width + 2 * margin,
-            self.height + 2 * margin,
-        )
+        let lo = Point::new(self.lo.x - margin, self.lo.y - margin);
+        let hi = Point::new(self.hi.x + margin, self.hi.y + margin);
+        assert!(lo.x <= hi.x && lo.y <= hi.y, "margin {margin} inverts {self}");
+        Rect { lo, hi }
     }
 
     /// The rectangle translated by `delta`.
     pub fn translate(&self, delta: Point) -> Rect {
-        Rect {
-            origin: self.origin + delta,
-            ..*self
-        }
+        Rect { lo: self.lo + delta, hi: self.hi + delta }
     }
 
     /// The smallest rectangle containing both.
     pub fn hull(&self, other: &Rect) -> Rect {
-        let ll = Point::new(
-            self.origin.x.min(other.origin.x),
-            self.origin.y.min(other.origin.y),
-        );
-        let ur = Point::new(
-            self.upper_right().x.max(other.upper_right().x),
-            self.upper_right().y.max(other.upper_right().y),
-        );
-        Rect::from_corners(ll, ur)
+        Rect {
+            lo: Point::new(self.lo.x.min(other.lo.x), self.lo.y.min(other.lo.y)),
+            hi: Point::new(self.hi.x.max(other.hi.x), self.hi.y.max(other.hi.y)),
+        }
     }
 
     /// The boundary edge on the given side, as a segment.
@@ -153,12 +154,12 @@ impl Rect {
     /// ones. These are exactly the obstacle segments a module contributes
     /// to the router (`ADD_OBSTACLE_BOUNDINGS` in the paper).
     pub fn edge(&self, side: Side) -> Segment {
-        let ur = self.upper_right();
+        let (lo, hi) = (self.lo, self.hi);
         match side {
-            Side::Left => Segment::vertical(self.origin.x, self.origin.y, ur.y),
-            Side::Right => Segment::vertical(ur.x, self.origin.y, ur.y),
-            Side::Down => Segment::horizontal(self.origin.y, self.origin.x, ur.x),
-            Side::Up => Segment::horizontal(ur.y, self.origin.x, ur.x),
+            Side::Left => Segment::vertical(lo.x, lo.y, hi.y),
+            Side::Right => Segment::vertical(hi.x, lo.y, hi.y),
+            Side::Down => Segment::horizontal(lo.y, lo.x, hi.x),
+            Side::Up => Segment::horizontal(hi.y, lo.x, hi.x),
         }
     }
 
@@ -175,7 +176,20 @@ impl Rect {
 
 impl fmt::Display for Rect {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}+{}x{}", self.origin, self.width, self.height)
+        let (w, h) = (self.hi.x.abs_diff(self.lo.x), self.hi.y.abs_diff(self.lo.y));
+        write!(f, "{}+{w}x{h}", self.lo)
+    }
+}
+
+/// The lower-left corner and the size, as the fields read before the
+/// corners were stored.
+impl fmt::Debug for Rect {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Rect")
+            .field("origin", &self.lo)
+            .field("width", &self.hi.x.abs_diff(self.lo.x))
+            .field("height", &self.hi.y.abs_diff(self.lo.y))
+            .finish()
     }
 }
 
@@ -252,5 +266,18 @@ mod tests {
         assert_eq!(r.edge(Side::Down), Segment::horizontal(2, 1, 4));
         assert_eq!(r.edge(Side::Up), Segment::horizontal(6, 1, 4));
         assert_eq!(r.edges().len(), 4);
+    }
+
+    #[test]
+    fn corners_wider_than_i32_do_not_overflow() {
+        let (a, b) = (Point::new(-1_090_000_000, -5), Point::new(1_090_000_004, 7));
+        let r = Rect::from_corners(b, a);
+        assert_eq!((r.lower_left(), r.upper_right()), (a, b));
+        assert_eq!(r.area(), 2_180_000_004 * 12);
+        assert_eq!(r.center(), Point::new(2, 1));
+        assert!(r.contains_strictly(Point::ORIGIN));
+        let grown = r.hull(&Rect::new(Point::new(0, 100), 1, 1)).inflate(1);
+        assert_eq!(grown.upper_right(), Point::new(1_090_000_005, 102));
+        assert_eq!(grown.to_string(), "(-1090000001, -6)+2180000006x108");
     }
 }

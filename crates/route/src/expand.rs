@@ -28,15 +28,24 @@
 //! axis (swept against and scanned for meetings) and the coverage
 //! ledger per front and direction. A ledger track stays sorted and
 //! coalesced, so [`cover`] finds the uncovered pieces of a new active
-//! by binary search. The sweep's working lists live in buffers the
-//! search owns and reuses, so a sweep step allocates nothing.
+//! by binary search.
+//!
+//! An expansion walks the map's lane and both fronts' active tables
+//! with one forward [`Walk`] each, merged into its [`Stops`], so a
+//! sweep stop costs no search. A front's actives are read only on the
+//! tracks that front occupies.
+//!
+//! Every list a search grows lives in a [`Workspace`] that outlives it:
+//! the router keeps one per routing run, and each search clears it
+//! instead of freeing it, so sweep steps and candidates allocate
+//! nothing and a typical search little.
 
 use netart_geom::{Axis, Dir, Interval, Point, Segment};
 use netart_netlist::NetId;
 
 use crate::budget::BudgetMeter;
-use crate::tracks::TrackTable;
-use crate::{ObstacleKind, ObstacleMap};
+use crate::tracks::{Stop, TrackTable, Walk};
+use crate::{Obstacle, ObstacleKind, ObstacleMap};
 
 /// Which wavefront an active segment belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,7 +150,7 @@ struct Candidate {
     /// Geometric bends of the reconstructed wire (computed at creation).
     bends: u32,
     crossings: u32,
-    length: u32,
+    length: u64,
     /// `false` when the joint avoids creating a branching node.
     branches: bool,
     near: usize,
@@ -194,6 +203,28 @@ pub(crate) struct Search<'a> {
     net: NetId,
     swap_tiebreak: bool,
     max_bends: u32,
+    /// Everything the search grows, cleared when it starts and ends.
+    ws: &'a mut Workspace,
+    /// Bounding box of every activated piece, as
+    /// `(min_x, min_y, max_x, max_y)` — the spatial extent the search
+    /// touched, fed to the `netart profile` heat map. Deterministic
+    /// for a given obstacle configuration.
+    explored: Option<(i32, i32, i32, i32)>,
+    /// Test-only switch back to unpruned sweeps, the oracle of the hull
+    /// test in `sweep_track`.
+    #[cfg(test)]
+    full_sweeps: bool,
+}
+
+/// How many entries a [`Workspace`] list keeps across searches at most:
+/// more than a typical search needs, little next to a large one.
+const RETAINED: usize = 128;
+
+/// The state of a search, kept across the searches of one routing run
+/// so its capacity is reused. A search clears it when it starts and
+/// when it ends.
+#[derive(Default)]
+pub(crate) struct Workspace {
     arena: Vec<Active>,
     /// `index[front][axis]`: occupied tracks → active ids, for sweeps
     /// and meet detection.
@@ -208,19 +239,39 @@ pub(crate) struct Search<'a> {
     /// sorted and coalesced (see [`cover`]).
     covered: [[TrackTable<Interval>; 4]; 2],
     pending: [Vec<usize>; 2],
+    /// The actives of the generation `run` expands next.
+    batch: Vec<usize>,
     candidates: Vec<Candidate>,
-    /// Bounding box of every activated piece, as
-    /// `(min_x, min_y, max_x, max_y)` — the spatial extent the search
-    /// touched, fed to the `netart profile` heat map. Deterministic
-    /// for a given obstacle configuration.
-    explored: Option<(i32, i32, i32, i32)>,
     /// Reused buffers of `expand` and the steps below it, taken out of
-    /// the search while in use.
+    /// the workspace while in use.
     bufs: Buffers,
-    /// Test-only switch back to unpruned sweeps, the oracle of the hull
-    /// test in `sweep_track`.
-    #[cfg(test)]
-    full_sweeps: bool,
+}
+
+impl Workspace {
+    /// Empties every list. The lists that grow with the search give
+    /// back what they hold beyond [`RETAINED`] entries, so a large
+    /// search does not raise the memory held through the rest of the run.
+    fn clear(&mut self) {
+        for table in self.index.iter_mut().flatten() {
+            table.clear();
+        }
+        for table in self.covered.iter_mut().flatten() {
+            table.clear();
+        }
+        self.arena.clear();
+        self.arena.shrink_to(RETAINED);
+        self.candidates.clear();
+        self.candidates.shrink_to(RETAINED);
+        for list in self.pending.iter_mut().chain([&mut self.batch]) {
+            list.clear();
+            list.shrink_to(RETAINED);
+        }
+    }
+
+    /// Both fronts' active tables for `axis`.
+    fn fronts(&self, axis: Axis) -> [&TrackTable<usize>; 2] {
+        [&self.index[0][axis_idx(axis)], &self.index[1][axis_idx(axis)]]
+    }
 }
 
 /// The working lists of one expansion, kept across expansions so their
@@ -238,7 +289,7 @@ struct Buffers {
     /// Nets crossed during the sweep: (track, columns).
     crossed: Vec<(i32, Interval)>,
     /// `make_borders`' end events: (columns, progress).
-    events: Vec<(Interval, i32)>,
+    events: Vec<(Interval, i64)>,
     /// The tracks where the sweep crossed a net at a border's column.
     cuts: Vec<i32>,
     /// The pieces of one border between those crossings.
@@ -247,6 +298,66 @@ struct Buffers {
     uncovered: Vec<Interval>,
     /// Meetings found by `check_meets`: (far id, near entry, far entry).
     meets: Vec<(usize, i32, i32)>,
+    /// The wire of the candidate being scored.
+    trace: Vec<Segment>,
+}
+
+/// The tracks an expansion stops at, in sweep order: one [`Walk`] over
+/// the map's lane and one over each front's active table, merged.
+///
+/// The walks stay valid for the whole sweep. The map cannot change
+/// during a search, and a front's table gains values during a sweep
+/// only on the track being swept, where `trim` re-registers a sibling:
+/// that track is occupied already, so no chunk or occupancy bit moves.
+struct Stops {
+    up: bool,
+    /// The map's walk, then front A's and front B's.
+    walks: [Walk; 3],
+    /// The nearest track each walk has not yet handed out.
+    heads: [Option<Stop>; 3],
+}
+
+impl Stops {
+    /// The stops strictly beyond `from` in `dir`, over the map's lane
+    /// and the fronts' tables for the sweep's axis.
+    fn new(
+        map: &TrackTable<Obstacle>,
+        fronts: [&TrackTable<usize>; 2],
+        dir: Dir,
+        from: i32,
+    ) -> Stops {
+        let up = matches!(dir, Dir::Up | Dir::Right);
+        let mut walks = [map.walk(from, up), fronts[0].walk(from, up), fronts[1].walk(from, up)];
+        let heads = [walks[0].next(map), walks[1].next(fronts[0]), walks[2].next(fronts[1])];
+        Stops { up, walks, heads }
+    }
+
+    /// The next track, with where the map and each front hold it: at
+    /// least one of the three is present.
+    fn next(
+        &mut self,
+        map: &TrackTable<Obstacle>,
+        fronts: [&TrackTable<usize>; 2],
+    ) -> Option<(i32, [Option<Stop>; 3])> {
+        let up = self.up;
+        let track = self
+            .heads
+            .iter()
+            .flatten()
+            .map(|s| s.track)
+            .reduce(|x, y| if up { x.min(y) } else { x.max(y) })?;
+        let mut at = [None; 3];
+        for (i, head) in self.heads.iter_mut().enumerate() {
+            if head.is_some_and(|s| s.track == track) {
+                at[i] = *head;
+                *head = match i {
+                    0 => self.walks[0].next(map),
+                    _ => self.walks[i].next(fronts[i - 1]),
+                };
+            }
+        }
+        Some((track, at))
+    }
 }
 
 /// Adds `span` to one track's coverage ledger and appends to `out` the
@@ -321,19 +432,23 @@ fn dir_idx(dir: Dir) -> usize {
 }
 
 impl<'a> Search<'a> {
-    pub(crate) fn new(map: &'a ObstacleMap, net: NetId, swap_tiebreak: bool, max_bends: u32) -> Self {
+    /// A search on `map` for `net` that keeps its state in `ws`,
+    /// clearing whatever an earlier search left there.
+    pub(crate) fn new(
+        map: &'a ObstacleMap,
+        net: NetId,
+        swap_tiebreak: bool,
+        max_bends: u32,
+        ws: &'a mut Workspace,
+    ) -> Self {
+        ws.clear();
         Search {
             map,
             net,
             swap_tiebreak,
             max_bends,
-            arena: Vec::new(),
-            index: Default::default(),
-            covered: Default::default(),
-            pending: [Vec::new(), Vec::new()],
-            candidates: Vec::new(),
+            ws,
             explored: None,
-            bufs: Buffers::default(),
             #[cfg(test)]
             full_sweeps: false,
         }
@@ -369,12 +484,12 @@ impl<'a> Search<'a> {
     fn push_active(&mut self, a: Active) {
         // Only the uncovered parts of the span become active; the rest
         // was reached before with no more bends than now.
-        let mut pieces = std::mem::take(&mut self.bufs.uncovered);
+        let mut pieces = std::mem::take(&mut self.ws.bufs.uncovered);
         pieces.clear();
-        self.covered[a.front.idx()][dir_idx(a.dir)]
+        self.ws.covered[a.front.idx()][dir_idx(a.dir)]
             .edit(a.track, |ledger| cover(ledger, a.span, &mut pieces));
         for &span in &pieces {
-            let id = self.arena.len();
+            let id = self.ws.arena.len();
             let mut piece = a.clone();
             piece.span = span;
             let (x0, y0, x1, y1) = match piece.axis() {
@@ -387,12 +502,12 @@ impl<'a> Search<'a> {
                     (ex0.min(x0), ey0.min(y0), ex1.max(x1), ey1.max(y1))
                 }
             });
-            self.index[piece.front.idx()][axis_idx(piece.axis())].push(piece.track, id);
-            self.pending[piece.front.idx()].push(id);
-            self.arena.push(piece);
+            self.ws.index[piece.front.idx()][axis_idx(piece.axis())].push(piece.track, id);
+            self.ws.pending[piece.front.idx()].push(id);
+            self.ws.arena.push(piece);
             self.check_meets(id);
         }
-        self.bufs.uncovered = pieces;
+        self.ws.bufs.uncovered = pieces;
     }
 
     /// Runs the alternating wavefront search. `two_front` distinguishes
@@ -401,7 +516,18 @@ impl<'a> Search<'a> {
     /// node on `meter`; a tripped meter ends the search with the best
     /// candidate found so far, or [`SearchResult::OverBudget`] when
     /// there is none.
+    ///
+    /// The workspace is cleared on the way out, so what a large search
+    /// grew is not held through the work that follows it, such as the
+    /// salvage cascade's maze router.
     pub(crate) fn run(&mut self, meter: &mut BudgetMeter) -> SearchResult {
+        let result = self.generations(meter);
+        self.ws.clear();
+        result
+    }
+
+    /// The generation loop of [`Search::run`].
+    fn generations(&mut self, meter: &mut BudgetMeter) -> SearchResult {
         let mut gen = 0u32;
         loop {
             // A candidate is final once no unexpanded active (all of
@@ -411,7 +537,7 @@ impl<'a> Search<'a> {
             // can merge segments, so later generations occasionally
             // hold a path with fewer geometric bends, which is why the
             // paper promises minimal bends only "in most cases" (§5.8).
-            let best = self.candidates.iter().map(|c| c.bends).min();
+            let best = self.ws.candidates.iter().map(|c| c.bends).min();
             if let Some(best) = best {
                 if best <= gen {
                     return SearchResult::Connected(self.reconstruct());
@@ -423,27 +549,23 @@ impl<'a> Search<'a> {
             let mut any = false;
             for front in [Front::A, Front::B] {
                 loop {
-                    let batch: Vec<usize> = {
-                        let pending = &mut self.pending[front.idx()];
-                        let mut batch = Vec::new();
-                        let mut keep = Vec::new();
-                        for id in pending.drain(..) {
-                            let a = &self.arena[id];
-                            if a.alive && !a.expanded && a.bends == gen {
-                                batch.push(id);
-                            } else if a.alive && !a.expanded {
-                                keep.push(id);
-                            }
+                    let ws = &mut *self.ws;
+                    ws.batch.clear();
+                    ws.pending[front.idx()].retain(|&id| {
+                        let a = &ws.arena[id];
+                        let live = a.alive && !a.expanded;
+                        if live && a.bends == gen {
+                            ws.batch.push(id);
                         }
-                        *pending = keep;
-                        batch
-                    };
-                    if batch.is_empty() {
+                        live && a.bends != gen
+                    });
+                    if ws.batch.is_empty() {
                         break;
                     }
                     any = true;
-                    for id in batch {
-                        if self.arena[id].alive && !self.arena[id].expanded {
+                    for i in 0..self.ws.batch.len() {
+                        let id = self.ws.batch[i];
+                        if self.ws.arena[id].alive && !self.ws.arena[id].expanded {
                             if meter.charge().is_some() {
                                 return match self.best_or_unreachable() {
                                     SearchResult::Connected(c) => SearchResult::Connected(c),
@@ -465,7 +587,7 @@ impl<'a> Search<'a> {
 
     /// The best candidate found so far, or unreachability.
     fn best_or_unreachable(&mut self) -> SearchResult {
-        if self.candidates.is_empty() {
+        if self.ws.candidates.is_empty() {
             SearchResult::Unreachable
         } else {
             SearchResult::Connected(self.reconstruct())
@@ -473,12 +595,14 @@ impl<'a> Search<'a> {
     }
 
     /// The next track beyond `from` in `dir` holding static obstacles
-    /// or active segments of either front.
+    /// or active segments of either front, by binary search: the stop
+    /// by stop lookup that [`Stops`] replaced, kept as its oracle.
+    #[cfg(test)]
     fn next_track(&self, dir: Dir, from: i32) -> Option<i32> {
         let axis = axis_idx(dir.segment_axis());
         let mut best = self.map.next_track(dir, from);
         for f in 0..2 {
-            let lanes = &self.index[f][axis];
+            let lanes = &self.ws.index[f][axis];
             let cand = match dir {
                 Dir::Up | Dir::Right => lanes.next_above(from),
                 Dir::Down | Dir::Left => lanes.next_below(from),
@@ -497,46 +621,50 @@ impl<'a> Search<'a> {
 
     /// Expands one active segment (`EXPAND_SEGMENT`).
     fn expand(&mut self, id: usize) {
-        self.arena[id].expanded = true;
-        let a = self.arena[id].clone();
-        let dir = a.dir;
-        let step = dir.sign();
-
-        let mut work = std::mem::take(&mut self.bufs.work);
-        let mut ends = std::mem::take(&mut self.bufs.ends);
-        let mut crossed = std::mem::take(&mut self.bufs.crossed);
+        self.ws.arena[id].expanded = true;
+        let a = self.ws.arena[id].clone();
+        let mut work = std::mem::take(&mut self.ws.bufs.work);
+        let mut ends = std::mem::take(&mut self.ws.bufs.ends);
+        let mut crossed = std::mem::take(&mut self.ws.bufs.crossed);
         work.clear();
         ends.clear();
         crossed.clear();
         work.push((a.span, a.crossings));
 
+        let map = self.map.lanes(a.axis());
+        let mut stops = Stops::new(map, self.ws.fronts(a.axis()), a.dir, a.track);
         let mut track = a.track;
         while !work.is_empty() {
-            let Some(next) = self.next_track(dir, track) else {
+            let Some((next, at)) = stops.next(map, self.ws.fronts(a.axis())) else {
                 // No plane border? Terminate everything here (the
                 // router always installs a border, so this is a guard).
                 ends.extend(work.drain(..).map(|(iv, _)| (iv, track)));
                 break;
             };
             track = next;
-            self.sweep_track(&a, id, track, step, &mut work, &mut ends, &mut crossed);
+            let obstacles = at[0].map_or(&[][..], |stop| map.list(stop));
+            let fronts = [at[1], at[2]];
+            self.sweep_track(&a, id, track, obstacles, fronts, &mut work, &mut ends, &mut crossed);
         }
 
         self.make_borders(&a, id, &ends, &crossed);
-        self.bufs.work = work;
-        self.bufs.ends = ends;
-        self.bufs.crossed = crossed;
+        self.ws.bufs.work = work;
+        self.ws.bufs.ends = ends;
+        self.ws.bufs.crossed = crossed;
     }
 
     /// Processes all obstacles on one track against the live pieces in
     /// `work`, leaving there the pieces that continue past it.
+    /// `obstacles` are the map's entries on the track, and `fronts` say
+    /// where each front's table holds it, if it does.
     #[allow(clippy::too_many_arguments)]
     fn sweep_track(
         &mut self,
         a: &Active,
         a_id: usize,
         track: i32,
-        step: i32,
+        obstacles: &[Obstacle],
+        fronts: [Option<Stop>; 2],
         work: &mut Vec<(Interval, u32)>,
         ends: &mut Vec<(Interval, i32)>,
         crossed: &mut Vec<(i32, Interval)>,
@@ -550,9 +678,9 @@ impl<'a> Search<'a> {
         };
         #[cfg(test)]
         let hull = if self.full_sweeps { Interval::new(i32::MIN, i32::MAX) } else { hull };
-        let mut entries = std::mem::take(&mut self.bufs.entries);
+        let mut entries = std::mem::take(&mut self.ws.bufs.entries);
         entries.clear();
-        for o in self.map.at(a.axis(), track) {
+        for o in obstacles {
             if !o.span.overlaps(hull) {
                 continue;
             }
@@ -564,8 +692,9 @@ impl<'a> Search<'a> {
             entries.push((o.span, action));
         }
         for f in [a.front, a.front.other()] {
-            for &oid in self.index[f.idx()][axis_idx(a.axis())].get(track) {
-                let act = &self.arena[oid];
+            let Some(stop) = fronts[f.idx()] else { continue };
+            for &oid in self.ws.index[f.idx()][axis_idx(a.axis())].list(stop) {
+                let act = &self.ws.arena[oid];
                 if oid == a_id || !act.alive || !act.span.overlaps(hull) {
                     continue;
                 }
@@ -579,8 +708,8 @@ impl<'a> Search<'a> {
         }
         entries.sort_by_key(|(_, e)| e.rank());
 
-        let stop = track - step;
-        let mut next_work = std::mem::take(&mut self.bufs.next_work);
+        let stop = track - a.dir.sign();
+        let mut next_work = std::mem::take(&mut self.ws.bufs.next_work);
         for &(span, action) in &entries {
             next_work.clear();
             for &(iv, cr) in work.iter() {
@@ -625,52 +754,60 @@ impl<'a> Search<'a> {
             }
             std::mem::swap(work, &mut next_work);
         }
-        self.bufs.next_work = next_work;
-        self.bufs.entries = entries;
+        self.ws.bufs.next_work = next_work;
+        self.ws.bufs.entries = entries;
     }
 
     /// Cuts `ov` out of a same-front active reached by a sweep
     /// (`OWN_OBSTACLE`): its zone is already covered.
     fn trim(&mut self, id: usize, ov: Interval) {
-        let (left, right) = self.arena[id].span.subtract(ov);
+        let (left, right) = self.ws.arena[id].span.subtract(ov);
         match (left, right) {
             (Some(l), Some(r)) => {
-                self.arena[id].span = l;
-                let mut sibling = self.arena[id].clone();
+                self.ws.arena[id].span = l;
+                let mut sibling = self.ws.arena[id].clone();
                 sibling.span = r;
                 // Re-register the sibling; `push_active` puts it back in
                 // the pending list when still unexpanded.
-                let sid = self.arena.len();
-                self.index[sibling.front.idx()][axis_idx(sibling.axis())].push(sibling.track, sid);
+                let sid = self.ws.arena.len();
+                // The sibling's track is the one being swept, which
+                // holds this active already: the sweep's walks stay valid.
+                debug_assert!(!self.ws.index[sibling.front.idx()][axis_idx(sibling.axis())]
+                    .get(sibling.track)
+                    .is_empty());
+                self.ws.index[sibling.front.idx()][axis_idx(sibling.axis())].push(sibling.track, sid);
                 if !sibling.expanded {
-                    self.pending[sibling.front.idx()].push(sid);
+                    self.ws.pending[sibling.front.idx()].push(sid);
                 }
-                self.arena.push(sibling);
+                self.ws.arena.push(sibling);
             }
-            (Some(l), None) => self.arena[id].span = l,
-            (None, Some(r)) => self.arena[id].span = r,
-            (None, None) => self.arena[id].alive = false,
+            (Some(l), None) => self.ws.arena[id].span = l,
+            (None, Some(r)) => self.ws.arena[id].span = r,
+            (None, None) => self.ws.arena[id].alive = false,
         }
     }
 
-    /// Completes a candidate by measuring the geometric bends of its
-    /// wire, then records it.
+    /// Completes a candidate by counting the geometric bends of its
+    /// wire, traced into a reused buffer, then records it.
     fn push_candidate(&mut self, mut c: Candidate) {
-        let geometry = self.build(&c);
-        c.bends = netart_diagram::NetPath::from_segments(geometry).bends();
-        self.candidates.push(c);
+        let mut trace = std::mem::take(&mut self.ws.bufs.trace);
+        trace.clear();
+        self.trace_candidate(&c, &mut trace);
+        c.bends = corners(&mut trace);
+        self.ws.bufs.trace = trace;
+        self.ws.candidates.push(c);
     }
 
     /// Length of the path from the point at span-coordinate `s` on
     /// active `id` back to its root (`PATH_LENGTH`).
-    fn trace_len(&self, id: usize, s: i32) -> u32 {
-        let mut len = 0u32;
+    fn trace_len(&self, id: usize, s: i32) -> u64 {
+        let mut len = 0u64;
         let mut cur = id;
         let mut coord = s;
-        while let Some(parent) = self.arena[cur].parent {
-            let pt = self.arena[parent].track;
-            len += coord.abs_diff(pt);
-            coord = self.arena[cur].track;
+        while let Some(parent) = self.ws.arena[cur].parent {
+            let pt = self.ws.arena[parent].track;
+            len += u64::from(coord.abs_diff(pt));
+            coord = self.ws.arena[cur].track;
             cur = parent;
         }
         len
@@ -679,9 +816,9 @@ impl<'a> Search<'a> {
     /// First-hop kink: the span coordinate towards which the trace from
     /// this active gets shorter (the parent's track, or the root point).
     fn pull(&self, id: usize) -> i32 {
-        match self.arena[id].parent {
-            Some(p) => self.arena[p].track,
-            None => self.arena[id].span.lo(), // roots are points
+        match self.ws.arena[id].parent {
+            Some(p) => self.ws.arena[p].track,
+            None => self.ws.arena[id].span.lo(), // roots are points
         }
     }
 
@@ -703,7 +840,7 @@ impl<'a> Search<'a> {
             self.push_candidate(Candidate {
                 bends: 0,
                 crossings: cr,
-                length: a.track.abs_diff(track) + self.trace_len(near, s),
+                length: u64::from(a.track.abs_diff(track)) + self.trace_len(near, s),
                 branches,
                 near,
                 near_entry: s,
@@ -723,7 +860,7 @@ impl<'a> Search<'a> {
         track: i32,
         cr: u32,
     ) {
-        let far_cross = self.arena[oid].crossings;
+        let far_cross = self.ws.arena[oid].crossings;
         let mut entries = [
             ov.clamp(self.pull(near)),
             ov.clamp(self.pull(oid)),
@@ -736,7 +873,7 @@ impl<'a> Search<'a> {
             self.push_candidate(Candidate {
                 bends: 0,
                 crossings: cr + far_cross,
-                length: a.track.abs_diff(track)
+                length: u64::from(a.track.abs_diff(track))
                     + self.trace_len(near, s)
                     + self.trace_len(oid, s),
                 branches: false,
@@ -768,11 +905,14 @@ impl<'a> Search<'a> {
         }
         let step = a.dir.sign();
         // reach(column) relative: convert "last reached track" into a
-        // signed progression so one code path serves all directions.
-        let prog = |t: i32| (t - a.track) * step; // 0 = no progress
-        let mut events = std::mem::take(&mut self.bufs.events);
-        let mut cuts = std::mem::take(&mut self.bufs.cuts);
-        let mut borders = std::mem::take(&mut self.bufs.borders);
+        // signed progression so one code path serves all directions
+        // (0 = no progress). In `i64`: a sweep may run further than
+        // `i32::MAX`.
+        let prog = |t: i32| (i64::from(t) - i64::from(a.track)) * i64::from(step);
+        let track_at = |p: i64| (i64::from(a.track) + p * i64::from(step)) as i32;
+        let mut events = std::mem::take(&mut self.ws.bufs.events);
+        let mut cuts = std::mem::take(&mut self.ws.bufs.cuts);
+        let mut borders = std::mem::take(&mut self.ws.bufs.borders);
         events.clear();
         events.extend(ends.iter().map(|&(iv, reach)| (iv, prog(reach))));
         events.push((Interval::point(a.span.lo() - 1), 0));
@@ -797,8 +937,7 @@ impl<'a> Search<'a> {
                 continue;
             }
             // Back to absolute tracks along the sweep direction.
-            let t0 = a.track + lo_p * step;
-            let t1 = a.track + hi_p * step;
+            let (t0, t1) = (track_at(lo_p), track_at(hi_p));
             let span = Interval::new(t0.min(t1), t0.max(t1));
             // Cut out the rows where this sweep crossed a net at `col`.
             cuts.clear();
@@ -808,8 +947,8 @@ impl<'a> Search<'a> {
             for &sp in &borders {
                 // Crossings below the border piece: nets crossed by the
                 // escape line from the originator up to the piece.
-                let cr = a.crossings
-                    + cuts.iter().filter(|&&ct| prog(ct) < prog_of(sp, a, step)).count() as u32;
+                let nearest = prog(sp.lo()).min(prog(sp.hi()));
+                let cr = a.crossings + cuts.iter().filter(|&&ct| prog(ct) < nearest).count() as u32;
                 self.push_active(Active {
                     parent: Some(id),
                     front: a.front,
@@ -823,25 +962,25 @@ impl<'a> Search<'a> {
                 });
             }
         }
-        self.bufs.events = events;
-        self.bufs.cuts = cuts;
-        self.bufs.borders = borders;
+        self.ws.bufs.events = events;
+        self.ws.bufs.cuts = cuts;
+        self.ws.bufs.borders = borders;
     }
 
     /// Completeness backstop: a freshly created active that geometrically
     /// touches the opposite front (collinear or crossing) is a meeting
     /// the track sweeps may only discover a generation later.
     fn check_meets(&mut self, id: usize) {
-        let a = self.arena[id].clone();
+        let a = self.ws.arena[id].clone();
         if a.parent.is_none() {
             return; // roots are seeded before the other front exists
         }
         let other = a.front.other();
-        let mut meets = std::mem::take(&mut self.bufs.meets);
+        let mut meets = std::mem::take(&mut self.ws.bufs.meets);
         meets.clear();
         // Collinear: same axis, same track, overlapping span.
-        for &oid in self.index[other.idx()][axis_idx(a.axis())].get(a.track) {
-            let b = &self.arena[oid];
+        for &oid in self.ws.index[other.idx()][axis_idx(a.axis())].get(a.track) {
+            let b = &self.ws.arena[oid];
             if !b.alive {
                 continue;
             }
@@ -853,16 +992,16 @@ impl<'a> Search<'a> {
         }
         // Crossing: perpendicular active of the other front through us.
         let perp = a.axis().perpendicular();
-        for (t, ids) in self.index[other.idx()][axis_idx(perp)].range(a.span.lo(), a.span.hi()) {
+        for (t, ids) in self.ws.index[other.idx()][axis_idx(perp)].range(a.span.lo(), a.span.hi()) {
             for &oid in ids {
-                let b = &self.arena[oid];
+                let b = &self.ws.arena[oid];
                 if b.alive && b.span.contains(a.track) {
                     meets.push((oid, t, a.track));
                 }
             }
         }
         for &(oid, s_near, s_far) in &meets {
-            let b_cross = self.arena[oid].crossings;
+            let b_cross = self.ws.arena[oid].crossings;
             self.push_candidate(Candidate {
                 bends: 0,
                 crossings: a.crossings + b_cross,
@@ -874,21 +1013,23 @@ impl<'a> Search<'a> {
                 far: FarSide::Active { id: oid, entry: s_far },
             });
         }
-        self.bufs.meets = meets;
+        self.ws.bufs.meets = meets;
+    }
+
+    /// Appends the segments of one candidate's wire to `out`: the
+    /// bridge, unless it is a point, then both trace-backs.
+    fn trace_candidate(&self, c: &Candidate, out: &mut Vec<Segment>) {
+        out.extend(c.bridge.filter(|b| !b.is_point()));
+        self.trace_into(c.near, c.near_entry, out);
+        if let FarSide::Active { id, entry } = c.far {
+            self.trace_into(id, entry, out);
+        }
     }
 
     /// Builds the wire geometry of one candidate.
     fn build(&self, c: &Candidate) -> Vec<Segment> {
         let mut segments = Vec::new();
-        if let Some(b) = c.bridge {
-            if !b.is_point() {
-                segments.push(b);
-            }
-        }
-        self.trace_into(c.near, c.near_entry, &mut segments);
-        if let FarSide::Active { id, entry } = c.far {
-            self.trace_into(id, entry, &mut segments);
-        }
+        self.trace_candidate(c, &mut segments);
         merge_collinear(segments)
     }
 
@@ -902,7 +1043,7 @@ impl<'a> Search<'a> {
     /// `-s`), then the branch-avoidance preference.
     fn reconstruct(&mut self) -> Connection {
         if tracing::enabled(tracing::Level::TRACE) {
-            for c in &self.candidates {
+            for c in &self.ws.candidates {
                 tracing::trace!(
                     "candidate",
                     bends = c.bends,
@@ -916,13 +1057,14 @@ impl<'a> Search<'a> {
         }
         let swap = self.swap_tiebreak;
         let best = self
+            .ws
             .candidates
             .iter()
             .min_by_key(|c| {
                 let (x, y) = if swap {
-                    (c.length, c.crossings)
+                    (c.length, u64::from(c.crossings))
                 } else {
-                    (c.crossings, c.length)
+                    (u64::from(c.crossings), c.length)
                 };
                 (c.bends, x, y, c.branches as u32, c.near_entry)
             })
@@ -937,9 +1079,9 @@ impl<'a> Search<'a> {
     fn trace_into(&self, id: usize, entry: i32, out: &mut Vec<Segment>) {
         let mut cur = id;
         let mut coord = entry;
-        while let Some(parent) = self.arena[cur].parent {
-            let a = &self.arena[cur];
-            let pt = self.arena[parent].track;
+        while let Some(parent) = self.ws.arena[cur].parent {
+            let a = &self.ws.arena[cur];
+            let pt = self.ws.arena[parent].track;
             if coord != pt {
                 out.push(Segment::on_axis(
                     a.axis(),
@@ -963,14 +1105,6 @@ fn border_dir(sweep: Dir, towards_low: bool) -> Dir {
         (Axis::Horizontal, true) => Dir::Down,
         (Axis::Horizontal, false) => Dir::Up,
     }
-}
-
-/// Progress (in sweep steps from the originator) of the nearest point
-/// of a border piece.
-fn prog_of(span: Interval, a: &Active, step: i32) -> i32 {
-    let d0 = (span.lo() - a.track) * step;
-    let d1 = (span.hi() - a.track) * step;
-    d0.min(d1)
 }
 
 /// Splits segments at every junction point (an endpoint of one segment
@@ -1011,6 +1145,37 @@ pub(crate) fn split_at_junctions(segs: &[Segment]) -> Vec<Segment> {
     out
 }
 
+/// The bends of the wire made of `segments`, counted in place: the
+/// non-point segments are sorted and coalesced into runs per axis and
+/// track, and a bend is a horizontal and a vertical run that meet at an
+/// end of both. This is what `NetPath::from_segments(merge_collinear(..))
+/// .bends()` counts: merging only joins pieces that share a point, and
+/// a zero-length piece is never a corner. Two runs of one axis share no
+/// point, and two perpendicular runs meet at most once, so each bend is
+/// counted once.
+fn corners(segments: &mut Vec<Segment>) -> u32 {
+    segments.retain(|s| !s.is_point());
+    segments.sort_unstable();
+    // Not `Segment::merge`: its `hi + 1` overflows at `i32::MAX`.
+    segments.dedup_by(|s, run| {
+        let joins = (run.axis(), run.track()) == (s.axis(), s.track())
+            && s.span().lo() <= run.span().hi();
+        if joins {
+            *run = Segment::on_axis(run.axis(), run.track(), run.span().hull(s.span()));
+        }
+        joins
+    });
+    let (hs, vs) = segments.split_at(segments.partition_point(|s| s.axis() == Axis::Horizontal));
+    let is_end = |span: Interval, v: i32| v == span.lo() || v == span.hi();
+    let mut bends = 0;
+    for h in hs {
+        for v in vs {
+            bends += u32::from(is_end(h.span(), v.track()) && is_end(v.span(), h.track()));
+        }
+    }
+    bends
+}
+
 /// Merges collinear touching segments and drops zero-length ones.
 pub(crate) fn merge_collinear(mut segs: Vec<Segment>) -> Vec<Segment> {
     segs.retain(|s| !s.is_point());
@@ -1049,7 +1214,8 @@ mod tests {
     }
 
     fn route_two(map: &ObstacleMap, a: (Point, Dir), b: (Point, Dir)) -> Option<Connection> {
-        let mut s = Search::new(map, nid(), false, 32);
+        let mut ws = Workspace::default();
+        let mut s = Search::new(map, nid(), false, 32, &mut ws);
         s.seed(Front::A, a.0, a.1);
         s.seed(Front::B, b.0, b.1);
         s.run(&mut BudgetMeter::unlimited()).connected()
@@ -1194,7 +1360,8 @@ mod tests {
     fn expand_net_joins_existing_segment() {
         let mut map = bounded(20, 20);
         map.add(Segment::horizontal(10, 5, 15), ObstacleKind::Net(nid()));
-        let mut s = Search::new(&map, nid(), false, 32);
+        let mut ws = Workspace::default();
+        let mut s = Search::new(&map, nid(), false, 32, &mut ws);
         s.seed(Front::A, Point::new(10, 3), Dir::Up);
         let conn = s
             .run(&mut BudgetMeter::unlimited())
@@ -1243,7 +1410,8 @@ mod tests {
         map.add(Segment::vertical(10, 0, 14), ObstacleKind::Module);
         map.add(Segment::vertical(20, 6, 30), ObstacleKind::Module);
         map.add(Segment::vertical(30, 0, 14), ObstacleKind::Module);
-        let mut s = Search::new(&map, nid(), false, 32);
+        let mut ws = Workspace::default();
+        let mut s = Search::new(&map, nid(), false, 32, &mut ws);
         s.seed(Front::A, Point::new(2, 10), Dir::Right);
         s.seed(Front::B, Point::new(38, 10), Dir::Left);
         let mut meter = BudgetMeter::start(crate::Budget::new().with_node_limit(1));
@@ -1269,12 +1437,23 @@ mod tests {
     /// A search's outcome and explored rect, with sweeps pruned to the
     /// live hull or (`full`) gathering every entry on each track.
     fn run_search(map: &ObstacleMap, seeds: &[(Front, Point, Dir)], full: bool) -> String {
-        let mut s = Search::new(map, nid(), false, 12);
+        run_search_in(map, seeds, full, 4000, &mut Workspace::default())
+    }
+
+    /// [`run_search`] on the workspace `ws`, under a node limit.
+    fn run_search_in(
+        map: &ObstacleMap,
+        seeds: &[(Front, Point, Dir)],
+        full: bool,
+        nodes: u64,
+        ws: &mut Workspace,
+    ) -> String {
+        let mut s = Search::new(map, nid(), false, 12, ws);
         s.full_sweeps = full;
         for &(front, p, dir) in seeds {
             s.seed(front, p, dir);
         }
-        let result = s.run(&mut BudgetMeter::start(crate::Budget::new().with_node_limit(4000)));
+        let result = s.run(&mut BudgetMeter::start(crate::Budget::new().with_node_limit(nodes)));
         format!("{result:?} {:?}", s.explored_rect())
     }
 
@@ -1399,7 +1578,8 @@ mod tests {
     fn a_huge_plane_costs_no_more_than_a_small_one() {
         let side = 1 << 30;
         let map = bounded(side, side);
-        let mut s = Search::new(&map, nid(), false, 32);
+        let mut ws = Workspace::default();
+        let mut s = Search::new(&map, nid(), false, 32, &mut ws);
         s.seed(Front::A, Point::new(2, side / 2), Dir::Right);
         s.seed(Front::B, Point::new(side - 2, side / 3), Dir::Left);
         let mut meter = BudgetMeter::start(crate::Budget::new().with_node_limit(64));
@@ -1408,6 +1588,27 @@ mod tests {
         let path = netart_diagram::NetPath::from_segments(conn.segments.clone());
         assert!(path.connects(&[Point::new(2, side / 2), Point::new(side - 2, side / 3)]));
         assert_eq!(path.bends(), 1, "{:?}", conn.segments);
+    }
+
+    /// On a plane spanning nearly all of `i32` across, sweeps longer
+    /// than `i32::MAX` measure their progress and their wire exactly.
+    #[test]
+    fn sweeps_across_the_whole_i32_plane() {
+        let mut map = ObstacleMap::new();
+        let (west, east) = (i32::MIN + 1, i32::MAX - 1);
+        let plane = netart_geom::Rect::from_corners(Point::new(west, -10), Point::new(east, 10));
+        map.add_rect(&plane, ObstacleKind::Module);
+        let (a, b) = (Point::new(-2_000_000_000, 0), Point::new(2_000_000_000, 5));
+        let mut ws = Workspace::default();
+        let mut s = Search::new(&map, nid(), false, 32, &mut ws);
+        s.seed(Front::A, a, Dir::Up);
+        s.seed(Front::B, b, Dir::Down);
+        let conn = s.run(&mut BudgetMeter::unlimited()).connected().expect("open plane routes");
+        let path = netart_diagram::NetPath::from_segments(conn.segments.clone());
+        assert!(path.connects(&[a, b]), "{:?}", conn.segments);
+        assert_eq!(path.bends(), 1, "{:?}", conn.segments);
+        assert_eq!(path.length(), 4_000_000_005, "{:?}", conn.segments);
+        assert_eq!(s.explored_rect(), Some((west + 1, -9, east - 1, 9)));
     }
 
     fn seed_strategy() -> impl Strategy<Value = (Point, Dir)> {
@@ -1456,6 +1657,131 @@ mod tests {
                 seeds.push((Front::B, b.0, b.1));
             }
             prop_assert_eq!(run_search(&map, &seeds, false), run_search(&map, &seeds, true));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// A search on a workspace that earlier searches left behind,
+        /// finished, cut short by the node limit or abandoned after
+        /// seeding, finds the same connection and explores the same rect
+        /// as a search on a fresh workspace.
+        #[test]
+        fn reused_workspaces_match_fresh_ones(
+            obstacles in prop::collection::vec(obstacle_strategy(), 0..14),
+            searches in prop::collection::vec(
+                (seed_strategy(), seed_strategy(), any::<bool>(), 1u64..400, any::<bool>()),
+                1..6,
+            ),
+        ) {
+            let mut map = bounded(26, 18);
+            for (seg, kind) in obstacles {
+                map.add(seg, kind);
+            }
+            let mut shared = Workspace::default();
+            for (a, b, two_fronts, nodes, abandon) in searches {
+                let mut seeds = vec![(Front::A, a.0, a.1)];
+                if two_fronts {
+                    seeds.push((Front::B, b.0, b.1));
+                }
+                if abandon {
+                    let mut s = Search::new(&map, nid(), false, 12, &mut shared);
+                    s.seed(Front::A, b.0, b.1);
+                }
+                let fresh = run_search_in(&map, &seeds, false, nodes, &mut Workspace::default());
+                prop_assert_eq!(run_search_in(&map, &seeds, false, nodes, &mut shared), fresh);
+            }
+        }
+    }
+
+    /// Tracks clustered near both ends of `i32`, near zero and across
+    /// chunk boundaries.
+    fn extreme_track() -> impl Strategy<Value = i32> {
+        let centres = [i32::MIN, -70, 0, 60, i32::MAX - 140];
+        (prop::sample::select(centres.to_vec()), 0i32..140).prop_map(|(c, d)| c.saturating_add(d))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// One walk each over the map's lane and both fronts' tables stops
+        /// at the same tracks, and reads the same lists there, as the
+        /// stop-by-stop binary searches it replaced, in every direction
+        /// and while the own front's list on the swept track grows, as
+        /// `trim` grows it.
+        #[test]
+        fn stop_walks_match_stop_by_stop_lookups(
+            obstacles in prop::collection::vec((any::<bool>(), extreme_track(), extreme_track()), 0..24),
+            actives in prop::collection::vec((0usize..2, any::<bool>(), extreme_track()), 0..24),
+            from in extreme_track(),
+            dir in prop::sample::select(Dir::ALL.to_vec()),
+        ) {
+            let mut map = ObstacleMap::new();
+            for &(horizontal, track, at) in &obstacles {
+                let axis = if horizontal { Axis::Horizontal } else { Axis::Vertical };
+                let span = Interval::new(at, at.saturating_add(3));
+                map.add(Segment::on_axis(axis, track, span), ObstacleKind::Module);
+            }
+            let mut ws = Workspace::default();
+            let s = Search::new(&map, nid(), false, 12, &mut ws);
+            for (id, &(front, horizontal, track)) in actives.iter().enumerate() {
+                s.ws.index[front][usize::from(!horizontal)].push(track, id);
+            }
+            let axis = dir.segment_axis();
+            let lanes = map.lanes(axis);
+            let mut stops = Stops::new(lanes, s.ws.fronts(axis), dir, from);
+            let mut at_track = from;
+            loop {
+                let want = s.next_track(dir, at_track);
+                let got = stops.next(lanes, s.ws.fronts(axis));
+                prop_assert_eq!(got.map(|(track, _)| track), want);
+                let Some((track, at)) = got else { break };
+                prop_assert_eq!(at[0].map_or(&[][..], |stop| lanes.list(stop)), map.at(axis, track));
+                for (f, stop) in [(0, at[1]), (1, at[2])] {
+                    let table = &s.ws.index[f][axis_idx(axis)];
+                    prop_assert_eq!(stop.map_or(&[][..], |stop| table.list(stop)), table.get(track));
+                }
+                if at[1].is_some() {
+                    s.ws.index[0][axis_idx(axis)].push(track, usize::MAX);
+                }
+                at_track = track;
+            }
+        }
+    }
+
+    /// A chain of hops from a start point, each horizontal or vertical
+    /// and up to three long: zero-length hops, doubling back and
+    /// self-crossings included.
+    fn chain_strategy() -> impl Strategy<Value = Vec<Segment>> {
+        let hop = (any::<bool>(), -3i32..=3);
+        ((-4i32..4, -4i32..4), prop::collection::vec(hop, 0..14)).prop_map(|((x, y), hops)| {
+            let mut p = Point::new(x, y);
+            hops.into_iter()
+                .map(|(horizontal, d)| {
+                    let q = if horizontal { Point::new(p.x + d, p.y) } else { Point::new(p.x, p.y + d) };
+                    let hop = Segment::between(p, q).expect("axis-aligned hop");
+                    p = q;
+                    hop
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Counting a candidate's bends in place gives what the wire
+        /// built from its segments reports, on chains and on two chains
+        /// joined, as a bridge and two trace-backs are.
+        #[test]
+        fn corners_match_the_net_path_count(first in chain_strategy(), second in chain_strategy()) {
+            for segments in [first.clone(), [first, second].concat()] {
+                let merged = merge_collinear(segments.clone());
+                let want = netart_diagram::NetPath::from_segments(merged).bends();
+                let mut scratch = segments.clone();
+                prop_assert_eq!(corners(&mut scratch), want, "{:?}", segments);
+            }
         }
     }
 }

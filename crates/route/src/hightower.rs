@@ -207,7 +207,9 @@ mod tests {
         m.add(Segment::horizontal(15, 18, 25), ObstacleKind::Module);
         let got = route_two_points(&m, b, Point::new(2, 2), Point::new(20, 22));
         // The oracle: line expansion still finds it.
-        let mut s = crate::expand::Search::new(&m, netart_netlist::NetId::from_index(0), false, 64);
+        let mut ws = crate::expand::Workspace::default();
+        let net = netart_netlist::NetId::from_index(0);
+        let mut s = crate::expand::Search::new(&m, net, false, 64, &mut ws);
         s.seed(crate::expand::Front::A, Point::new(2, 2), netart_geom::Dir::Right);
         s.seed(crate::expand::Front::B, Point::new(20, 22), netart_geom::Dir::Up);
         let oracle = s.run(&mut crate::budget::BudgetMeter::unlimited());

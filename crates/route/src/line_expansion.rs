@@ -12,7 +12,7 @@ use netart_netlist::NetId;
 use netart_diagram::NetPath;
 
 use crate::budget::BudgetMeter;
-use crate::expand::{Front, Search, SearchResult};
+use crate::expand::{Front, Search, SearchResult, Workspace};
 use crate::ObstacleMap;
 
 /// Routes a two-point connection with line expansion.
@@ -61,7 +61,8 @@ pub fn route_two_points_with(
     swap_tiebreak: bool,
     max_bends: u32,
 ) -> Option<NetPath> {
-    let mut search = Search::new(map, net, swap_tiebreak, max_bends);
+    let mut ws = Workspace::default();
+    let mut search = Search::new(map, net, swap_tiebreak, max_bends, &mut ws);
     for &d in from.1 {
         search.seed(Front::A, from.0, d);
     }

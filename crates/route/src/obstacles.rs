@@ -87,7 +87,7 @@ impl ObstacleMap {
         ObstacleMap::default()
     }
 
-    fn lanes(&self, axis: Axis) -> &TrackTable<Obstacle> {
+    pub(crate) fn lanes(&self, axis: Axis) -> &TrackTable<Obstacle> {
         match axis {
             Axis::Horizontal => &self.horizontal,
             Axis::Vertical => &self.vertical,
@@ -138,7 +138,7 @@ impl ObstacleMap {
     /// obstacles on both axes, matching the paper's treatment of system
     /// terminals.
     pub fn add_rect(&mut self, rect: &Rect, kind: ObstacleKind) {
-        if rect.width() == 0 && rect.height() == 0 {
+        if rect.lower_left() == rect.upper_right() {
             self.add_point(rect.lower_left(), kind);
             return;
         }

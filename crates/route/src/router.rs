@@ -10,7 +10,7 @@ use netart_diagram::{Diagram, GhostWire, NetPath};
 use netart_fault::FaultKind;
 
 use crate::budget::BudgetMeter;
-use crate::expand::{merge_collinear, split_at_junctions, Front, Search, SearchResult};
+use crate::expand::{merge_collinear, split_at_junctions, Front, Search, SearchResult, Workspace};
 use crate::{lee, NetOrder, ObstacleKind, ObstacleMap, RouteConfig};
 
 /// Budget multiplier for the salvage cascade's escalated retry.
@@ -219,6 +219,8 @@ impl Eureka {
         }
 
         let mut map = self.build_map(diagram, &network);
+        // One search workspace serves every search of the run.
+        let mut ws = Workspace::default();
 
         // Net selection order: definition order by default, §7's
         // smarter criteria on request.
@@ -271,7 +273,7 @@ impl Eureka {
             let _guard = net_span.enter();
             let sabotage = injected.and_then(|(victim, kind)| (victim == n).then_some(kind));
             let (routed, nodes, over_budget, explored) =
-                self.attempt_net(diagram, &network, &mut map, n, sabotage);
+                self.attempt_net(diagram, &network, &mut map, &mut ws, n, sabotage);
             entry.nodes_expanded += nodes;
             entry.over_budget |= over_budget;
             entry.routed = routed;
@@ -300,7 +302,7 @@ impl Eureka {
             let _guard = net_span.enter();
             let sabotage = injected.and_then(|(victim, kind)| (victim == n).then_some(kind));
             let (routed, nodes, over, explored) = if self.config.retry_failed && !self.cancelled() {
-                self.attempt_net(diagram, &network, &mut map, n, sabotage)
+                self.attempt_net(diagram, &network, &mut map, &mut ws, n, sabotage)
             } else {
                 (false, 0, false, None)
             };
@@ -332,7 +334,7 @@ impl Eureka {
                 let net_span = span!(Level::DEBUG, "eureka.salvage", net = network.net(n).name());
                 let _guard = net_span.enter();
                 let (step, nodes_spent, ripup_victims) =
-                    self.salvage_net(diagram, &network, &mut map, n, over_budget);
+                    self.salvage_net(diagram, &network, &mut map, &mut ws, n, over_budget);
                 warn!(
                     "net salvaged",
                     net = network.net(n).name(),
@@ -435,11 +437,13 @@ impl Eureka {
     /// expand to the remaining terminals one at a time (§5.5.3). All
     /// of the net's searches share `meter`, so the budget bounds the
     /// net as a whole.
+    #[allow(clippy::too_many_arguments)]
     fn route_net(
         &self,
         diagram: &mut Diagram,
         network: &Network,
         map: &mut ObstacleMap,
+        ws: &mut Workspace,
         net: NetId,
         meter: &mut BudgetMeter,
         explored: &mut Option<(i32, i32, i32, i32)>,
@@ -496,7 +500,7 @@ impl Eureka {
             let mut initiated = false;
             for (i, j) in pairs {
                 let mut search =
-                    Search::new(map, net, self.config.swap_tiebreak, self.config.max_bends);
+                    Search::new(map, net, self.config.swap_tiebreak, self.config.max_bends, ws);
                 for &d in &pins[i].1 {
                     search.seed(Front::A, pins[i].0, d);
                 }
@@ -526,7 +530,8 @@ impl Eureka {
                 .filter(|&i| !connected[i])
                 .min_by_key(|&i| dist_to_wires(pins[i].0, &wired));
             let Some(i) = next else { break };
-            let mut search = Search::new(map, net, self.config.swap_tiebreak, self.config.max_bends);
+            let mut search =
+                Search::new(map, net, self.config.swap_tiebreak, self.config.max_bends, ws);
             for &d in &pins[i].1 {
                 search.seed(Front::A, pins[i].0, d);
             }
@@ -594,6 +599,7 @@ impl Eureka {
         diagram: &mut Diagram,
         network: &Network,
         map: &mut ObstacleMap,
+        ws: &mut Workspace,
         net: NetId,
         sabotage: Option<FaultKind>,
     ) -> AttemptResult {
@@ -605,7 +611,7 @@ impl Eureka {
         let mut meter = self.meter(budget);
         let mut explored = None;
         let mut routed = sabotage != Some(FaultKind::Error)
-            && self.route_net(diagram, network, map, net, &mut meter, &mut explored);
+            && self.route_net(diagram, network, map, ws, net, &mut meter, &mut explored);
         if routed {
             if sabotage == Some(FaultKind::GarbageOutput) {
                 if let Some(path) = diagram.clear_route(net) {
@@ -698,6 +704,7 @@ impl Eureka {
         diagram: &mut Diagram,
         network: &Network,
         map: &mut ObstacleMap,
+        ws: &mut Workspace,
         net: NetId,
         over_budget: bool,
     ) -> (SalvageStep, u64, u32) {
@@ -734,7 +741,7 @@ impl Eureka {
             let mut ok = {
                 let mut meter = self.meter(ripup_budget);
                 let routed =
-                    self.route_net(diagram, network, map, net, &mut meter, &mut None);
+                    self.route_net(diagram, network, map, ws, net, &mut meter, &mut None);
                 nodes_spent += meter.spent();
                 routed
             };
@@ -748,7 +755,7 @@ impl Eureka {
                     }
                     let mut meter = self.meter(ripup_budget);
                     let routed =
-                        self.route_net(diagram, network, map, *v, &mut meter, &mut None);
+                        self.route_net(diagram, network, map, ws, *v, &mut meter, &mut None);
                     nodes_spent += meter.spent();
                     if !routed {
                         ok = false;
@@ -1022,6 +1029,39 @@ mod tests {
         assert!(report.failed.is_empty(), "{report:?}");
         assert_eq!(report.routed.len(), 2);
         assert!(metrics.total_length > far as u64, "{metrics:?}");
+        assert!(check.is_ok(), "{check}");
+        assert!(took < std::time::Duration::from_millis(250), "{took:?}");
+    }
+
+    /// A placement wider than `i32::MAX` routes, measures and checks
+    /// as promptly: three buffers at x = -1.09×10⁹, 0 and 1.09×10⁹.
+    #[test]
+    fn a_placement_wider_than_i32_routes_in_no_time() {
+        let (lib, t) = buf_lib();
+        let mut b = NetworkBuilder::new(lib);
+        let u0 = b.add_instance("u0", t).unwrap();
+        let u1 = b.add_instance("u1", t).unwrap();
+        let u2 = b.add_instance("u2", t).unwrap();
+        b.connect_pin("n", u0, "y").unwrap();
+        b.connect_pin("n", u1, "a").unwrap();
+        b.connect_pin("m", u1, "y").unwrap();
+        b.connect_pin("m", u2, "a").unwrap();
+        let network = b.finish().unwrap();
+        let mut placement = netart_diagram::Placement::new(&network);
+        let far = 1_090_000_000;
+        placement.place_module(u0, Point::new(-far, 0), Rotation::R0);
+        placement.place_module(u1, Point::new(0, 0), Rotation::R0);
+        placement.place_module(u2, Point::new(far, 0), Rotation::R0);
+        let mut d = Diagram::new(network, placement);
+        let start = std::time::Instant::now();
+        let report = Eureka::new(RouteConfig::default()).route(&mut d);
+        let metrics = d.metrics();
+        let check = d.check();
+        let took = start.elapsed();
+        assert!(report.failed.is_empty(), "{report:?}");
+        assert_eq!(report.routed.len(), 2);
+        assert_eq!(metrics.bounding_area, (2 * far as u64 + 4) * 2);
+        assert_eq!(metrics.total_length, 2 * far as u64 - 8, "{metrics:?}");
         assert!(check.is_ok(), "{check}");
         assert!(took < std::time::Duration::from_millis(250), "{took:?}");
     }

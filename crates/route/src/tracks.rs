@@ -11,9 +11,14 @@
 //! * The next occupied track above or below is a bit scan, in the
 //!   chunk at hand or the neighbouring one.
 //! * A range walk visits only occupied tracks.
+//! * A [`Walk`] steps from one occupied track to the next with no
+//!   search at all: it keeps a chunk index and the bits of that chunk
+//!   still ahead, and borrows nothing between steps.
 //!
 //! Memory grows with the occupied chunks, never with the coordinate
-//! extent, so the whole `i32` plane stays addressable.
+//! extent, so the whole `i32` plane stays addressable. A table keeps a
+//! few emptied small lists for its next new tracks, so one that is
+//! cleared and refilled, as a search's tables are, allocates little.
 
 /// Tracks per chunk, as a shift.
 const CHUNK_BITS: u32 = 6;
@@ -71,11 +76,19 @@ impl<T> Chunk<T> {
 #[derive(Debug, Clone)]
 pub(crate) struct TrackTable<T> {
     chunks: Vec<Chunk<T>>,
+    /// Emptied small lists, kept for the next new tracks.
+    spare: Vec<Vec<T>>,
 }
+
+/// How many emptied lists a table keeps at most.
+const SPARE: usize = 32;
+/// The largest capacity of a list a table keeps: that of a list's
+/// first allocation, so the spare lists hold little memory.
+const SPARE_CAPACITY: usize = 4;
 
 impl<T> Default for TrackTable<T> {
     fn default() -> Self {
-        TrackTable { chunks: Vec::new() }
+        TrackTable { chunks: Vec::new(), spare: Vec::new() }
     }
 }
 
@@ -107,17 +120,27 @@ impl<T> TrackTable<T> {
         let slot = chunk.rank(off);
         if !chunk.has(off) {
             chunk.occupied |= 1 << off;
-            chunk.slots.insert(slot, Vec::new());
+            chunk.slots.insert(slot, self.spare.pop().unwrap_or_default());
         }
         let out = edit(&mut chunk.slots[slot]);
         if chunk.slots[slot].is_empty() {
-            chunk.slots.remove(slot);
+            let list = chunk.slots.remove(slot);
             chunk.occupied &= !(1 << off);
             if chunk.occupied == 0 {
                 self.chunks.remove(ci);
             }
+            self.recycle(list);
         }
         out
+    }
+
+    /// Keeps an emptied list for the next new track, when it is small
+    /// and fewer than [`SPARE`] are kept already.
+    fn recycle(&mut self, mut list: Vec<T>) {
+        if self.spare.len() < SPARE && list.capacity() <= SPARE_CAPACITY {
+            list.clear();
+            self.spare.push(list);
+        }
     }
 
     /// Appends a value to a track.
@@ -166,34 +189,41 @@ impl<T> TrackTable<T> {
 
     /// The nearest occupied track strictly above `from`.
     pub(crate) fn next_above(&self, from: i32) -> Option<i32> {
-        let (base, off) = split(from.checked_add(1)?);
-        let mut i = self.chunks.partition_point(|c| c.base < base);
-        let chunk = self.chunks.get(i)?;
-        if chunk.base == base {
-            let word = chunk.occupied & (u64::MAX << off);
-            if word != 0 {
-                return Some(base + word.trailing_zeros() as i32);
-            }
-            i += 1;
-        }
-        let chunk = self.chunks.get(i)?;
-        Some(chunk.base + chunk.occupied.trailing_zeros() as i32)
+        Some(self.walk(from, true).next(self)?.track)
     }
 
     /// The nearest occupied track strictly below `from`.
     pub(crate) fn next_below(&self, from: i32) -> Option<i32> {
-        let (base, off) = split(from.checked_sub(1)?);
-        let mut i = self.chunks.partition_point(|c| c.base <= base);
-        let chunk = &self.chunks[i.checked_sub(1)?];
-        if chunk.base == base {
-            let word = chunk.occupied & bits_between(0, off);
-            if word != 0 {
-                return Some(base + 63 - word.leading_zeros() as i32);
-            }
-            i -= 1;
+        Some(self.walk(from, false).next(self)?.track)
+    }
+
+    /// A walk over the occupied tracks strictly above `from` (`up`) or
+    /// strictly below it, nearest first.
+    pub(crate) fn walk(&self, from: i32, up: bool) -> Walk {
+        let start = if up { from.checked_add(1) } else { from.checked_sub(1) };
+        let Some(start) = start else {
+            // Nothing lies beyond either end of `i32`.
+            return Walk { chunk: self.chunks.len(), word: 0, up: true };
+        };
+        let (base, off) = split(start);
+        let ahead = if up { u64::MAX << off } else { bits_between(0, off) };
+        let i = self.chunks.partition_point(|c| c.base < base);
+        match self.chunks.get(i) {
+            Some(c) if c.base == base => Walk { chunk: i, word: c.occupied & ahead, up },
+            // The chunk at `i` lies wholly above `start`, and the one
+            // before it wholly below.
+            Some(c) if up => Walk { chunk: i, word: c.occupied, up },
+            _ if up => Walk { chunk: i, word: 0, up },
+            _ => match i.checked_sub(1) {
+                Some(j) => Walk { chunk: j, word: self.chunks[j].occupied, up },
+                None => Walk { chunk: 0, word: 0, up },
+            },
         }
-        let chunk = &self.chunks[i.checked_sub(1)?];
-        Some(chunk.base + 63 - chunk.occupied.leading_zeros() as i32)
+    }
+
+    /// The list of a track a [`Walk`] stopped at.
+    pub(crate) fn list(&self, stop: Stop) -> &[T] {
+        &self.chunks[stop.chunk].slots[stop.slot]
     }
 
     /// The occupied tracks in `lo..=hi`, ascending, with their lists.
@@ -214,6 +244,16 @@ impl<T> TrackTable<T> {
         self.range(i32::MIN, i32::MAX)
     }
 
+    /// Drops every track, keeping the chunk list's capacity and a few
+    /// of the emptied lists.
+    pub(crate) fn clear(&mut self) {
+        let mut chunks = std::mem::take(&mut self.chunks);
+        for list in chunks.drain(..).flat_map(|c| c.slots) {
+            self.recycle(list);
+        }
+        self.chunks = chunks;
+    }
+
     /// How many tracks are occupied.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
@@ -224,6 +264,41 @@ impl<T> TrackTable<T> {
     #[cfg(test)]
     fn chunk_count(&self) -> usize {
         self.chunks.len()
+    }
+}
+
+/// An occupied track met by a [`Walk`], and where its list sits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stop {
+    pub(crate) track: i32,
+    chunk: usize,
+    slot: usize,
+}
+
+/// A walk over a table's occupied tracks in one direction, nearest
+/// first: the chunk at hand and its bits still ahead. It borrows
+/// nothing, so the table may change between steps as long as its
+/// chunks and occupancy words do not. Pushing onto a track that is
+/// already occupied changes neither, and a [`Stop`] met before such a
+/// push still reads the track's list.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Walk {
+    chunk: usize,
+    word: u64,
+    up: bool,
+}
+
+impl Walk {
+    /// The next occupied track of `table`, the table this walk started on.
+    pub(crate) fn next<T>(&mut self, table: &TrackTable<T>) -> Option<Stop> {
+        while self.word == 0 {
+            self.chunk = if self.up { self.chunk + 1 } else { self.chunk.checked_sub(1)? };
+            self.word = table.chunks.get(self.chunk)?.occupied;
+        }
+        let off = if self.up { self.word.trailing_zeros() } else { 63 - self.word.leading_zeros() };
+        self.word &= !(1 << off);
+        let chunk = &table.chunks[self.chunk];
+        Some(Stop { track: chunk.base + off as i32, chunk: self.chunk, slot: chunk.rank(off) })
     }
 }
 
@@ -316,6 +391,22 @@ mod tests {
                     prop_assert_eq!(table.get(t), oracle.get(&t).map_or(&[][..], Vec::as_slice));
                     prop_assert_eq!(table.next_above(t), oracle_next_above(&oracle, t));
                     prop_assert_eq!(table.next_below(t), oracle_next_below(&oracle, t));
+                }
+                for &t in &probes {
+                    for up in [true, false] {
+                        let mut walk = table.walk(t, up);
+                        let got: Vec<(i32, &[u8])> = std::iter::from_fn(|| walk.next(&table))
+                            .map(|stop| (stop.track, table.list(stop)))
+                            .collect();
+                        let beyond: Vec<(&i32, &Vec<u8>)> = if up {
+                            oracle.range(t..).filter(|&(&k, _)| k > t).collect()
+                        } else {
+                            oracle.range(..t).rev().collect()
+                        };
+                        let want: Vec<(i32, &[u8])> =
+                            beyond.into_iter().map(|(&k, l)| (k, l.as_slice())).collect();
+                        prop_assert_eq!(got, want);
+                    }
                 }
                 for &(a, b) in &spans {
                     let (lo, hi) = (a.min(b), a.max(b));
