@@ -25,7 +25,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use netart::diagram::svg;
 use netart::netlist::doctor::{DoctorCode, InputPolicy};
 use netart::netlist::ingest::{self, IngestBudgets, IngestError, Record};
 use netart::netlist::Library;
@@ -35,11 +34,10 @@ use netart::place::PlaceConfig;
 use netart_engine::{EngineConfig, JobContext, JobFailure, JobSuccess};
 
 use crate::commands::{
-    arm_faults, budget_from_args, budgets_from_args, emit_artifacts, exhausted_output,
-    input_policy, install_subscriber, install_subscriber_with, load_library, load_network_files,
-    ns, stdout_claimed, write_or_stdout, CliError, RunOutput,
+    budget_from_args, emit_artifacts, load_library, load_network_files, ns, CliError,
 };
-use crate::ParsedArgs;
+use crate::session::{push_warnings, RunOutput, Session, Spec};
+use crate::sys;
 
 /// Set by the process signal handler; bridged onto the engine's drain
 /// token by [`run_batch`]'s poller thread.
@@ -50,25 +48,7 @@ static SIGNAL_DRAIN: AtomicBool = AtomicBool::new(false);
 /// [`run_batch`]; in-process callers (tests) may skip it and drive
 /// drain through the engine directly.
 pub fn install_drain_handlers() {
-    #[cfg(unix)]
-    {
-        extern "C" fn on_signal(_signum: i32) {
-            SIGNAL_DRAIN.store(true, Ordering::SeqCst);
-        }
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        // SAFETY: the handler only performs an atomic store, which is
-        // async-signal-safe; the raw `signal` binding avoids a libc
-        // dependency.
-        unsafe {
-            let handler = on_signal as *const () as usize;
-            let _ = signal(SIGINT, handler);
-            let _ = signal(SIGTERM, handler);
-        }
-    }
+    sys::on_signals(&[sys::SIGINT, sys::SIGTERM], &SIGNAL_DRAIN);
 }
 
 /// Whether a SIGINT/SIGTERM drain request is pending. Observed by
@@ -82,26 +62,10 @@ pub(crate) fn signal_drain_requested() -> bool {
 static SIGNAL_FLIGHT: AtomicBool = AtomicBool::new(false);
 
 /// Installs a SIGUSR1 handler that requests an on-demand blackbox
-/// dump from the running `netart serve`. Same raw-`signal` pattern as
-/// [`install_drain_handlers`]; called by the binary before
+/// dump from the running `netart serve`. Called by the binary before
 /// [`crate::run_serve`].
 pub fn install_flight_handler() {
-    #[cfg(unix)]
-    {
-        extern "C" fn on_signal(_signum: i32) {
-            SIGNAL_FLIGHT.store(true, Ordering::SeqCst);
-        }
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        const SIGUSR1: i32 = 10;
-        // SAFETY: the handler only performs an atomic store, which is
-        // async-signal-safe; the raw `signal` binding avoids a libc
-        // dependency.
-        unsafe {
-            let _ = signal(SIGUSR1, on_signal as *const () as usize);
-        }
-    }
+    sys::on_signals(&[sys::SIGUSR1], &SIGNAL_FLIGHT);
 }
 
 /// Takes (and clears) a pending SIGUSR1 dump request, so one signal
@@ -190,10 +154,7 @@ fn collect_jobs(
         let path = PathBuf::from(operand);
         if path.is_dir() {
             let mut nets: Vec<PathBuf> = std::fs::read_dir(&path)
-                .map_err(|source| CliError::Io {
-                    path: path.clone(),
-                    source,
-                })?
+                .map_err(CliError::io(&path))?
                 .filter_map(Result::ok)
                 .map(|e| e.path())
                 .filter(|p| p.extension().is_some_and(|e| e == "net"))
@@ -214,10 +175,7 @@ fn collect_jobs(
             // A manifest is a record file, read under the input budget
             // like every other — a hostile multi-gigabyte "manifest" is
             // refused, not slurped.
-            let file = std::fs::File::open(&path).map_err(|source| CliError::Io {
-                path: path.clone(),
-                source,
-            })?;
+            let file = std::fs::File::open(&path).map_err(CliError::io(&path))?;
             let records =
                 ingest::read_records(std::io::BufReader::new(file), &budgets.input, "batch manifest")
                     .map_err(|e| match e {
@@ -261,14 +219,8 @@ fn collect_jobs(
 /// batches) never observe a partial file.
 fn write_atomic(path: &Path, contents: &str) -> Result<(), CliError> {
     let tmp = PathBuf::from(format!("{}.tmp", path.display()));
-    std::fs::write(&tmp, contents).map_err(|source| CliError::Io {
-        path: tmp.clone(),
-        source,
-    })?;
-    std::fs::rename(&tmp, path).map_err(|source| CliError::Io {
-        path: path.to_owned(),
-        source,
-    })
+    std::fs::write(&tmp, contents).map_err(CliError::io(&tmp))?;
+    std::fs::rename(&tmp, path).map_err(CliError::io(path))
 }
 
 /// One pipeline attempt for one job. Classification contract with the
@@ -347,7 +299,6 @@ fn attempt_job(
         &outcome,
         "netart",
         &job.stem,
-        svg::render_with_structure,
         ("parse", parse_ns),
         &alloc_base,
         &mut cli_degs,
@@ -392,21 +343,12 @@ fn attempt_job(
 /// Any [`CliError`] condition (bad flags, no jobs, unreadable
 /// library, unwritable manifest).
 pub fn run_batch(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "jobs", "max-attempts", "job-timeout", "drain-grace", "route-timeout", "max-nodes",
-            "L", "out-dir", "report-json", "input-policy", "inject", "trace-level",
-            "max-input-bytes", "max-network-bytes", "blackbox",
-        ],
-        &["log-json", "strict"],
-        (1, usize::MAX),
-    )?;
-    let message_to_stderr = stdout_claimed(&args)?;
+    let session = Session::parse(&BATCH, argv)?;
     // `--blackbox <path>` arms the flight recorder: span closes and
     // events ride the fan-out into a bounded ring, and a quarantined
     // job freezes the ring into a post-mortem dump at that path.
-    let _trace = if let Some(path) = args.value("blackbox") {
+    let mut recorders: Vec<Box<dyn tracing::Subscriber>> = Vec::new();
+    if let Some(path) = session.args.value("blackbox") {
         let (recorder, handle) =
             FlightRecorder::new(FlightRecorder::DEFAULT_CAPACITY, tracing::Level::INFO);
         let path = PathBuf::from(path);
@@ -416,50 +358,50 @@ pub fn run_batch(argv: &[String]) -> Result<RunOutput, CliError> {
                 handle.note_degradation("flight_dump_failed");
             }
         })));
-        install_subscriber_with(&args, vec![Box::new(recorder)])?
-    } else {
-        install_subscriber(&args)?
-    };
-    arm_faults(&args)?;
-    let policy = input_policy(&args)?;
-    let base_budget = budget_from_args(&args)?;
-    let ingest_budgets = budgets_from_args(&args)?;
-    let strict = args.has("strict");
+        recorders.push(Box::new(recorder));
+    }
+    let session = session.start(recorders)?;
+    session.close(batch(&session))
+}
+
+/// Batch writes its manifest, not a trace: no `--trace-out`.
+static BATCH: Spec = Spec {
+    shared: &[
+        "trace-level", "log-json", "report-json", "input-policy", "inject", "max-input-bytes",
+        "max-network-bytes", "strict",
+    ],
+    options: &[
+        "jobs", "max-attempts", "job-timeout", "drain-grace", "route-timeout", "max-nodes", "L",
+        "out-dir", "blackbox",
+    ],
+    switches: &[],
+    operands: (1, usize::MAX),
+    newline: true,
+};
+
+fn batch(session: &Session) -> Result<RunOutput, CliError> {
+    let args = &session.args;
+    let policy = session.policy;
+    let base_budget = budget_from_args(args)?;
+    let ingest_budgets = &session.budgets;
+    let strict = session.strict();
 
     let mut lib_degs = Vec::new();
-    let lib = match load_library(&args, policy, &ingest_budgets, &mut lib_degs) {
-        Ok(lib) => lib,
-        Err(e @ CliError::ResourceExhausted { .. }) => {
-            return Ok(exhausted_output(&e, strict, message_to_stderr))
-        }
-        Err(e) => return Err(e),
-    };
-    let jobs = match collect_jobs(args.positionals(), &ingest_budgets) {
-        Ok(jobs) => jobs,
-        Err(e @ CliError::ResourceExhausted { .. }) => {
-            return Ok(exhausted_output(&e, strict, message_to_stderr))
-        }
-        Err(e) => return Err(e),
-    };
+    let lib = load_library(session, &mut lib_degs)?;
+    let jobs = collect_jobs(args.positionals(), ingest_budgets)?;
     let inputs: Vec<String> = jobs.keys().cloned().collect();
     let out_dir = PathBuf::from(args.value("out-dir").unwrap_or("."));
-    std::fs::create_dir_all(&out_dir).map_err(|source| CliError::Io {
-        path: out_dir.clone(),
-        source,
-    })?;
+    std::fs::create_dir_all(&out_dir).map_err(CliError::io(&out_dir))?;
 
-    let ms_flag = |flag: &str, default: u64| -> Result<u64, CliError> {
-        args.parsed(flag, default).map_err(CliError::Args)
-    };
     let job_timeout = match args.value("job-timeout") {
-        Some(_) => Some(Duration::from_millis(ms_flag("job-timeout", 0)?)),
+        Some(_) => Some(Duration::from_millis(args.parsed("job-timeout", 0)?)),
         None => None,
     };
     let config = EngineConfig {
         workers: args.parsed("jobs", 1u32)?,
         max_attempts: args.parsed("max-attempts", 3u32)?,
         job_timeout,
-        drain_grace: Duration::from_millis(ms_flag("drain-grace", 5_000)?),
+        drain_grace: Duration::from_millis(args.parsed("drain-grace", 5_000)?),
     };
 
     // Bridge the process signal flag onto the engine's drain token.
@@ -492,7 +434,7 @@ pub fn run_batch(argv: &[String]) -> Result<RunOutput, CliError> {
                 &lib,
                 policy,
                 base_budget,
-                &ingest_budgets,
+                ingest_budgets,
                 &out_dir,
                 strict,
             ),
@@ -507,9 +449,7 @@ pub fn run_batch(argv: &[String]) -> Result<RunOutput, CliError> {
         netart_engine::set_quarantine_hook(None);
     }
 
-    if let Some(path) = args.value("report-json") {
-        write_or_stdout(path, &manifest.to_json_string())?;
-    }
+    session.write_stream("report-json", || manifest.to_json_string())?;
 
     let s = &manifest.summary;
     let mut message = format!(
@@ -523,12 +463,7 @@ pub fn run_batch(argv: &[String]) -> Result<RunOutput, CliError> {
         s.skipped,
         if manifest.drained { " (drained)" } else { "" },
     );
-    for d in &lib_degs {
-        message.push_str(&format!(
-            "\nwarning: {}",
-            d.detail.as_deref().unwrap_or(&d.kind)
-        ));
-    }
+    push_warnings(&mut message, &lib_degs);
     for job in &manifest.jobs {
         if let Some(error) = &job.error {
             message.push_str(&format!(
@@ -539,10 +474,5 @@ pub fn run_batch(argv: &[String]) -> Result<RunOutput, CliError> {
             ));
         }
     }
-    Ok(RunOutput {
-        message,
-        degraded: manifest.exit_code() != 0,
-        strict,
-        message_to_stderr,
-    })
+    Ok(RunOutput::new(message, manifest.exit_code() != 0))
 }

@@ -7,18 +7,5 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match netart_cli::run_eureka(&argv) {
-        Ok(out) => {
-            if out.message_to_stderr {
-                eprintln!("{}", out.message);
-            } else {
-                println!("{}", out.message);
-            }
-            out.exit_code()
-        }
-        Err(e) => {
-            eprintln!("eureka: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    netart_cli::finish("eureka", netart_cli::run_eureka(&argv))
 }

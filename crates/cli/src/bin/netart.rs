@@ -22,125 +22,38 @@
 
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("batch") {
+use netart_cli::{CliError, RunOutput};
+
+type Command = fn(&[String]) -> Result<RunOutput, CliError>;
+
+/// The subcommands, matched by their leading words in order; anything
+/// else is the umbrella pipeline itself.
+const SUBCOMMANDS: &[(&[&str], Command)] = &[
+    (&["batch"], |argv| {
         netart_cli::install_drain_handlers();
-        return match netart_cli::run_batch(&argv[1..]) {
-            Ok(out) => {
-                if out.message_to_stderr {
-                    eprintln!("{}", out.message);
-                } else {
-                    println!("{}", out.message);
-                }
-                out.exit_code()
-            }
-            Err(e) => {
-                eprintln!("netart batch: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("serve") {
+        netart_cli::run_batch(argv)
+    }),
+    (&["serve"], |argv| {
         netart_cli::install_drain_handlers();
         netart_cli::install_flight_handler();
-        return match netart_cli::run_serve(&argv[1..]) {
-            Ok(out) => {
-                if out.message_to_stderr {
-                    eprintln!("{}", out.message);
-                } else {
-                    println!("{}", out.message);
-                }
-                out.exit_code()
-            }
-            Err(e) => {
-                eprintln!("netart serve: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("stress") {
-        return match netart_cli::run_stress(&argv[1..]) {
-            Ok(out) => {
-                if out.message_to_stderr {
-                    eprintln!("{}", out.message);
-                } else {
-                    println!("{}", out.message);
-                }
-                out.exit_code()
-            }
-            Err(e) => {
-                eprintln!("netart stress: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("profile") {
-        return match netart_cli::run_profile(&argv[1..]) {
-            Ok(out) => {
-                if out.message_to_stderr {
-                    eprint!("{}", out.message);
-                } else {
-                    print!("{}", out.message);
-                }
-                out.exit_code()
-            }
-            Err(e) => {
-                eprintln!("netart profile: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("blackbox") {
-        return match netart_cli::run_blackbox(&argv[1..]) {
-            Ok(out) => {
-                print!("{}", out.message);
-                out.exit_code()
-            }
-            Err(e) => {
-                eprintln!("netart blackbox: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("report") {
-        return match argv.get(1).map(String::as_str) {
-            Some("diff") => match netart_cli::run_report_diff(&argv[2..]) {
-                Ok(out) => {
-                    if out.message_to_stderr {
-                        eprintln!("{}", out.message);
-                    } else {
-                        println!("{}", out.message);
-                    }
-                    if out.regressed {
-                        ExitCode::from(3)
-                    } else {
-                        ExitCode::SUCCESS
-                    }
-                }
-                Err(e) => {
-                    eprintln!("netart report diff: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            _ => {
-                eprintln!("netart report: unknown subcommand (expected `diff`)");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    match netart_cli::run_netart(&argv) {
-        Ok(out) => {
-            if out.message_to_stderr {
-                eprintln!("{}", out.message);
-            } else {
-                println!("{}", out.message);
-            }
-            out.exit_code()
-        }
-        Err(e) => {
-            eprintln!("netart: {e}");
-            ExitCode::FAILURE
+        netart_cli::run_serve(argv)
+    }),
+    (&["stress"], netart_cli::run_stress),
+    (&["profile"], netart_cli::run_profile),
+    (&["blackbox"], netart_cli::run_blackbox),
+    (&["report", "diff"], netart_cli::run_report_diff),
+    (&["report"], |_| {
+        Err(CliError::Other("unknown subcommand (expected `diff`)".into()))
+    }),
+];
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    for (words, run) in SUBCOMMANDS {
+        if argv.len() >= words.len() && argv.iter().zip(*words).all(|(a, w)| a == w) {
+            let tool = format!("netart {}", words.join(" "));
+            return netart_cli::finish(&tool, run(&argv[words.len()..]));
         }
     }
+    netart_cli::finish("netart", netart_cli::run_netart(&argv))
 }

@@ -4,18 +4,5 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match netart_cli::run_pablo(&argv) {
-        Ok(out) => {
-            if out.message_to_stderr {
-                eprintln!("{}", out.message);
-            } else {
-                println!("{}", out.message);
-            }
-            out.exit_code()
-        }
-        Err(e) => {
-            eprintln!("pablo: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    netart_cli::finish("pablo", netart_cli::run_pablo(&argv))
 }

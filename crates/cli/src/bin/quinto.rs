@@ -4,18 +4,5 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match netart_cli::run_quinto(&argv) {
-        Ok(out) => {
-            if out.message_to_stderr {
-                eprintln!("{}", out.message);
-            } else {
-                println!("{}", out.message);
-            }
-            out.exit_code()
-        }
-        Err(e) => {
-            eprintln!("quinto: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    netart_cli::finish("quinto", netart_cli::run_quinto(&argv))
 }

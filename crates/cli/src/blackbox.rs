@@ -12,8 +12,8 @@ use std::path::Path;
 
 use netart::obs::{BlackboxDump, Json};
 
-use crate::commands::{read, CliError, RunOutput};
-use crate::ParsedArgs;
+use crate::commands::{read, CliError};
+use crate::session::{RunOutput, Session, Spec};
 
 /// Writes a blackbox dump under the `obs.flight` fault site. Any
 /// fired kind (panic included) or I/O failure degrades to `false`: a
@@ -41,24 +41,23 @@ pub(crate) fn write_dump(path: &Path, dump: &netart::obs::BlackboxDump) -> bool 
 /// [`CliError::Io`] when the file cannot be read, [`CliError::Parse`]
 /// when it is not JSON or not a supported blackbox schema version.
 pub fn run_blackbox(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(argv, &[], &[], (1, 1))?;
-    let path = Path::new(&args.positionals()[0]);
-    let text = read(path)?;
-    let json = Json::parse(&text).map_err(|e| CliError::Parse {
-        path: path.to_owned(),
-        message: e.to_string(),
-    })?;
-    let dump = BlackboxDump::from_json(&json).map_err(|message| CliError::Parse {
-        path: path.to_owned(),
-        message,
-    })?;
-    Ok(RunOutput {
-        message: dump.render_timeline(),
-        degraded: false,
-        strict: false,
-        message_to_stderr: false,
+    Session::run(&BLACKBOX, argv, |session| {
+        let path = Path::new(&session.args.positionals()[0]);
+        let text = read(path)?;
+        let json = Json::parse(&text).map_err(CliError::parse(path))?;
+        let dump = BlackboxDump::from_json(&json).map_err(CliError::parse(path))?;
+        Ok(RunOutput::new(dump.render_timeline(), false))
     })
 }
+
+/// The timeline ends its own lines: printed as is.
+static BLACKBOX: Spec = Spec {
+    shared: &[],
+    options: &[],
+    switches: &[],
+    operands: (1, 1),
+    newline: false,
+};
 
 #[cfg(test)]
 mod tests {

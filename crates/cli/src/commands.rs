@@ -1,10 +1,11 @@
-//! The `pablo`, `eureka` and `quinto` command implementations.
+//! The `pablo`, `eureka`, `quinto`, `netart` and `netart report diff`
+//! command implementations, and the loading and emitting helpers the
+//! other subcommands share.
 
 use std::error::Error;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use netart::diagram::{escher, svg, Diagram, DiagramMetrics};
@@ -14,148 +15,19 @@ use netart::netlist::ingest::{self, IngestBudgets, IngestError, Record};
 use netart::netlist::{Library, Network, Template};
 use netart_govern::MemBudget;
 use netart::obs::{
-    AllocSnapshot, DegradationReport, DiffConfig, FanoutSubscriber, Json, JsonLinesSubscriber,
-    ProfileReport, ReportDiff, RunReport, TextSubscriber, TraceBuffer, TraceEventSubscriber,
+    AllocSnapshot, DegradationReport, DiffConfig, Json, ProfileReport, ReportDiff, RunReport,
 };
 use netart_fault::FaultKind;
 use netart::place::{Pablo, PlaceConfig};
 use netart::route::{Budget, NetOrder, RouteConfig};
 use netart::{Generator, Outcome};
 
+use crate::session::{push_warnings, RunOutput, Session, Spec, ALL_SHARED, UNREPORTED};
 use crate::{ArgError, ParsedArgs};
 
 /// Nanoseconds of a duration, saturating at `u64::MAX`.
 pub(crate) fn ns(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-/// Parses the shared observability flags and installs the matching
-/// subscriber. `--trace-level <error|warn|info|debug|trace>` turns on
-/// the human-readable text stream on stderr; `--log-json` switches the
-/// stream to one JSON object per line (at `--trace-level`, defaulting
-/// to `info`); `--trace-out <path>` additionally records every span
-/// and event into a Chrome trace-event buffer, returned here so the
-/// caller can write it after the run. Without any flag no subscriber
-/// is installed and the library instrumentation stays disabled.
-pub(crate) fn install_subscriber(args: &ParsedArgs) -> Result<Option<TraceBuffer>, CliError> {
-    install_subscriber_with(args, Vec::new())
-}
-
-/// [`install_subscriber`] with caller-supplied extra children ahead of
-/// the flag-driven ones — `netart serve` threads its flight recorder
-/// in here. Under the `alloc-profile` feature a phase-tag subscriber
-/// is always appended (even with no tracing flags at all), so heap
-/// attribution works on an otherwise silent run.
-pub(crate) fn install_subscriber_with(
-    args: &ParsedArgs,
-    extra: Vec<Box<dyn tracing::Subscriber>>,
-) -> Result<Option<TraceBuffer>, CliError> {
-    let level = match args.value("trace-level") {
-        Some(s) => Some(s.parse::<tracing::Level>().map_err(|_| ArgError::BadValue {
-            flag: "trace-level".into(),
-            value: s.into(),
-        })?),
-        None => None,
-    };
-    let mut children: Vec<Box<dyn tracing::Subscriber>> = extra;
-    if args.has("log-json") {
-        children.push(Box::new(JsonLinesSubscriber::new(
-            level.unwrap_or(tracing::Level::INFO),
-        )));
-    } else if let Some(max) = level {
-        children.push(Box::new(TextSubscriber::new(max)));
-    }
-    let mut buffer = None;
-    if args.value("trace-out").is_some() {
-        // The trace file is for offline inspection, so record
-        // everything the instrumentation offers regardless of the
-        // stderr stream's level.
-        let (subscriber, buf) = TraceEventSubscriber::new(tracing::Level::TRACE);
-        children.push(Box::new(subscriber));
-        buffer = Some(buf);
-    }
-    #[cfg(feature = "alloc-profile")]
-    children.push(Box::new(netart::obs::PhaseTagSubscriber));
-    if !children.is_empty() {
-        // Lenient: in-process callers (tests) may install twice; the
-        // first subscriber wins, which is fine for a diagnostics
-        // stream (a second run's trace buffer then stays empty).
-        let _ = tracing::set_global_default(FanoutSubscriber::new(children));
-    }
-    Ok(buffer)
-}
-
-/// Which streams claim stdout (`--report-json -` / `--trace-out -`).
-/// At most one may; the human-readable summary then moves to stderr so
-/// the machine-readable stream stays parseable.
-pub(crate) fn stdout_claimed(args: &ParsedArgs) -> Result<bool, CliError> {
-    let report = args.value("report-json") == Some("-");
-    let trace = args.value("trace-out") == Some("-");
-    if report && trace {
-        return Err(CliError::Other(
-            "--report-json - and --trace-out - both claim stdout; write at most one stream there"
-                .into(),
-        ));
-    }
-    Ok(report || trace)
-}
-
-/// Writes `text` to `path`, where `-` means stdout.
-pub(crate) fn write_or_stdout(path: &str, text: &str) -> Result<(), CliError> {
-    if path == "-" {
-        print!("{text}");
-        Ok(())
-    } else {
-        write(Path::new(path), text)
-    }
-}
-
-/// Writes the machine-readable run report when `--report-json <path>`
-/// was given (`-` for stdout).
-fn write_report(args: &ParsedArgs, report: &RunReport) -> Result<(), CliError> {
-    if let Some(path) = args.value("report-json") {
-        write_or_stdout(path, &report.to_json_string())?;
-    }
-    Ok(())
-}
-
-/// Writes the recorded Chrome trace-event document when `--trace-out
-/// <path>` was given (`-` for stdout). Load the file in
-/// `ui.perfetto.dev` or `chrome://tracing`.
-pub(crate) fn write_trace(args: &ParsedArgs, buffer: Option<&TraceBuffer>) -> Result<(), CliError> {
-    if let (Some(path), Some(buffer)) = (args.value("trace-out"), buffer) {
-        write_or_stdout(path, &buffer.to_json_string())?;
-    }
-    Ok(())
-}
-
-/// Parses `--input-policy <strict|repair|best-effort>` (default
-/// `strict`); see [`InputPolicy`] for what each does.
-pub(crate) fn input_policy(args: &ParsedArgs) -> Result<InputPolicy, CliError> {
-    match args.value("input-policy") {
-        None => Ok(InputPolicy::Strict),
-        Some(s) => s.parse().map_err(|_| {
-            CliError::Args(ArgError::BadValue {
-                flag: "input-policy".into(),
-                value: s.into(),
-            })
-        }),
-    }
-}
-
-/// Arms the deterministic fault registry from `--inject
-/// site[:nth][:kind]` (comma-separated) and `NETART_INJECT`. Unless
-/// the binary was built with `--features fault-injection`, arming
-/// anything is an error — the sites compile to nothing.
-pub(crate) fn arm_faults(args: &ParsedArgs) -> Result<(), CliError> {
-    netart_fault::disarm_all();
-    if let Some(specs) = args.value("inject") {
-        for spec in specs.split(',').filter(|s| !s.trim().is_empty()) {
-            netart_fault::arm(spec.trim()).map_err(CliError::Other)?;
-        }
-    }
-    netart_fault::arm_from_env().map_err(CliError::Other)?;
-    Ok(())
 }
 
 /// A CLI-level degradation record (doctor repairs, recovered parse
@@ -190,17 +62,6 @@ pub(crate) fn doctor_degradations(
     }
 }
 
-/// The panic payload as text (mirrors the core generator's handling).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Runs the parse phase with panic isolation. A failure (panic or
 /// error) that coincides with a newly fired fault site is retried once
 /// — the one-shot site has burned out — and recorded as a
@@ -217,45 +78,11 @@ fn parse_with_recovery<T>(
         Ok(Err(e)) if !fault_fired => return Err(e),
         Ok(Err(e)) => e.to_string(),
         Err(payload) if !fault_fired => std::panic::resume_unwind(payload),
-        Err(payload) => panic_message(payload),
+        Err(payload) => netart::obs::panic_message(payload.as_ref()),
     };
     let (value, mut degs) = op()?;
     degs.push(cli_degradation("parse_recovered", None, detail));
     Ok((value, degs))
-}
-
-/// What a routing command produced, and how the process should exit.
-///
-/// The routing binaries distinguish three outcomes: a *clean* run
-/// (exit 0), a *degraded* run that still produced a diagram but needed
-/// fallbacks — salvaged or ghost-wired nets (exit 2, or exit 1 under
-/// `--strict`) — and a *failed* run that produced nothing (a
-/// [`CliError`], exit 1).
-#[derive(Debug, Clone)]
-pub struct RunOutput {
-    /// The human-readable summary to print.
-    pub message: String,
-    /// `true` when the run needed fallbacks (salvage, ghost wires, or
-    /// outright unroutable nets).
-    pub degraded: bool,
-    /// `true` when `--strict` was given: degradation becomes failure.
-    pub strict: bool,
-    /// `true` when a machine-readable stream claimed stdout
-    /// (`--report-json -` / `--trace-out -`): the summary must go to
-    /// stderr instead.
-    pub message_to_stderr: bool,
-}
-
-impl RunOutput {
-    /// The process exit code for this outcome: 0 clean, 2 degraded,
-    /// 1 degraded under `--strict`.
-    pub fn exit_code(&self) -> ExitCode {
-        match (self.degraded, self.strict) {
-            (false, _) => ExitCode::SUCCESS,
-            (true, false) => ExitCode::from(2),
-            (true, true) => ExitCode::FAILURE,
-        }
-    }
 }
 
 /// The `--order def|most|few` net ordering (default `def`).
@@ -271,24 +98,16 @@ pub(crate) fn order_from_args(args: &ParsedArgs) -> Result<NetOrder, ArgError> {
     }
 }
 
-/// Parses the shared robustness flags: `--route-timeout <ms>` and
-/// `--max-nodes <n>` build the per-net routing [`Budget`], `--strict`
-/// is read by the caller.
+/// The per-net routing [`Budget`] from `--route-timeout <ms>` and
+/// `--max-nodes <n>`.
 pub(crate) fn budget_from_args(args: &ParsedArgs) -> Result<Budget, ArgError> {
     let mut budget = Budget::new();
-    if let Some(ms) = args.value("route-timeout") {
-        let ms: u64 = ms.parse().map_err(|_| ArgError::BadValue {
-            flag: "route-timeout".into(),
-            value: ms.into(),
-        })?;
+    if args.has("route-timeout") {
+        let ms = args.parsed("route-timeout", 0u64)?;
         budget = budget.with_time_limit(Duration::from_millis(ms));
     }
-    if let Some(n) = args.value("max-nodes") {
-        let n: u64 = n.parse().map_err(|_| ArgError::BadValue {
-            flag: "max-nodes".into(),
-            value: n.into(),
-        })?;
-        budget = budget.with_node_limit(n);
+    if args.has("max-nodes") {
+        budget = budget.with_node_limit(args.parsed("max-nodes", 0u64)?);
     }
     Ok(budget)
 }
@@ -345,10 +164,10 @@ pub enum CliError {
         /// Parser message.
         message: String,
     },
-    /// The memory governor refused the input (`ND015`). Commands catch
-    /// this variant and *degrade* (exit 2) instead of failing: refusing
-    /// an oversized input is the configured contract, not a
-    /// malfunction.
+    /// The memory governor refused the input (`ND015`). The front end
+    /// turns this variant into a *degraded* exit (2) instead of a
+    /// failure: refusing an oversized input is the configured contract,
+    /// not a malfunction.
     ResourceExhausted {
         /// Path of the input being ingested when the budget ran out.
         path: PathBuf,
@@ -375,6 +194,23 @@ impl fmt::Display for CliError {
 
 impl Error for CliError {}
 
+impl CliError {
+    /// A `map_err` adapter attributing an I/O error to `path`.
+    pub(crate) fn io(path: impl Into<PathBuf>) -> impl FnOnce(std::io::Error) -> CliError {
+        let path = path.into();
+        move |source| CliError::Io { path, source }
+    }
+
+    /// A `map_err` adapter attributing a parse failure to `path`.
+    pub(crate) fn parse<E: fmt::Display>(path: impl Into<PathBuf>) -> impl FnOnce(E) -> CliError {
+        let path = path.into();
+        move |e| CliError::Parse {
+            path,
+            message: e.to_string(),
+        }
+    }
+}
+
 impl From<ArgError> for CliError {
     fn from(e: ArgError) -> Self {
         CliError::Args(e)
@@ -382,10 +218,7 @@ impl From<ArgError> for CliError {
 }
 
 pub(crate) fn read(path: &Path) -> Result<String, CliError> {
-    fs::read_to_string(path).map_err(|source| CliError::Io {
-        path: path.to_owned(),
-        source,
-    })
+    fs::read_to_string(path).map_err(CliError::io(path))
 }
 
 /// Parses a byte count with an optional `k`/`m`/`g` suffix (powers of
@@ -407,22 +240,6 @@ pub(crate) fn parse_bytes(flag: &str, s: &str) -> Result<u64, CliError> {
     n.checked_shl(shift).filter(|v| v >> shift == n).ok_or_else(bad)
 }
 
-/// Builds the two ingestion budgets from `--max-input-bytes` /
-/// `--max-network-bytes` (absent flags mean unlimited). Sizes accept
-/// `k`/`m`/`g` suffixes.
-pub(crate) fn budgets_from_args(args: &ParsedArgs) -> Result<IngestBudgets, CliError> {
-    let budget = |flag: &str| -> Result<std::sync::Arc<MemBudget>, CliError> {
-        Ok(std::sync::Arc::new(match args.value(flag) {
-            Some(s) => MemBudget::bytes(parse_bytes(flag, s)?),
-            None => MemBudget::unlimited(),
-        }))
-    };
-    Ok(IngestBudgets {
-        input: budget("max-input-bytes")?,
-        network: budget("max-network-bytes")?,
-    })
-}
-
 /// The `ND015` diagnostic text for an ingestion-time exhaustion,
 /// attributed to `file`.
 fn nd015_message(file: DoctorFile, e: &netart_govern::Exhausted) -> String {
@@ -438,10 +255,7 @@ pub(crate) fn read_records_gov(
     stage: &'static str,
     file: DoctorFile,
 ) -> Result<Vec<Record>, CliError> {
-    let f = fs::File::open(path).map_err(|source| CliError::Io {
-        path: path.to_owned(),
-        source,
-    })?;
+    let f = fs::File::open(path).map_err(CliError::io(path))?;
     ingest::read_records(std::io::BufReader::new(f), budget, stage).map_err(|e| match e {
         IngestError::Io(source) => CliError::Io {
             path: path.to_owned(),
@@ -465,10 +279,7 @@ pub(crate) fn read_text_gov(
     stage: &'static str,
 ) -> Result<(String, u64), CliError> {
     let len = fs::metadata(path)
-        .map_err(|source| CliError::Io {
-            path: path.to_owned(),
-            source,
-        })?
+        .map_err(CliError::io(path))?
         .len();
     budget
         .try_charge(stage, len)
@@ -485,40 +296,18 @@ pub(crate) fn read_text_gov(
     }
 }
 
-/// Turns a caught [`CliError::ResourceExhausted`] into the degraded
-/// (exit 2) outcome the governor contract promises: the refusal is
-/// reported with its `ND015` diagnostic, nothing is written, and under
-/// `--strict` the exit hardens to 1.
-pub(crate) fn exhausted_output(
-    error: &CliError,
-    strict: bool,
-    message_to_stderr: bool,
-) -> RunOutput {
-    RunOutput {
-        message: format!("input refused: {error}"),
-        degraded: true,
-        strict,
-        message_to_stderr,
-    }
-}
-
-fn write(path: &Path, contents: &str) -> Result<(), CliError> {
-    fs::write(path, contents).map_err(|source| CliError::Io {
-        path: path.to_owned(),
-        source,
-    })
+pub(crate) fn write(path: &Path, contents: &str) -> Result<(), CliError> {
+    fs::write(path, contents).map_err(CliError::io(path))
 }
 
 /// Loads every `*.qto` quinto module description in the library
 /// directory (`-L`, falling back to `$USER_LIB` like the paper's
 /// tools), running each through the module doctor under `policy`.
 pub(crate) fn load_library(
-    args: &ParsedArgs,
-    policy: InputPolicy,
-    budgets: &IngestBudgets,
+    session: &Session,
     degs: &mut Vec<DegradationReport>,
 ) -> Result<Library, CliError> {
-    let dir = match args.value("L") {
+    let dir = match session.args.value("L") {
         Some(d) => PathBuf::from(d),
         None => std::env::var_os("USER_LIB")
             .map(PathBuf::from)
@@ -526,7 +315,7 @@ pub(crate) fn load_library(
                 CliError::Other("no module library: pass -L <dir> or set USER_LIB".into())
             })?,
     };
-    load_library_dir(&dir, policy, budgets, degs)
+    load_library_dir(&dir, session.policy, &session.budgets, degs)
 }
 
 /// The directory-parameterised core of [`load_library`], reused by
@@ -538,10 +327,7 @@ pub(crate) fn load_library_dir(
     degs: &mut Vec<DegradationReport>,
 ) -> Result<Library, CliError> {
     let mut lib = Library::new();
-    let entries = fs::read_dir(dir).map_err(|source| CliError::Io {
-        path: dir.to_owned(),
-        source,
-    })?;
+    let entries = fs::read_dir(dir).map_err(CliError::io(dir))?;
     let mut paths: Vec<PathBuf> = entries
         .filter_map(Result::ok)
         .map(|e| e.path())
@@ -591,30 +377,25 @@ fn read_module(
     let kept: u64 = recs.iter().map(Record::cost).sum();
     let doctored = doctor::doctor_module_records(recs, policy);
     budgets.input.release(kept);
-    doctored.map_err(|e| CliError::Parse {
-        path: path.to_owned(),
-        message: e.to_string(),
-    })
+    doctored.map_err(CliError::parse(path))
 }
 
 /// Parses the Appendix A positional files `net-list call-file
-/// [io-file]` through the netlist doctor under `policy`, collecting
-/// applied repairs as degradation records.
+/// [io-file]` through the netlist doctor under the session's input
+/// policy, collecting applied repairs as degradation records.
 pub(crate) fn load_network(
-    args: &ParsedArgs,
-    policy: InputPolicy,
-    budgets: &IngestBudgets,
+    session: &Session,
 ) -> Result<(Network, Vec<DegradationReport>), CliError> {
     let mut degs = Vec::new();
-    let lib = load_library(args, policy, budgets, &mut degs)?;
-    let files = args.positionals();
+    let lib = load_library(session, &mut degs)?;
+    let files = session.args.positionals();
     let (network, mut net_degs) = load_network_files(
         lib,
         Path::new(&files[0]),
         Path::new(&files[1]),
         files.get(2).map(Path::new),
-        policy,
-        budgets,
+        session.policy,
+        &session.budgets,
     )?;
     degs.append(&mut net_degs);
     Ok((network, degs))
@@ -727,7 +508,7 @@ pub(crate) fn checked_escher(
             if netart_fault::fired_count() == fired_before {
                 std::panic::resume_unwind(payload);
             }
-            panic_message(payload)
+            netart::obs::panic_message(payload.as_ref())
         }
     };
     if netart_fault::fired_count() == fired_before {
@@ -754,7 +535,8 @@ pub(crate) struct Artifacts {
 
 /// The emit-and-report step every pipeline driver ends with. Inside an
 /// `emit` phase it renders the self-checked ESCHER text (named `name`)
-/// and the SVG. It then builds the run report: `front` (the `parse` or
+/// and the SVG with the placement structure overlaid (a diagram read
+/// back from ESCHER carries none, so it renders plain). It then builds the run report: `front` (the `parse` or
 /// `doctor` phase and its wall time) first, `emit` last, heap traffic
 /// since `alloc_base` attributed, and every degradation in `degs`
 /// recorded. Callers write the artifacts wherever they belong.
@@ -762,7 +544,6 @@ pub(crate) fn emit_artifacts(
     outcome: &Outcome,
     tool: &str,
     name: &str,
-    render_svg: fn(&Diagram) -> String,
     front: (&str, u64),
     alloc_base: &AllocSnapshot,
     degs: &mut Vec<DegradationReport>,
@@ -770,7 +551,7 @@ pub(crate) fn emit_artifacts(
     let t_emit = Instant::now();
     let emit_tag = netart::obs::enter_phase("emit");
     let escher = checked_escher(name, &outcome.diagram, degs)?;
-    let svg = render_svg(&outcome.diagram);
+    let svg = svg::render_with_structure(&outcome.diagram);
     drop(emit_tag);
     let metrics = outcome.diagram.metrics();
     let mut report = outcome.run_report_with(tool, &metrics);
@@ -817,50 +598,33 @@ fn write_diagram_files(out: &str, escher: &str, svg: &str) -> Result<String, Cli
 ///
 /// Any [`CliError`] condition.
 pub fn run_pablo(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "p", "b", "c", "e", "i", "s", "g", "L", "o", "input-policy", "inject", "trace-out",
-            "trace-level", "max-input-bytes", "max-network-bytes",
-        ],
-        &["log-json"],
-        (2, 3),
-    )?;
-    let message_to_stderr = stdout_claimed(&args)?;
-    let trace_buffer = install_subscriber(&args)?;
-    arm_faults(&args)?;
-    let policy = input_policy(&args)?;
-    let budgets = budgets_from_args(&args)?;
-    let (network, mut degs) =
-        match parse_with_recovery(|| load_network(&args, policy, &budgets)) {
-            Ok(v) => v,
-            Err(e @ CliError::ResourceExhausted { .. }) => {
-                return Ok(exhausted_output(&e, false, message_to_stderr))
-            }
-            Err(e) => return Err(e),
-        };
+    Session::run(&PABLO, argv, pablo)
+}
 
-    let config = place_config_from_args(&args)?;
+static PABLO: Spec = Spec {
+    shared: UNREPORTED,
+    options: &["p", "b", "c", "e", "i", "s", "g", "L", "o"],
+    switches: &[],
+    operands: (2, 3),
+    newline: true,
+};
+
+fn pablo(session: &Session) -> Result<RunOutput, CliError> {
+    let args = &session.args;
+    let (network, mut degs) = parse_with_recovery(|| load_network(session))?;
+    let config = place_config_from_args(args)?;
 
     let preplaced = match args.value("g") {
         Some(file) => {
             let path = Path::new(file);
-            let (text, len) = match read_text_gov(path, &budgets.input, "seed diagram file") {
-                Ok(v) => v,
-                Err(e @ CliError::ResourceExhausted { .. }) => {
-                    return Ok(exhausted_output(&e, false, message_to_stderr))
-                }
-                Err(e) => return Err(e),
-            };
+            let input = &session.budgets.input;
+            let (text, len) = read_text_gov(path, input, "seed diagram file")?;
             let parsed = escher::parse_diagram(network.clone(), &text);
             drop(text);
-            budgets.input.release(len);
-            let diagram = parsed.map_err(|e| CliError::Parse {
-                path: path.to_owned(),
-                message: e.to_string(),
-            })?;
+            input.release(len);
+            let diagram = parsed.map_err(CliError::parse(path))?;
             let (_, placement, _) = diagram.into_parts();
-            doctor_seeds(&network, placement, path, policy, &mut degs)?
+            doctor_seeds(&network, placement, path, session.policy, &mut degs)?
         }
         None => netart::diagram::Placement::new(&network),
     };
@@ -886,19 +650,8 @@ pub fn run_pablo(argv: &[String]) -> Result<RunOutput, CliError> {
         diagram.network().module_count(),
         diagram.network().system_term_count(),
     );
-    for d in &degs {
-        message.push_str(&format!(
-            "\nwarning: {}",
-            d.detail.as_deref().unwrap_or(&d.kind)
-        ));
-    }
-    write_trace(&args, trace_buffer.as_ref())?;
-    Ok(RunOutput {
-        message,
-        degraded: false,
-        strict: false,
-        message_to_stderr,
-    })
+    push_warnings(&mut message, &degs);
+    Ok(RunOutput::new(message, false))
 }
 
 /// Validates a preplaced seed diagram (`pablo -g`): strictly
@@ -998,56 +751,38 @@ fn doctor_seeds(
 ///
 /// Any [`CliError`] condition.
 pub fn run_eureka(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "m", "order", "L", "o", "diagram", "route-timeout", "max-nodes", "report-json",
-            "trace-out", "trace-level", "input-policy", "inject", "max-input-bytes",
-            "max-network-bytes",
-        ],
-        &["u", "d", "r", "l", "s", "no-claims", "no-salvage", "strict", "log-json"],
-        (2, 3),
-    )?;
-    let message_to_stderr = stdout_claimed(&args)?;
-    let trace_buffer = install_subscriber(&args)?;
-    arm_faults(&args)?;
-    let policy = input_policy(&args)?;
-    let budgets = budgets_from_args(&args)?;
-    let strict = args.has("strict");
+    Session::run(&EUREKA, argv, eureka)
+}
+
+static EUREKA: Spec = Spec {
+    shared: ALL_SHARED,
+    options: &["m", "order", "L", "o", "diagram", "route-timeout", "max-nodes"],
+    switches: &["u", "d", "r", "l", "s", "no-claims", "no-salvage"],
+    operands: (2, 3),
+    newline: true,
+};
+
+fn eureka(session: &Session) -> Result<RunOutput, CliError> {
+    let args = &session.args;
     let alloc_base = netart::obs::AllocSnapshot::capture();
     let t_parse = Instant::now();
     let parse_tag = netart::obs::enter_phase("parse");
-    let (network, mut cli_degs) =
-        match parse_with_recovery(|| load_network(&args, policy, &budgets)) {
-            Ok(v) => v,
-            Err(e @ CliError::ResourceExhausted { .. }) => {
-                return Ok(exhausted_output(&e, strict, message_to_stderr))
-            }
-            Err(e) => return Err(e),
-        };
+    let (network, mut cli_degs) = parse_with_recovery(|| load_network(session))?;
 
     let diagram_file = args
         .value("diagram")
         .ok_or_else(|| CliError::Other("eureka needs --diagram <placed.esc>".into()))?;
     let path = Path::new(diagram_file);
-    let (esc_text, esc_len) = match read_text_gov(path, &budgets.input, "diagram file") {
-        Ok(v) => v,
-        Err(e @ CliError::ResourceExhausted { .. }) => {
-            return Ok(exhausted_output(&e, strict, message_to_stderr))
-        }
-        Err(e) => return Err(e),
-    };
+    let input = &session.budgets.input;
+    let (esc_text, esc_len) = read_text_gov(path, input, "diagram file")?;
     let diagram =
-        escher::parse_diagram(network, &esc_text).map_err(|e| CliError::Parse {
-            path: path.to_owned(),
-            message: e.to_string(),
-        })?;
+        escher::parse_diagram(network, &esc_text).map_err(CliError::parse(path))?;
     drop(esc_text);
-    budgets.input.release(esc_len);
+    input.release(esc_len);
     drop(parse_tag);
     let parse_ns = ns(t_parse.elapsed());
 
-    let mut config = route_config_from_args(&args)?;
+    let mut config = route_config_from_args(args)?;
     if args.has("u") {
         config = config.with_fixed_up();
     }
@@ -1080,26 +815,17 @@ pub fn run_eureka(argv: &[String]) -> Result<RunOutput, CliError> {
         &outcome,
         "eureka",
         out,
-        svg::render,
         ("parse", parse_ns),
         &alloc_base,
         &mut cli_degs,
     )?;
     let files = write_diagram_files(out, &artifacts.escher, &artifacts.svg)?;
-    for d in &cli_degs {
-        summary.push_str(&format!(
-            "\nwarning: {}",
-            d.detail.as_deref().unwrap_or(&d.kind)
-        ));
-    }
-    write_report(&args, &artifacts.report)?;
-    write_trace(&args, trace_buffer.as_ref())?;
-    Ok(RunOutput {
-        message: format!("{summary}\n{}\n{files}", artifacts.metrics),
-        degraded: !outcome.is_clean() || !cli_degs.is_empty(),
-        strict: args.has("strict"),
-        message_to_stderr,
-    })
+    push_warnings(&mut summary, &cli_degs);
+    session.write_stream("report-json", || artifacts.report.to_json_string())?;
+    Ok(RunOutput::new(
+        format!("{summary}\n{}\n{files}", artifacts.metrics),
+        !outcome.is_clean() || !cli_degs.is_empty(),
+    ))
 }
 
 /// Warning lines for nets that needed the salvage cascade or stayed
@@ -1147,41 +873,34 @@ fn salvage_summary(diagram: &Diagram, report: &netart::route::RouteReport) -> St
 ///
 /// Any [`CliError`] condition.
 pub fn run_netart(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "p", "b", "c", "e", "i", "s", "m", "order", "L", "o", "route-timeout", "max-nodes",
-            "report-json", "trace-out", "trace-level", "input-policy", "inject",
-            "max-input-bytes", "max-network-bytes",
-        ],
-        &["no-claims", "no-salvage", "art", "strict", "log-json"],
-        (2, 3),
-    )?;
-    let message_to_stderr = stdout_claimed(&args)?;
-    let trace_buffer = install_subscriber(&args)?;
-    arm_faults(&args)?;
-    let policy = input_policy(&args)?;
-    let budgets = budgets_from_args(&args)?;
+    Session::run(&NETART, argv, netart)
+}
+
+static NETART: Spec = Spec {
+    shared: ALL_SHARED,
+    options: &[
+        "p", "b", "c", "e", "i", "s", "m", "order", "L", "o", "route-timeout", "max-nodes",
+    ],
+    switches: &["no-claims", "no-salvage", "art"],
+    operands: (2, 3),
+    newline: true,
+};
+
+fn netart(session: &Session) -> Result<RunOutput, CliError> {
+    let args = &session.args;
     // Heap-attribution window for the whole run (a no-op stub unless
     // built with `--features alloc-profile`). Parse and emit are
     // phases without spans, so they tag themselves with guards.
     let alloc_base = netart::obs::AllocSnapshot::capture();
     let t_parse = Instant::now();
     let parse_tag = netart::obs::enter_phase("parse");
-    let (network, mut cli_degs) =
-        match parse_with_recovery(|| load_network(&args, policy, &budgets)) {
-            Ok(v) => v,
-            Err(e @ CliError::ResourceExhausted { .. }) => {
-                return Ok(exhausted_output(&e, args.has("strict"), message_to_stderr))
-            }
-            Err(e) => return Err(e),
-        };
+    let (network, mut cli_degs) = parse_with_recovery(|| load_network(session))?;
     drop(parse_tag);
     let parse_ns = ns(t_parse.elapsed());
 
     let outcome = netart::Generator::new()
-        .with_placing(place_config_from_args(&args)?)
-        .with_routing(route_config_from_args(&args)?)
+        .with_placing(place_config_from_args(args)?)
+        .with_routing(route_config_from_args(args)?)
         .generate(network);
     let diagram = &outcome.diagram;
     let out = args.value("o").unwrap_or("netart_out");
@@ -1189,14 +908,12 @@ pub fn run_netart(argv: &[String]) -> Result<RunOutput, CliError> {
         &outcome,
         "netart",
         out,
-        svg::render_with_structure,
         ("parse", parse_ns),
         &alloc_base,
         &mut cli_degs,
     )?;
     let files = write_diagram_files(out, &artifacts.escher, &artifacts.svg)?;
-    write_report(&args, &artifacts.report)?;
-    write_trace(&args, trace_buffer.as_ref())?;
+    session.write_stream("report-json", || artifacts.report.to_json_string())?;
 
     let mut summary = format!(
         "placed {} modules in {:?}; routed {}/{} nets in {:?}\n{}\n{files}",
@@ -1224,22 +941,15 @@ pub fn run_netart(argv: &[String]) -> Result<RunOutput, CliError> {
             netart::Degradation::NetSalvaged { .. } | netart::Degradation::NetUnrouted(_) => {}
         }
     }
-    for d in &cli_degs {
-        summary.push_str(&format!(
-            "\nwarning: {}",
-            d.detail.as_deref().unwrap_or(&d.kind)
-        ));
-    }
+    push_warnings(&mut summary, &cli_degs);
     if args.has("art") {
         summary.push('\n');
         summary.push_str(&netart::diagram::ascii::render(diagram));
     }
-    Ok(RunOutput {
-        message: summary,
-        degraded: !outcome.is_clean() || !cli_degs.is_empty(),
-        strict: args.has("strict"),
-        message_to_stderr,
-    })
+    Ok(RunOutput::new(
+        summary,
+        !outcome.is_clean() || !cli_degs.is_empty(),
+    ))
 }
 
 /// `quinto [-L libdir] [--input-policy strict|repair|best-effort]
@@ -1256,41 +966,30 @@ pub fn run_netart(argv: &[String]) -> Result<RunOutput, CliError> {
 ///
 /// Any [`CliError`] condition.
 pub fn run_quinto(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "L", "input-policy", "inject", "trace-out", "trace-level", "max-input-bytes",
-            "max-network-bytes",
-        ],
-        &["log-json"],
-        (1, usize::MAX),
-    )?;
-    let message_to_stderr = stdout_claimed(&args)?;
-    let trace_buffer = install_subscriber(&args)?;
-    arm_faults(&args)?;
-    let policy = input_policy(&args)?;
-    let budgets = budgets_from_args(&args)?;
-    let dir = match args.value("L") {
+    Session::run(&QUINTO, argv, quinto)
+}
+
+static QUINTO: Spec = Spec {
+    shared: UNREPORTED,
+    options: &["L"],
+    switches: &[],
+    operands: (1, usize::MAX),
+    newline: true,
+};
+
+fn quinto(session: &Session) -> Result<RunOutput, CliError> {
+    let dir = match session.args.value("L") {
         Some(d) => PathBuf::from(d),
         None => std::env::var_os("USER_LIB")
             .map(PathBuf::from)
             .ok_or_else(|| CliError::Other("pass -L <dir> or set USER_LIB".into()))?,
     };
-    fs::create_dir_all(&dir).map_err(|source| CliError::Io {
-        path: dir.clone(),
-        source,
-    })?;
+    fs::create_dir_all(&dir).map_err(CliError::io(&dir))?;
     let mut added = Vec::new();
     let mut warnings = String::new();
-    for file in args.positionals() {
+    for file in session.args.positionals() {
         let path = Path::new(file);
-        let (template, report) = match read_module(path, policy, &budgets) {
-            Ok(read) => read,
-            Err(e @ CliError::ResourceExhausted { .. }) => {
-                return Ok(exhausted_output(&e, false, message_to_stderr))
-            }
-            Err(e) => return Err(e),
-        };
+        let (template, report) = read_module(path, session.policy, &session.budgets)?;
         for d in &report.diagnostics {
             warnings.push_str(&format!("\nwarning: {}: {d}", path.display()));
         }
@@ -1298,17 +997,14 @@ pub fn run_quinto(argv: &[String]) -> Result<RunOutput, CliError> {
         write(&target, &quinto::write_module(&template))?;
         added.push(template.name().to_owned());
     }
-    write_trace(&args, trace_buffer.as_ref())?;
-    Ok(RunOutput {
-        message: format!(
+    Ok(RunOutput::new(
+        format!(
             "added {} module(s): {}{warnings}",
             added.len(),
             added.join(", ")
         ),
-        degraded: false,
-        strict: false,
-        message_to_stderr,
-    })
+        false,
+    ))
 }
 
 /// `netart report diff [--band n] [--diff-json out.json] baseline.json
@@ -1318,22 +1014,30 @@ pub fn run_quinto(argv: &[String]) -> Result<RunOutput, CliError> {
 /// per-net effort, degradations and quality exactly, phase wall times
 /// band-tolerantly (`--band` log-2 buckets of slack, default 1).
 /// `--diff-json` additionally writes the machine-readable diff (`-`
-/// for stdout; the text summary then moves to stderr). The caller
-/// exits 3 when [`DiffOutput::regressed`] is set.
+/// for stdout; the text summary then moves to stderr). The run exits
+/// 3 when [`RunOutput::regressed`] is set.
 ///
 /// # Errors
 ///
 /// Any [`CliError`] condition, including unreadable or malformed
 /// report files.
-pub fn run_report_diff(argv: &[String]) -> Result<DiffOutput, CliError> {
-    let args = ParsedArgs::parse(argv, &["band", "diff-json"], &[], (2, 2))?;
-    let band = args.parsed("band", 1usize)?;
+pub fn run_report_diff(argv: &[String]) -> Result<RunOutput, CliError> {
+    Session::run(&REPORT_DIFF, argv, report_diff)
+}
+
+static REPORT_DIFF: Spec = Spec {
+    shared: &[],
+    options: &["band", "diff-json"],
+    switches: &[],
+    operands: (2, 2),
+    newline: true,
+};
+
+fn report_diff(session: &Session) -> Result<RunOutput, CliError> {
+    let band = session.args.parsed("band", 1usize)?;
     let load = |path: &str| -> Result<RunReport, CliError> {
         let text = read(Path::new(path))?;
-        let json = Json::parse(&text).map_err(|e| CliError::Parse {
-            path: PathBuf::from(path),
-            message: e.to_string(),
-        })?;
+        let json = Json::parse(&text).map_err(CliError::parse(path))?;
         // Heat-map profiles diff through the same machinery: both
         // sides are lowered to a synthetic counter-only RunReport, so
         // a self-diff is empty and cell drift shows up as a counter
@@ -1341,25 +1045,15 @@ pub fn run_report_diff(argv: &[String]) -> Result<DiffOutput, CliError> {
         if ProfileReport::is_profile_json(&json) {
             return ProfileReport::from_json(&json)
                 .map(|profile| profile.to_run_report())
-                .map_err(|message| CliError::Parse {
-                    path: PathBuf::from(path),
-                    message,
-                });
+                .map_err(CliError::parse(path));
         }
-        RunReport::from_json(&json).map_err(|message| CliError::Parse {
-            path: PathBuf::from(path),
-            message,
-        })
+        RunReport::from_json(&json).map_err(CliError::parse(path))
     };
-    let files = args.positionals();
+    let files = session.args.positionals();
     let baseline = load(&files[0])?;
     let current = load(&files[1])?;
     let diff = ReportDiff::diff_with(&baseline, &current, DiffConfig { band_buckets: band });
-    let mut message_to_stderr = false;
-    if let Some(path) = args.value("diff-json") {
-        write_or_stdout(path, &diff.to_json().render_pretty())?;
-        message_to_stderr = path == "-";
-    }
+    session.write_stream("diff-json", || diff.to_json().render_pretty())?;
     let regressed = diff.is_regression();
     let verdict = if regressed {
         let names: Vec<&str> = diff.regressions().map(|e| e.metric.as_str()).collect();
@@ -1370,28 +1064,15 @@ pub fn run_report_diff(argv: &[String]) -> Result<DiffOutput, CliError> {
     let mut message = diff.render_text();
     message.push('\n');
     message.push_str(&verdict);
-    Ok(DiffOutput {
-        message,
-        regressed,
-        message_to_stderr,
-    })
-}
-
-/// What `netart report diff` produced, and how the process should
-/// exit: 0 when clean, 3 on regression, 1 on error.
-#[derive(Debug, Clone)]
-pub struct DiffOutput {
-    /// The text summary (one line per differing metric plus a verdict).
-    pub message: String,
-    /// `true` when any compared metric regressed — the exit 3 case.
-    pub regressed: bool,
-    /// `true` when `--diff-json -` claimed stdout.
-    pub message_to_stderr: bool,
+    let mut out = RunOutput::new(message, false);
+    out.regressed = regressed;
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::process::ExitCode;
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()

@@ -20,7 +20,9 @@
 //! library directory when `-L` is absent.
 //!
 //! Everything is implemented in this library crate so it can be tested;
-//! the binaries are thin wrappers.
+//! the binaries are thin wrappers over [`finish`]. Every entry point
+//! shares one front end (`session.rs`): the shared flag family, the
+//! stdout claim, the governed input refusal and the exit code.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -32,16 +34,16 @@ mod commands;
 mod http;
 mod profile;
 mod serve;
+mod session;
 mod shard;
 mod stress;
+mod sys;
 
 pub use args::{ArgError, ParsedArgs};
 pub use batch::{install_drain_handlers, install_flight_handler, run_batch};
 pub use blackbox::run_blackbox;
-pub use commands::{
-    run_eureka, run_netart, run_pablo, run_quinto, run_report_diff, CliError, DiffOutput,
-    RunOutput,
-};
+pub use commands::{run_eureka, run_netart, run_pablo, run_quinto, run_report_diff, CliError};
 pub use profile::run_profile;
 pub use serve::run_serve;
+pub use session::{finish, RunOutput};
 pub use stress::run_stress;

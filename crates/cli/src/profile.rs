@@ -17,11 +17,9 @@ use netart::place::PlaceConfig;
 use netart::route::NetRouteStats;
 use netart::Outcome;
 
-use crate::commands::{
-    arm_faults, input_policy, install_subscriber, load_network, route_config_from_args,
-    write_or_stdout, write_trace, CliError, RunOutput,
-};
-use crate::{ArgError, ParsedArgs};
+use crate::commands::{load_network, route_config_from_args, CliError};
+use crate::session::{RunOutput, Session, Spec, UNREPORTED};
+use crate::ArgError;
 
 /// An inclusive diagram-coordinate bounding box `(min_x, min_y,
 /// max_x, max_y)`.
@@ -183,17 +181,20 @@ fn build_profile(outcome: &Outcome, grid: u32) -> ProfileReport {
 /// Any [`CliError`] condition, including unreadable inputs and a
 /// `--grid` of zero.
 pub fn run_profile(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "grid", "heat-json", "L", "m", "order", "route-timeout", "max-nodes", "input-policy",
-            "inject", "trace-level", "trace-out", "max-input-bytes", "max-network-bytes",
-        ],
-        &["log-json"],
-        (2, 3),
-    )?;
-    let trace_buffer = install_subscriber(&args)?;
-    arm_faults(&args)?;
+    Session::run(&PROFILE, argv, profile)
+}
+
+/// The heat map ends its own lines: printed as is.
+static PROFILE: Spec = Spec {
+    shared: UNREPORTED,
+    options: &["grid", "heat-json", "L", "m", "order", "route-timeout", "max-nodes"],
+    switches: &[],
+    operands: (2, 3),
+    newline: false,
+};
+
+fn profile(session: &Session) -> Result<RunOutput, CliError> {
+    let args = &session.args;
     let grid = args.parsed("grid", 16u32)?;
     if grid == 0 || grid > 512 {
         return Err(ArgError::BadValue {
@@ -202,34 +203,16 @@ pub fn run_profile(argv: &[String]) -> Result<RunOutput, CliError> {
         }
         .into());
     }
-    let policy = input_policy(&args)?;
-    let budgets = crate::commands::budgets_from_args(&args)?;
-    let (network, _degs) = match load_network(&args, policy, &budgets) {
-        Ok(v) => v,
-        Err(e @ CliError::ResourceExhausted { .. }) => {
-            return Ok(crate::commands::exhausted_output(&e, false, false))
-        }
-        Err(e) => return Err(e),
-    };
+    let (network, _degs) = load_network(session)?;
 
     let outcome = netart::Generator::new()
         .with_placing(PlaceConfig::new())
-        .with_routing(route_config_from_args(&args)?)
+        .with_routing(route_config_from_args(args)?)
         .generate(network);
 
     let profile = build_profile(&outcome, grid);
-    let mut message_to_stderr = false;
-    if let Some(path) = args.value("heat-json") {
-        write_or_stdout(path, &profile.to_json_string())?;
-        message_to_stderr = path == "-";
-    }
-    write_trace(&args, trace_buffer.as_ref())?;
-    Ok(RunOutput {
-        message: profile.render_ascii(),
-        degraded: false,
-        strict: false,
-        message_to_stderr,
-    })
+    session.write_stream("heat-json", || profile.to_json_string())?;
+    Ok(RunOutput::new(profile.render_ascii(), false))
 }
 
 #[cfg(test)]

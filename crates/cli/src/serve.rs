@@ -59,15 +59,16 @@ use netart::obs::{
 };
 use netart::place::PlaceConfig;
 use netart::route::{Budget, NetOrder, RouteConfig};
-use netart::diagram::svg;
-use netart_engine::{ByteCache, JobContext, Service, ServiceConfig, SingleFlight, SubmitError, TicketOutcome};
+use netart_engine::{
+    ByteCache, Fnv1a, JobContext, Service, ServiceConfig, SingleFlight, SubmitError, TicketOutcome,
+};
 
 use crate::commands::{
-    arm_faults, budget_from_args, budgets_from_args, cli_degradation, doctor_degradations,
-    emit_artifacts, exhausted_output, input_policy, install_subscriber_with, ns, order_from_args,
-    parse_bytes, write_trace, Artifacts, CliError, RunOutput,
+    budget_from_args, cli_degradation, doctor_degradations, emit_artifacts, load_library, ns,
+    order_from_args, parse_bytes, Artifacts, CliError,
 };
 use crate::http::{read_request, respond, RequestError};
+use crate::session::{RunOutput, Session, Spec, UNREPORTED};
 use crate::shard::{FleetView, ShardRuntime};
 use crate::{ArgError, ParsedArgs};
 
@@ -235,53 +236,21 @@ fn dump_blackbox(state: &ServerState, reason: &str, rid: Option<&str>) -> bool {
     ok
 }
 
-/// FNV-1a, the content-address hash: deterministic, dependency-free,
-/// and plenty for a cache key spread.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn feed(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Hashes `text` line-normalized: trailing whitespace (CR
-    /// included) stripped, blank lines dropped. Two spellings of the
-    /// same netlist address the same artifact.
-    fn feed_normalized(&mut self, text: &str) {
-        for line in text.lines() {
-            let line = line.trim_end();
-            if line.is_empty() {
-                continue;
-            }
-            self.feed(line.as_bytes());
-            self.feed(b"\n");
-        }
-    }
-
-    fn separator(&mut self) {
-        self.feed(&[0xff]);
-    }
-}
-
-/// The content address of one request: normalized input plus the
-/// options that change the artifact.
+/// The content address of one request: the input, line-normalized,
+/// plus the options that change the artifact. Normalizing strips
+/// trailing whitespace (CR included) and drops blank lines, so two
+/// spellings of the same netlist address the same artifact.
 fn artifact_key(net: &str, cal: &str, io: Option<&str>, options: &RenderOptions) -> String {
-    let mut h = Fnv::new();
-    h.feed_normalized(net);
-    h.separator();
-    h.feed_normalized(cal);
-    h.separator();
-    h.feed_normalized(io.unwrap_or(""));
-    h.separator();
+    let mut h = Fnv1a::new();
+    for text in [net, cal, io.unwrap_or("")] {
+        for line in text.lines().map(str::trim_end).filter(|l| !l.is_empty()) {
+            h.feed(line.as_bytes());
+            h.feed(b"\n");
+        }
+        h.feed(&[0xff]);
+    }
     h.feed(format!("m={};order={:?}", options.margin, options.order).as_bytes());
-    format!("{:016x}", h.0)
+    format!("{:016x}", h.finish())
 }
 
 /// The pipeline, request-scoped: doctor → place → route (under the
@@ -369,7 +338,6 @@ fn handle_job(state: &HandlerState, job: DiagramJob, ctx: &JobContext) -> Comput
         &outcome,
         "netart serve",
         "netart_serve",
-        svg::render_with_structure,
         ("doctor", doctor_ns),
         &alloc_base,
         &mut degs,
@@ -1012,28 +980,41 @@ fn parse_millis(args: &ParsedArgs, flag: &str, default_ms: u64) -> Result<Durati
 /// unbindable address). After boot the server degrades, it does not
 /// error.
 pub fn run_serve(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "addr", "L", "workers", "queue-depth", "default-timeout", "timeout-ceiling",
-            "max-body", "cache-bytes", "drain-grace", "route-timeout", "max-nodes", "m", "order",
-            "input-policy", "inject", "access-log", "trace-level", "trace-out", "memory-budget",
-            "max-input-bytes", "max-network-bytes", "blackbox",
-            "shards", "quorum", "crash-limit", "crash-window",
-            "shard-worker", "shard-count", "shard-fd",
-        ],
-        &["log-json", "debug-endpoints"],
-        (0, 0),
-    )?;
+    let session = Session::parse(&SERVE, argv)?;
+    let args = &session.args;
     // `--shards N` makes this process the supervisor: it binds the
     // listener, re-execs N workers in the hidden `--shard-worker`
     // mode, and never serves HTTP itself.
-    if args.value("shard-worker").is_none() {
-        if let Some(_n) = args.value("shards") {
-            let shards = args.parsed("shards", 1usize)?.max(1);
-            return crate::shard::run_supervisor(argv, &args, shards);
-        }
+    if args.value("shard-worker").is_none() && args.value("shards").is_some() {
+        let shards = args.parsed("shards", 1usize)?.max(1);
+        return session.close(crate::shard::run_supervisor(argv, args, shards));
     }
+    // The flight recorder is always on in serve: INFO keeps the phase
+    // spans and warn/error events in the ring while the per-net DEBUG
+    // spans stay un-dispatched (negligible steady-state cost).
+    let (flight_recorder, recorder) =
+        FlightRecorder::new(FlightRecorder::DEFAULT_CAPACITY, tracing::Level::INFO);
+    let session = session.start(vec![Box::new(flight_recorder)])?;
+    session.close(serve(&session, recorder))
+}
+
+/// Serve answers requests, not a run: no `--report-json`, no
+/// `--strict`.
+static SERVE: Spec = Spec {
+    shared: UNREPORTED,
+    options: &[
+        "addr", "L", "workers", "queue-depth", "default-timeout", "timeout-ceiling", "max-body",
+        "cache-bytes", "drain-grace", "route-timeout", "max-nodes", "m", "order", "access-log",
+        "memory-budget", "blackbox", "shards", "quorum", "crash-limit", "crash-window",
+        "shard-worker", "shard-count", "shard-fd",
+    ],
+    switches: &["debug-endpoints"],
+    operands: (0, 0),
+    newline: true,
+};
+
+fn serve(session: &Session, recorder: FlightHandle) -> Result<RunOutput, CliError> {
+    let args = &session.args;
     // Hidden worker mode: shard identity injected by the supervisor.
     let shard_identity = match args.value("shard-worker") {
         Some(_) => Some((
@@ -1042,36 +1023,21 @@ pub fn run_serve(argv: &[String]) -> Result<RunOutput, CliError> {
         )),
         None => None,
     };
-    // The flight recorder is always on in serve: INFO keeps the phase
-    // spans and warn/error events in the ring while the per-net DEBUG
-    // spans stay un-dispatched (negligible steady-state cost).
-    let (flight_recorder, recorder) =
-        FlightRecorder::new(FlightRecorder::DEFAULT_CAPACITY, tracing::Level::INFO);
-    let trace = install_subscriber_with(&args, vec![Box::new(flight_recorder)])?;
-    arm_faults(&args)?;
-    let policy = input_policy(&args)?;
-    let base_budget = budget_from_args(&args)?;
-    let boot_budgets = budgets_from_args(&args)?;
+    let policy = session.policy;
+    let base_budget = budget_from_args(args)?;
     let mem_budget = Arc::new(match args.value("memory-budget") {
         Some(s) => MemBudget::bytes(parse_bytes("memory-budget", s)?),
         None => MemBudget::unlimited(),
     });
 
     let mut boot_degs = Vec::new();
-    let library =
-        match crate::commands::load_library(&args, policy, &boot_budgets, &mut boot_degs) {
-            Ok(lib) => lib,
-            Err(e @ CliError::ResourceExhausted { .. }) => {
-                return Ok(exhausted_output(&e, false, false))
-            }
-            Err(e) => return Err(e),
-        };
+    let library = load_library(session, &mut boot_degs)?;
 
     let margin = args.parsed("m", 4i32)?;
-    let order = order_from_args(&args)?;
-    let timeout_ceiling = parse_millis(&args, "timeout-ceiling", 30_000)?;
-    let default_timeout = parse_millis(&args, "default-timeout", 10_000)?.min(timeout_ceiling);
-    let drain_grace = parse_millis(&args, "drain-grace", 5_000)?;
+    let order = order_from_args(args)?;
+    let timeout_ceiling = parse_millis(args, "timeout-ceiling", 30_000)?;
+    let default_timeout = parse_millis(args, "default-timeout", 10_000)?.min(timeout_ceiling);
+    let drain_grace = parse_millis(args, "drain-grace", 5_000)?;
     let config = ServiceConfig {
         workers: args.parsed("workers", 2u32)?,
         queue_depth: args.parsed("queue-depth", 4usize)?,
@@ -1111,10 +1077,7 @@ pub fn run_serve(argv: &[String]) -> Result<RunOutput, CliError> {
             .unwrap_or(0),
     );
     let access_log = match args.value("access-log") {
-        Some(path) => Some(Mutex::new(File::create(path).map_err(|source| CliError::Io {
-            path: path.into(),
-            source,
-        })?)),
+        Some(path) => Some(Mutex::new(File::create(path).map_err(CliError::io(path))?)),
         None => None,
     };
 
@@ -1176,19 +1139,10 @@ pub fn run_serve(argv: &[String]) -> Result<RunOutput, CliError> {
             // sole owner in this process.
             unsafe { TcpListener::from_raw_fd(fd) }
         }
-        None => TcpListener::bind(addr).map_err(|source| CliError::Io {
-            path: addr.into(),
-            source,
-        })?,
+        None => TcpListener::bind(addr).map_err(CliError::io(addr))?,
     };
-    let local = listener.local_addr().map_err(|source| CliError::Io {
-        path: addr.into(),
-        source,
-    })?;
-    listener.set_nonblocking(true).map_err(|source| CliError::Io {
-        path: addr.into(),
-        source,
-    })?;
+    let local = listener.local_addr().map_err(CliError::io(addr))?;
+    listener.set_nonblocking(true).map_err(CliError::io(addr))?;
 
     // The contract with supervisors and tests: the first stdout line
     // names the resolved address, flushed before any request lands.
@@ -1250,10 +1204,9 @@ pub fn run_serve(argv: &[String]) -> Result<RunOutput, CliError> {
         std::thread::sleep(ACCEPT_TICK);
     }
 
-    write_trace(&args, trace.as_ref())?;
     let stats = stats_snapshot(&state);
-    Ok(RunOutput {
-        message: format!(
+    Ok(RunOutput::new(
+        format!(
             "drained cleanly: {} requests ({} clean, {} degraded, {} failed, {} shed), \
              {} cache hits, {} coalesced, {} panics contained",
             stats.requests,
@@ -1265,10 +1218,8 @@ pub fn run_serve(argv: &[String]) -> Result<RunOutput, CliError> {
             stats.coalesced,
             stats.panics,
         ),
-        degraded: false,
-        strict: false,
-        message_to_stderr: false,
-    })
+        false,
+    ))
 }
 
 #[cfg(test)]
@@ -1309,5 +1260,15 @@ mod tests {
         assert_eq!(key.len(), 16);
         assert!(key.chars().all(|c| c.is_ascii_hexdigit()));
         assert_eq!(key, artifact_key("x", "y", None, &options));
+    }
+
+    #[test]
+    fn artifact_keys_are_fnv1a_of_the_normalized_request() {
+        let options = RenderOptions {
+            margin: 4,
+            order: NetOrder::Definition,
+        };
+        // FNV-1a 64 of "x\n" 0xff "y\n" 0xff 0xff "m=4;order=Definition".
+        assert_eq!(artifact_key("x\r\n\n", "y", None, &options), "ef56f595a3550748");
     }
 }

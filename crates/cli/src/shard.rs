@@ -45,22 +45,13 @@ use std::time::{Duration, Instant};
 
 use netart_engine::{ShardAction, ShardPhase, ShardTable, SupervisorConfig};
 
-use crate::commands::{arm_faults, CliError, RunOutput};
+use crate::commands::CliError;
+use crate::session::{arm_faults, RunOutput};
+use crate::sys::{keep_across_exec, send_signal, SIGKILL, SIGTERM, SIGUSR1};
 use crate::ParsedArgs;
 
 /// The supervisor's reap/respawn/broadcast tick.
 const SUPERVISE_TICK: Duration = Duration::from_millis(10);
-
-// Raw libc symbol bindings, same dependency-free pattern as the
-// signal handlers in `batch.rs`.
-extern "C" {
-    fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
-    fn kill(pid: i32, sig: i32) -> i32;
-}
-const F_SETFD: i32 = 2;
-const SIGKILL: i32 = 9;
-const SIGUSR1: i32 = 10;
-const SIGTERM: i32 = 15;
 
 /// Worker-mode identity: which shard this process is, how many exist,
 /// and the supervisor-fed fleet view.
@@ -271,13 +262,6 @@ impl WorkerSlot {
     }
 }
 
-fn io_error(path: &str, source: std::io::Error) -> CliError {
-    CliError::Io {
-        path: path.into(),
-        source,
-    }
-}
-
 /// Spawns (or respawns) the worker for `slot`/`shard`. Fires the
 /// `serve.spawn` fault site first — any fired kind, panic included,
 /// is a simulated spawn failure. Returns whether a process is now
@@ -408,14 +392,11 @@ pub(crate) fn run_supervisor(
     let drain_grace = Duration::from_millis(args.parsed("drain-grace", 5_000u64)?);
 
     let addr = args.value("addr").unwrap_or("127.0.0.1:4817");
-    let listener = TcpListener::bind(addr).map_err(|e| io_error(addr, e))?;
-    let local = listener.local_addr().map_err(|e| io_error(addr, e))?;
+    let listener = TcpListener::bind(addr).map_err(CliError::io(addr))?;
+    let local = listener.local_addr().map_err(CliError::io(addr))?;
     let fd = listener.as_raw_fd();
-    // Workers must inherit the listening socket across exec: clear
-    // FD_CLOEXEC (std sets it on every fd it creates).
-    if unsafe { fcntl(fd, F_SETFD, 0) } != 0 {
-        return Err(io_error(addr, std::io::Error::last_os_error()));
-    }
+    // Workers must inherit the listening socket across exec.
+    keep_across_exec(fd).map_err(CliError::io(addr))?;
 
     let mut table = ShardTable::new(shards, config);
     let (events_tx, events_rx): (Sender<Event>, Receiver<Event>) = std::sync::mpsc::channel();
@@ -448,7 +429,7 @@ pub(crate) fn run_supervisor(
             // shard-stamped blackbox.
             for slot in &slots {
                 if let Some(pid) = slot.pid() {
-                    unsafe { kill(pid, SIGUSR1) };
+                    send_signal(pid, SIGUSR1);
                 }
             }
         }
@@ -497,7 +478,7 @@ pub(crate) fn run_supervisor(
     // (plus the workers' own settle margin); stragglers get SIGKILL.
     for slot in &slots {
         if let Some(pid) = slot.pid() {
-            unsafe { kill(pid, SIGTERM) };
+            send_signal(pid, SIGTERM);
         }
     }
     let deadline = Instant::now() + drain_grace + Duration::from_secs(4);
@@ -515,7 +496,7 @@ pub(crate) fn run_supervisor(
         if Instant::now() >= deadline {
             for slot in slots.iter_mut() {
                 if let Some(mut child) = slot.child.take() {
-                    unsafe { kill(child.id() as i32, SIGKILL) };
+                    send_signal(child.id() as i32, SIGKILL);
                     let _ = child.wait();
                 }
             }
@@ -524,17 +505,15 @@ pub(crate) fn run_supervisor(
         std::thread::sleep(SUPERVISE_TICK);
     }
 
-    Ok(RunOutput {
-        message: format!(
+    Ok(RunOutput::new(
+        format!(
             "drained cleanly: {} shard(s) supervised, {} restart(s), {} quarantined",
             shards,
             table.restarts_total(),
             table.quarantined(),
         ),
-        degraded: false,
-        strict: false,
-        message_to_stderr: false,
-    })
+        false,
+    ))
 }
 
 #[cfg(test)]

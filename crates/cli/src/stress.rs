@@ -22,7 +22,7 @@
 //! not affect the exit code — this harness judges memory governance,
 //! not routing quality.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use netart::place::{Pablo, PlaceConfig};
@@ -30,11 +30,10 @@ use netart::route::RouteConfig;
 use netart_workloads::text::{self, TextWorkload};
 
 use crate::commands::{
-    arm_faults, budget_from_args, budgets_from_args, exhausted_output, input_policy,
-    install_subscriber, load_library_dir, load_network_files, parse_bytes, write_trace, CliError,
-    RunOutput,
+    budget_from_args, load_library_dir, load_network_files, parse_bytes, CliError,
 };
-use crate::{ArgError, ParsedArgs};
+use crate::session::{RunOutput, Session, Spec, UNREPORTED};
+use crate::ArgError;
 
 /// Peak resident set size of this process in bytes, from
 /// `/proc/self/status` `VmHWM`. `None` off Linux or when the proc file
@@ -129,20 +128,35 @@ fn build_workload(
 /// Any [`CliError`] condition, including an unwritable `--out`
 /// directory and a breached `--rss-limit`.
 pub fn run_stress(argv: &[String]) -> Result<RunOutput, CliError> {
-    let args = ParsedArgs::parse(
-        argv,
-        &[
-            "workload", "modules", "seed", "adversary", "phase", "max-input-bytes",
-            "max-network-bytes", "rss-limit", "out", "input-policy", "route-timeout",
-            "max-nodes", "inject", "trace-level", "trace-out",
-        ],
-        &["log-json", "keep"],
-        (0, 0),
-    )?;
-    let trace = install_subscriber(&args)?;
-    arm_faults(&args)?;
-    let policy = input_policy(&args)?;
-    let budgets = budgets_from_args(&args)?;
+    Session::run(&STRESS, argv, stress)
+}
+
+static STRESS: Spec = Spec {
+    shared: UNREPORTED,
+    options: &[
+        "workload", "modules", "seed", "adversary", "phase", "rss-limit", "out", "route-timeout",
+        "max-nodes",
+    ],
+    switches: &["keep"],
+    operands: (0, 0),
+    newline: true,
+};
+
+/// Removes the generated workload directory when dropped, so every
+/// way out of a run — a governed refusal included — cleans up.
+struct Ephemeral<'a>(Option<&'a Path>);
+
+impl Drop for Ephemeral<'_> {
+    fn drop(&mut self) {
+        if let Some(dir) = self.0 {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+fn stress(session: &Session) -> Result<RunOutput, CliError> {
+    let args = &session.args;
+    let budgets = &session.budgets;
     let modules: usize = args.parsed("modules", 1000usize)?;
     let seed: u64 = args.parsed("seed", 1u64)?;
     let kind = args.value("workload").unwrap_or("cell-array");
@@ -188,45 +202,24 @@ pub fn run_stress(argv: &[String]) -> Result<RunOutput, CliError> {
             !args.has("keep"),
         ),
     };
-    let paths = workload.write_to(&dir).map_err(|source| CliError::Io {
-        path: dir.clone(),
-        source,
-    })?;
-    let cleanup = || {
-        if ephemeral {
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    };
+    let paths = workload.write_to(&dir).map_err(CliError::io(&dir))?;
+    let cleanup = Ephemeral(ephemeral.then_some(dir.as_path()));
 
     // The governed ingestion path, verbatim: streamed module library,
     // streamed netlist trio, budgeted network build. An exhaustion
     // anywhere is the contract working — degraded exit 2 with ND015.
     let t_parse = Instant::now();
     let mut degs = Vec::new();
-    let loaded = load_library_dir(&paths.lib, policy, &budgets, &mut degs).and_then(|lib| {
-        load_network_files(
-            lib,
-            &paths.net,
-            &paths.cal,
-            paths.io.as_deref(),
-            policy,
-            &budgets,
-        )
-    });
-    let network = match loaded {
-        Ok((network, mut net_degs)) => {
-            degs.append(&mut net_degs);
-            network
-        }
-        Err(e @ CliError::ResourceExhausted { .. }) => {
-            cleanup();
-            return Ok(exhausted_output(&e, false, false));
-        }
-        Err(e) => {
-            cleanup();
-            return Err(e);
-        }
-    };
+    let lib = load_library_dir(&paths.lib, session.policy, budgets, &mut degs)?;
+    let (network, mut net_degs) = load_network_files(
+        lib,
+        &paths.net,
+        &paths.cal,
+        paths.io.as_deref(),
+        session.policy,
+        budgets,
+    )?;
+    degs.append(&mut net_degs);
     let parse_s = t_parse.elapsed().as_secs_f64();
 
     let mut summary = format!(
@@ -245,7 +238,7 @@ pub fn run_stress(argv: &[String]) -> Result<RunOutput, CliError> {
         let place_s = t_place.elapsed().as_secs_f64();
         summary.push_str(&format!("; placed in {place_s:.3}s"));
     } else if phase == "route" {
-        let route = RouteConfig::new().with_budget(budget_from_args(&args)?);
+        let route = RouteConfig::new().with_budget(budget_from_args(args)?);
         let outcome = netart::Generator::new()
             .with_placing(PlaceConfig::new())
             .with_routing(route)
@@ -270,11 +263,12 @@ pub fn run_stress(argv: &[String]) -> Result<RunOutput, CliError> {
         Some(rss) => summary.push_str(&format!("; peak RSS {}", human_bytes(rss))),
         None => summary.push_str("; peak RSS unavailable on this platform"),
     }
-    cleanup();
-    write_trace(&args, trace.as_ref())?;
+    drop(cleanup);
 
     if let (Some(limit), Some(rss)) = (rss_limit, rss) {
         if rss > limit {
+            // A harness failure still leaves its trace behind.
+            session.write_trace()?;
             return Err(CliError::Other(format!(
                 "peak RSS {} breaches the --rss-limit of {} — streaming ingestion \
                  slurped ({summary})",
@@ -285,10 +279,5 @@ pub fn run_stress(argv: &[String]) -> Result<RunOutput, CliError> {
         summary.push_str(&format!(" (under the {} limit)", human_bytes(limit)));
     }
 
-    Ok(RunOutput {
-        message: summary,
-        degraded: false,
-        strict: false,
-        message_to_stderr: false,
-    })
+    Ok(RunOutput::new(summary, false))
 }

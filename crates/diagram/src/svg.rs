@@ -8,14 +8,14 @@
 
 use std::fmt::Write as _;
 
-use netart_geom::Axis;
+use netart_geom::{Axis, Rect};
 
 use crate::Diagram;
 
 /// Pixels per grid track.
-const SCALE: i32 = 12;
+const SCALE: i64 = 12;
 /// Margin around the drawing, in tracks.
-const MARGIN: i32 = 3;
+const MARGIN: i64 = 3;
 
 const PALETTE: [&str; 6] = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf",
@@ -28,59 +28,7 @@ const PALETTE: [&str; 6] = [
 /// Diagrams without an attached [`crate::PlacementStructure`] (hand
 /// placements, baseline placers) render exactly like [`render`].
 pub fn render_with_structure(diagram: &Diagram) -> String {
-    let base = render(diagram);
-    let Some(structure) = diagram.placement().structure() else {
-        return base;
-    };
-    let network = diagram.network();
-    let placement = diagram.placement();
-    let bb = placement.bounding_box(network);
-    let (min, max) = match bb {
-        Some(bb) => (
-            bb.lower_left() + netart_geom::Point::new(-MARGIN, -MARGIN),
-            bb.upper_right() + netart_geom::Point::new(MARGIN, MARGIN),
-        ),
-        None => return base,
-    };
-    let fx = |x: i32| (x - min.x) * SCALE;
-    let fy = |y: i32| (max.y - y) * SCALE;
-
-    let mut overlay = String::new();
-    let hull = |modules: &[netart_netlist::ModuleId]| -> Option<netart_geom::Rect> {
-        modules
-            .iter()
-            .filter(|m| placement.module(**m).is_some())
-            .map(|&m| placement.module_rect(network, m))
-            .reduce(|a, b| a.hull(&b))
-    };
-    for part in &structure.partitions {
-        for string in part {
-            if let Some(r) = hull(string) {
-                let r = r.inflate(1);
-                let _ = writeln!(
-                    overlay,
-                    r##"<rect x="{}" y="{}" width="{}" height="{}" fill="none" stroke="#999999" stroke-width="1" stroke-dasharray="3,3"/>"##,
-                    fx(r.lower_left().x),
-                    fy(r.upper_right().y),
-                    r.width() * SCALE,
-                    r.height() * SCALE
-                );
-            }
-        }
-        let all: Vec<netart_netlist::ModuleId> = part.iter().flatten().copied().collect();
-        if let Some(r) = hull(&all) {
-            let r = r.inflate(2);
-            let _ = writeln!(
-                overlay,
-                r##"<rect x="{}" y="{}" width="{}" height="{}" fill="none" stroke="#555555" stroke-width="1.5" stroke-dasharray="7,4"/>"##,
-                fx(r.lower_left().x),
-                fy(r.upper_right().y),
-                r.width() * SCALE,
-                r.height() * SCALE
-            );
-        }
-    }
-    base.replace("</svg>\n", &format!("{overlay}</svg>\n"))
+    render_document(diagram, true)
 }
 
 /// Renders a diagram as a standalone SVG document.
@@ -90,21 +38,71 @@ pub fn render_with_structure(diagram: &Diagram) -> String {
 /// salvage cascade left a [`crate::GhostWire`], which is drawn as a
 /// dashed gray line so the missing connection stays visible.
 pub fn render(diagram: &Diagram) -> String {
+    render_document(diagram, false)
+}
+
+/// The picture frame: the placement's bounding box plus the margin,
+/// in pixels. Pixel coordinates are `i64`, so a placement wider than
+/// `i32` renders too.
+struct Frame {
+    min_x: i64,
+    max_y: i64,
+    width: i64,
+    height: i64,
+}
+
+impl Frame {
+    fn of(diagram: &Diagram) -> Frame {
+        let bb = diagram.placement().bounding_box(diagram.network());
+        let (min_x, min_y, max_x, max_y) = match bb {
+            Some(bb) => {
+                let (lo, hi) = (bb.lower_left(), bb.upper_right());
+                (
+                    i64::from(lo.x) - MARGIN,
+                    i64::from(lo.y) - MARGIN,
+                    i64::from(hi.x) + MARGIN,
+                    i64::from(hi.y) + MARGIN,
+                )
+            }
+            // Nothing placed: a 10×10-track blank canvas.
+            None => (0, 0, 10, 10),
+        };
+        Frame {
+            min_x,
+            max_y,
+            width: (max_x - min_x) * SCALE,
+            height: (max_y - min_y) * SCALE,
+        }
+    }
+
+    fn x(&self, x: i32) -> i64 {
+        (i64::from(x) - self.min_x) * SCALE
+    }
+
+    /// SVG y grows downwards; flip so diagram y grows upwards.
+    fn y(&self, y: i32) -> i64 {
+        (self.max_y - i64::from(y)) * SCALE
+    }
+}
+
+/// Writes one `<rect>` element: `r` in pixels, then `style`.
+fn write_rect(out: &mut String, frame: &Frame, r: &Rect, style: &str) {
+    let (lo, hi) = (r.lower_left(), r.upper_right());
+    let _ = writeln!(
+        out,
+        r#"<rect x="{}" y="{}" width="{}" height="{}" {style}/>"#,
+        frame.x(lo.x),
+        frame.y(hi.y),
+        (i64::from(hi.x) - i64::from(lo.x)) * SCALE,
+        (i64::from(hi.y) - i64::from(lo.y)) * SCALE
+    );
+}
+
+fn render_document(diagram: &Diagram, with_structure: bool) -> String {
     let network = diagram.network();
     let placement = diagram.placement();
-    let bb = placement.bounding_box(network);
-    let (min, max) = match bb {
-        Some(bb) => (
-            bb.lower_left() + netart_geom::Point::new(-MARGIN, -MARGIN),
-            bb.upper_right() + netart_geom::Point::new(MARGIN, MARGIN),
-        ),
-        None => (netart_geom::Point::ORIGIN, netart_geom::Point::new(10, 10)),
-    };
-    let width = (max.x - min.x) * SCALE;
-    let height = (max.y - min.y) * SCALE;
-    // SVG y grows downwards; flip so diagram y grows upwards.
-    let fx = |x: i32| (x - min.x) * SCALE;
-    let fy = |y: i32| (max.y - y) * SCALE;
+    let frame = Frame::of(diagram);
+    let (width, height) = (frame.width, frame.height);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -122,10 +120,10 @@ pub fn render(diagram: &Diagram) -> String {
             let _ = writeln!(
                 out,
                 r#"<line x1="{}" y1="{}" x2="{}" y2="{}" stroke="{color}" stroke-width="2"><title>{name}</title></line>"#,
-                fx(a.x),
-                fy(a.y),
-                fx(b.x),
-                fy(b.y)
+                frame.x(a.x),
+                frame.y(a.y),
+                frame.x(b.x),
+                frame.y(b.y)
             );
         }
     }
@@ -137,10 +135,10 @@ pub fn render(diagram: &Diagram) -> String {
             let _ = writeln!(
                 out,
                 r##"<line x1="{}" y1="{}" x2="{}" y2="{}" stroke="#aaaaaa" stroke-width="1.5" stroke-dasharray="5,4"><title>{name} (unrouted)</title></line>"##,
-                fx(a.x),
-                fy(a.y),
-                fx(b.x),
-                fy(b.y)
+                frame.x(a.x),
+                frame.y(a.y),
+                frame.x(b.x),
+                frame.y(b.y)
             );
         }
     }
@@ -150,20 +148,13 @@ pub fn render(diagram: &Diagram) -> String {
             continue;
         }
         let r = placement.module_rect(network, m);
-        let _ = writeln!(
-            out,
-            r##"<rect x="{}" y="{}" width="{}" height="{}" fill="#f5f5f0" stroke="black" stroke-width="2"/>"##,
-            fx(r.lower_left().x),
-            fy(r.upper_right().y),
-            r.width() * SCALE,
-            r.height() * SCALE
-        );
+        write_rect(&mut out, &frame, &r, r##"fill="#f5f5f0" stroke="black" stroke-width="2""##);
         let c = r.center();
         let _ = writeln!(
             out,
             r#"<text x="{}" y="{}" font-family="monospace" font-size="10" text-anchor="middle">{}</text>"#,
-            fx(c.x),
-            fy(c.y) + 3,
+            frame.x(c.x),
+            frame.y(c.y) + 3,
             network.instance(m).name()
         );
         let tpl = network.template_of(m);
@@ -172,8 +163,8 @@ pub fn render(diagram: &Diagram) -> String {
             let _ = writeln!(
                 out,
                 r#"<circle cx="{}" cy="{}" r="2.5" fill="black"><title>{}.{}</title></circle>"#,
-                fx(p.x),
-                fy(p.y),
+                frame.x(p.x),
+                frame.y(p.y),
                 network.instance(m).name(),
                 tpl.terminals()[t].name()
             );
@@ -185,16 +176,39 @@ pub fn render(diagram: &Diagram) -> String {
             let _ = writeln!(
                 out,
                 r#"<rect x="{}" y="{}" width="8" height="8" fill="white" stroke="black" stroke-width="1.5"/>"#,
-                fx(p.x) - 4,
-                fy(p.y) - 4
+                frame.x(p.x) - 4,
+                frame.y(p.y) - 4
             );
             let _ = writeln!(
                 out,
                 r#"<text x="{}" y="{}" font-family="monospace" font-size="9" text-anchor="middle">{}</text>"#,
-                fx(p.x),
-                fy(p.y) - 7,
+                frame.x(p.x),
+                frame.y(p.y) - 7,
                 network.system_term(st).name()
             );
+        }
+    }
+
+    if let Some(structure) = placement.structure().filter(|_| with_structure) {
+        let hull = |modules: &[netart_netlist::ModuleId]| -> Option<Rect> {
+            modules
+                .iter()
+                .filter(|m| placement.module(**m).is_some())
+                .map(|&m| placement.module_rect(network, m))
+                .reduce(|a, b| a.hull(&b))
+        };
+        for part in &structure.partitions {
+            for string in part {
+                if let Some(r) = hull(string) {
+                    let style = r##"fill="none" stroke="#999999" stroke-width="1" stroke-dasharray="3,3""##;
+                    write_rect(&mut out, &frame, &r.inflate(1), style);
+                }
+            }
+            let all: Vec<netart_netlist::ModuleId> = part.iter().flatten().copied().collect();
+            if let Some(r) = hull(&all) {
+                let style = r##"fill="none" stroke="#555555" stroke-width="1.5" stroke-dasharray="7,4""##;
+                write_rect(&mut out, &frame, &r.inflate(2), style);
+            }
         }
     }
 

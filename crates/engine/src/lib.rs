@@ -198,15 +198,35 @@ fn watchdog(
     }
 }
 
-/// FNV-1a, the deterministic jitter source: two runs of the same
-/// batch back off identically, keeping retries reproducible.
-fn fnv1a(input: &str, attempt: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in input.bytes().chain(attempt.to_le_bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a, the deterministic hash behind the backoff jitter (two runs
+/// of the same batch back off identically) and `netart serve`'s
+/// content-addressed artifact keys.
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The empty hash (the FNV-1a 64-bit offset basis).
+    pub fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Folds `bytes` into the hash.
+    pub fn feed(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
 }
 
 /// The backoff schedule itself, parameterised by its knobs so other
@@ -221,7 +241,10 @@ pub fn backoff_schedule(base: Duration, cap: Duration, seed: &str, attempt: u32)
     if jitter_span == 0 {
         return grown;
     }
-    grown + Duration::from_nanos(fnv1a(seed, attempt) % jitter_span)
+    let mut hash = Fnv1a::new();
+    hash.feed(seed.as_bytes());
+    hash.feed(&attempt.to_le_bytes());
+    grown + Duration::from_nanos(hash.finish() % jitter_span)
 }
 
 /// The delay before retry number `attempt + 1`: exponential in the
@@ -239,17 +262,6 @@ fn interruptible_sleep(total: Duration, drain: &CancelToken) {
         }
         let left = deadline.saturating_duration_since(Instant::now());
         std::thread::sleep(left.min(WATCHDOG_TICK));
-    }
-}
-
-/// Extracts a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_owned()
     }
 }
 
@@ -425,7 +437,7 @@ where
                 );
             }
             Ok(Err(failure)) => failure,
-            Err(payload) => JobFailure::transient(panic_message(payload.as_ref())),
+            Err(payload) => JobFailure::transient(netart_obs::panic_message(payload.as_ref())),
         };
         last_error = failure.message.clone();
         debug!(
@@ -791,6 +803,14 @@ mod tests {
         let mut parallel = parallel.normalized();
         parallel.jobs_in_flight = serial.jobs_in_flight;
         assert_eq!(serial.normalized().to_json_string(), parallel.to_json_string());
+    }
+
+    #[test]
+    fn backoff_jitter_is_fnv1a_of_seed_and_attempt() {
+        // 400 ms grown, plus FNV-1a("job.net" ++ 3u32 LE) mod 100 ms.
+        let (base, cap) = (Duration::from_millis(100), Duration::from_secs(10));
+        let delay = backoff_schedule(base, cap, "job.net", 3);
+        assert_eq!(delay, Duration::from_nanos(490_774_138));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::queue::{BoundedQueue, TryPushError};
-use crate::{panic_message, watchdog, CancelToken, JobContext, Watch};
+use crate::{watchdog, CancelToken, JobContext, Watch};
 
 /// Tuning knobs for a resident [`Service`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -181,7 +181,7 @@ impl<Req: Send + 'static, R: Send + 'static> Service<Req, R> {
                         match catch_unwind(AssertUnwindSafe(|| handler(task.req, &ctx))) {
                             Ok(result) => TicketOutcome::Finished(result),
                             Err(payload) => {
-                                TicketOutcome::Panicked(panic_message(payload.as_ref()))
+                                TicketOutcome::Panicked(netart_obs::panic_message(payload.as_ref()))
                             }
                         };
                     *shared.watches[w]

@@ -74,3 +74,15 @@ pub use serve::{
 pub use subscribe::{FanoutSubscriber, JsonLinesSubscriber, TextSubscriber};
 pub use telemetry::{RollingHistogram, Telemetry, WindowSummary};
 pub use trace::{TraceBuffer, TraceEvent, TraceEventSubscriber};
+
+/// The message of a caught panic payload: the `&str` or `String` it
+/// carries, else a fixed placeholder.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
+}

@@ -1033,10 +1033,8 @@ mod tests {
         assert!(took < std::time::Duration::from_millis(250), "{took:?}");
     }
 
-    /// A placement wider than `i32::MAX` routes, measures and checks
-    /// as promptly: three buffers at x = -1.09×10⁹, 0 and 1.09×10⁹.
-    #[test]
-    fn a_placement_wider_than_i32_routes_in_no_time() {
+    /// Three chained buffers at x = -`far`, 0 and `far`.
+    fn three_buffers_apart(far: i32) -> Diagram {
         let (lib, t) = buf_lib();
         let mut b = NetworkBuilder::new(lib);
         let u0 = b.add_instance("u0", t).unwrap();
@@ -1048,11 +1046,18 @@ mod tests {
         b.connect_pin("m", u2, "a").unwrap();
         let network = b.finish().unwrap();
         let mut placement = netart_diagram::Placement::new(&network);
-        let far = 1_090_000_000;
         placement.place_module(u0, Point::new(-far, 0), Rotation::R0);
         placement.place_module(u1, Point::new(0, 0), Rotation::R0);
         placement.place_module(u2, Point::new(far, 0), Rotation::R0);
-        let mut d = Diagram::new(network, placement);
+        Diagram::new(network, placement)
+    }
+
+    /// A placement wider than `i32::MAX` routes, measures and checks
+    /// as promptly: three buffers at x = -1.09×10⁹, 0 and 1.09×10⁹.
+    #[test]
+    fn a_placement_wider_than_i32_routes_in_no_time() {
+        let far = 1_090_000_000;
+        let mut d = three_buffers_apart(far);
         let start = std::time::Instant::now();
         let report = Eureka::new(RouteConfig::default()).route(&mut d);
         let metrics = d.metrics();
@@ -1064,6 +1069,25 @@ mod tests {
         assert_eq!(metrics.total_length, 2 * far as u64 - 8, "{metrics:?}");
         assert!(check.is_ok(), "{check}");
         assert!(took < std::time::Duration::from_millis(250), "{took:?}");
+    }
+
+    /// The same routed plane renders as SVG: the picture is 2.18×10⁹
+    /// tracks wide, so its pixel frame only fits in `i64`.
+    #[test]
+    fn a_placement_wider_than_i32_renders_as_svg() {
+        let far = 1_090_000_000;
+        let mut d = three_buffers_apart(far);
+        let report = Eureka::new(RouteConfig::default()).route(&mut d);
+        assert_eq!(report.routed.len(), 2, "{report:?}");
+        let width = (2 * i64::from(far) + 4 + 6) * 12;
+        for svg in [
+            netart_diagram::svg::render(&d),
+            netart_diagram::svg::render_with_structure(&d),
+        ] {
+            let head = format!(r#"<svg xmlns="http://www.w3.org/2000/svg" width="{width}""#);
+            assert!(svg.starts_with(&head), "{svg}");
+            assert_eq!(netart_diagram::svg::wire_segment_count(&svg), 2, "{svg}");
+        }
     }
 
     #[test]
