@@ -376,6 +376,14 @@ pub(crate) fn run_supervisor(
     args: &ParsedArgs,
     shards: usize,
 ) -> Result<RunOutput, CliError> {
+    // Each worker's stdout reaches the supervisor's line by line behind
+    // an `[s{k}]` prefix, so no sink can stream to it.
+    if let Some(flag) = STAMPED_FLAGS.iter().find(|&&f| args.value(f) == Some("-")) {
+        return Err(CliError::Other(format!(
+            "--{flag} - cannot stream under --shards: each worker's stdout is forwarded \
+             line by line behind an `[sK]` prefix; give a file path"
+        )));
+    }
     // Arm before the first spawn attempt: `serve.spawn` fires here in
     // the supervisor; every other site rides the forwarded `--inject`
     // (and the inherited NETART_INJECT) into the workers.

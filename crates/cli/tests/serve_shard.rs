@@ -21,7 +21,7 @@
 mod common;
 
 use std::collections::HashSet;
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use common::{chain_inputs, diagram_request, scratch, write_lib, ServeProc};
@@ -325,4 +325,39 @@ fn sigusr1_fans_out_shard_stamped_blackboxes() {
     }
     assert!(!dump.exists(), "the unstamped path is never written in sharded mode");
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn sharded_sinks_refuse_stdout_by_flag_name() {
+    let dir = scratch("shard-stdout-sinks");
+    let lib = write_lib(&dir);
+    for flag in ["--trace-out", "--access-log", "--blackbox"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_netart"))
+            .current_dir(&dir)
+            .args(["serve", "--addr", "127.0.0.1:0", "-L", &lib, "--shards", "1", flag, "-"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("netart serve spawns");
+        // A supervisor that boots serves until signalled: stop it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while child.try_wait().expect("poll").is_none() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        let refused = child.try_wait().expect("poll").is_some();
+        if !refused {
+            let _ = Command::new("kill").args(["-TERM", &child.id().to_string()]).status();
+        }
+        let out = child.wait_with_output().expect("serve exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(refused, "{flag} - booted a sharded server; stderr: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains(&format!("{flag} -")), "{flag}: {stderr}");
+        let strays: Vec<_> = std::fs::read_dir(&dir)
+            .expect("scratch dir")
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with('-'))
+            .collect();
+        assert!(strays.is_empty(), "{flag} - left {strays:?}");
+    }
 }

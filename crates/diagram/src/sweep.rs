@@ -4,7 +4,7 @@
 
 use std::collections::BTreeSet;
 
-use netart_geom::{Axis, Interval, Point, Segment};
+use netart_geom::{coalesce, Axis, Interval, Point, Segment};
 
 /// Calls `meet(h, v, p)` for every horizontal `hs[h]` and vertical
 /// `vs[v]` that share the point `p`, in x order: O((n + meets) log n).
@@ -34,15 +34,7 @@ pub(crate) fn meets(hs: &[Segment], vs: &[Segment], mut meet: impl FnMut(usize, 
 /// start; the runs of one track share no point.
 fn runs(segments: &[Segment], axis: Axis) -> Vec<Segment> {
     let mut pieces: Vec<Segment> = segments.iter().filter(|s| s.axis() == axis).copied().collect();
-    pieces.sort_unstable();
-    // Not `Segment::merge`: its `hi + 1` overflows at `i32::MAX`.
-    pieces.dedup_by(|s, run| {
-        let joins = run.track() == s.track() && s.span().lo() <= run.span().hi();
-        if joins {
-            *run = Segment::on_axis(axis, run.track(), run.span().hull(s.span()));
-        }
-        joins
-    });
+    coalesce(&mut pieces);
     pieces
 }
 

@@ -10,7 +10,8 @@
 //! * [`Rect`] — an axis-aligned rectangle given by its lower-left corner
 //!   and size,
 //! * [`Interval`] — a closed 1-D integer range,
-//! * [`Segment`] — an axis-aligned segment on an integer track,
+//! * [`Segment`] — an axis-aligned segment on an integer track, and
+//!   [`coalesce`], which joins collinear pieces into maximal runs,
 //! * [`Dir`] / [`Side`] / [`Axis`] — the four plane directions, module
 //!   sides and the two axes,
 //! * [`Rotation`] — the four right-angle module orientations.
@@ -43,4 +44,4 @@ pub use interval::Interval;
 pub use point::Point;
 pub use rect::Rect;
 pub use rotation::Rotation;
-pub use segment::Segment;
+pub use segment::{coalesce, Segment};

@@ -178,31 +178,36 @@ impl Segment {
             span,
         })
     }
+}
 
-    /// Merges two collinear touching/overlapping segments into one.
-    ///
-    /// Returns `None` when they are not collinear or leave a gap.
-    pub fn merge(&self, other: &Segment) -> Option<Segment> {
-        if self.axis != other.axis || self.track != other.track {
-            return None;
+/// Sorts `segments` and coalesces them in place into maximal *runs*: a
+/// segment joins the run before it when both lie on one axis and track
+/// and share a point. The runs come out sorted by axis, track and
+/// start, and the runs of one track share no point. O(n log n). The
+/// join test is `next.lo <= run.hi`, so it holds up to `i32::MAX`.
+///
+/// # Examples
+///
+/// ```
+/// use netart_geom::{coalesce, Segment};
+///
+/// let mut runs = vec![
+///     Segment::horizontal(0, 4, 9),
+///     Segment::horizontal(0, 11, 12),
+///     Segment::horizontal(0, 0, 4),
+/// ];
+/// coalesce(&mut runs);
+/// assert_eq!(runs, [Segment::horizontal(0, 0, 9), Segment::horizontal(0, 11, 12)]);
+/// ```
+pub fn coalesce(segments: &mut Vec<Segment>) {
+    segments.sort_unstable();
+    segments.dedup_by(|s, run| {
+        let joins = (run.axis, run.track) == (s.axis, s.track) && s.span.lo() <= run.span.hi();
+        if joins {
+            run.span = run.span.hull(s.span);
         }
-        // Touching at an endpoint or overlapping merges; a gap does not.
-        if self.span.lo() > other.span.hi() + 1 || other.span.lo() > self.span.hi() + 1 {
-            return None;
-        }
-        // Disallow merging across a one-unit gap: spans must share a point.
-        if !self.span.overlaps(other.span)
-            && self.span.lo() != other.span.hi()
-            && other.span.lo() != self.span.hi()
-        {
-            return None;
-        }
-        Some(Segment {
-            axis: self.axis,
-            track: self.track,
-            span: self.span.hull(other.span),
-        })
-    }
+        joins
+    });
 }
 
 impl fmt::Display for Segment {
@@ -277,14 +282,30 @@ mod tests {
         let a = Segment::horizontal(1, 0, 5);
         let b = Segment::horizontal(1, 3, 9);
         assert_eq!(a.overlap(&b), Some(Segment::horizontal(1, 3, 5)));
-        assert_eq!(a.merge(&b), Some(Segment::horizontal(1, 0, 9)));
-        let touching = Segment::horizontal(1, 5, 7);
-        assert_eq!(a.merge(&touching), Some(Segment::horizontal(1, 0, 7)));
-        let gap = Segment::horizontal(1, 7, 9);
-        assert_eq!(a.merge(&gap), None);
         let other_track = Segment::horizontal(2, 0, 5);
         assert_eq!(a.overlap(&other_track), None);
-        assert_eq!(a.merge(&other_track), None);
+        // Overlapping and touching pieces merge; a gap, another track
+        // or another axis keeps them apart.
+        let merged = |pieces: &[Segment]| {
+            let mut runs = pieces.to_vec();
+            coalesce(&mut runs);
+            runs
+        };
+        assert_eq!(merged(&[b, a]), [Segment::horizontal(1, 0, 9)]);
+        let touching = Segment::horizontal(1, 5, 7);
+        assert_eq!(merged(&[a, touching]), [Segment::horizontal(1, 0, 7)]);
+        let gap = Segment::horizontal(1, 7, 9);
+        assert_eq!(merged(&[gap, a]), [a, gap]);
+        assert_eq!(merged(&[other_track, a]), [a, other_track]);
+        let across = Segment::vertical(1, 0, 5);
+        assert_eq!(merged(&[across, a]), [a, across]);
+        // Runs reaching the ends of the plane merge without overflow.
+        let top = Segment::horizontal(i32::MAX, i32::MAX - 1, i32::MAX);
+        let bottom = Segment::horizontal(i32::MAX, i32::MIN, i32::MAX - 1);
+        assert_eq!(
+            merged(&[top, bottom]),
+            [Segment::horizontal(i32::MAX, i32::MIN, i32::MAX)]
+        );
     }
 
     #[test]

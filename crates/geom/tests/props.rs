@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use netart_geom::{Interval, Point, Rect, Rotation, Segment};
+use netart_geom::{coalesce, Axis, Interval, Point, Rect, Rotation, Segment};
 use proptest::prelude::*;
 
 const C: i32 = 10_000; // coordinate bound keeping arithmetic far from overflow
@@ -110,23 +110,61 @@ proptest! {
     }
 
     #[test]
-    fn segment_merge_covers_union(a_lo in -C..C, a_len in 0..50i32, b_lo in -C..C, b_len in 0..50i32) {
-        let a = Segment::horizontal(0, a_lo, a_lo + a_len);
-        let b = Segment::horizontal(0, b_lo, b_lo + b_len);
-        match a.merge(&b) {
-            Some(m) => {
-                prop_assert!(m.span().contains_interval(a.span()));
-                prop_assert!(m.span().contains_interval(b.span()));
-                // No gap: every point of the merge is in a or b.
-                for v in m.span().lo()..=m.span().hi() {
-                    prop_assert!(a.span().contains(v) || b.span().contains(v));
-                }
+    fn coalesced_runs_cover_exactly_the_union(
+        pieces in prop::collection::vec(extreme_piece(), 0..24),
+    ) {
+        let mut runs = pieces.clone();
+        coalesce(&mut runs);
+        let line = |s: &Segment| (s.axis(), s.track());
+        // Sorted, and the runs of one line share no point.
+        for w in runs.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            let apart = line(&a) == line(&b) && a.span().hi() < b.span().lo();
+            prop_assert!(line(&a) < line(&b) || apart, "{} and {} are unsorted or touch", a, b);
+        }
+        for &run in &runs {
+            // Every piece on the run lies inside it.
+            let mut inside: Vec<Interval> = pieces.iter()
+                .filter(|p| line(p) == line(&run) && p.span().overlaps(run.span()))
+                .map(|p| p.span())
+                .collect();
+            let within = |s: &Interval| run.span().contains_interval(*s);
+            prop_assert!(inside.iter().all(within), "{} cuts a piece", run);
+            // The pieces chain from one end of the run to the other,
+            // each sharing a point with those before it: no gap.
+            inside.sort_unstable();
+            let mut reach = run.span().lo();
+            prop_assert_eq!(inside[0].lo(), reach);
+            for s in &inside {
+                prop_assert!(s.lo() <= reach, "gap before {} in {}", s, run);
+                reach = reach.max(s.hi());
             }
-            None => prop_assert!(
-                !a.span().overlaps(b.span())
-                    && a.span().lo() != b.span().hi()
-                    && b.span().lo() != a.span().hi()
-            ),
+            prop_assert_eq!(reach, run.span().hi());
+        }
+        // Every piece lies on some run.
+        for p in &pieces {
+            let holds = |r: &Segment| line(r) == line(p) && r.span().contains_interval(p.span());
+            prop_assert!(runs.iter().any(holds), "no run holds {}", p);
         }
     }
+}
+
+/// A coordinate near either end of `i32` or near zero.
+fn extreme() -> impl Strategy<Value = i32> {
+    let centres = vec![i32::MIN, -6, i32::MAX - 12];
+    (prop::sample::select(centres), 0..13i32).prop_map(|(c, d)| c + d)
+}
+
+/// A piece on one of a few tracks, its ends near either end of `i32`
+/// or near zero, so pieces overlap, touch and leave gaps.
+fn extreme_piece() -> impl Strategy<Value = Segment> {
+    let track = prop::sample::select(vec![i32::MIN, -1, 0, 1, i32::MAX]);
+    (any::<bool>(), track, extreme(), extreme()).prop_map(|(horizontal, track, a, b)| {
+        let axis = if horizontal {
+            Axis::Horizontal
+        } else {
+            Axis::Vertical
+        };
+        Segment::on_axis(axis, track, Interval::new(a.min(b), a.max(b)))
+    })
 }

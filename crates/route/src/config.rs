@@ -34,9 +34,6 @@ pub struct RouteConfig {
     /// Swap the tie-break order (`-s`): prefer minimum wire length over
     /// minimum crossovers among the minimum-bend paths.
     pub swap_tiebreak: bool,
-    /// Safety valve: abandon a connection after this many bend
-    /// generations. Generous enough to never trigger on real diagrams.
-    pub max_bends: u32,
     /// The order nets are attempted in (§7 extension).
     pub order: NetOrder,
     /// Per-net search budget. Unlimited by default, so the search runs
@@ -62,7 +59,6 @@ impl Default for RouteConfig {
             claimpoints: true,
             retry_failed: true,
             swap_tiebreak: false,
-            max_bends: 64,
             order: NetOrder::Definition,
             budget: Budget::UNLIMITED,
             salvage: true,

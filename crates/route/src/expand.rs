@@ -40,7 +40,7 @@
 //! instead of freeing it, so sweep steps and candidates allocate
 //! nothing and a typical search little.
 
-use netart_geom::{Axis, Dir, Interval, Point, Segment};
+use netart_geom::{coalesce, Axis, Dir, Interval, Point, Segment};
 use netart_netlist::NetId;
 
 use crate::budget::BudgetMeter;
@@ -1107,19 +1107,102 @@ fn border_dir(sweep: Dir, towards_low: bool) -> Dir {
     }
 }
 
-/// Splits segments at every junction point (an endpoint of one segment
-/// lying on another), so that all bends *and branch nodes* of a net are
-/// segment endpoints in the obstacle map. The sweep's endpoint-blocking
-/// rule then protects T-junctions of multipoint nets from other nets
-/// sliding along them.
-pub(crate) fn split_at_junctions(segs: &[Segment]) -> Vec<Segment> {
-    let endpoints: Vec<Point> = segs
-        .iter()
-        .flat_map(|s| {
-            let (a, b) = s.endpoints();
-            [a, b]
-        })
-        .collect();
+/// Cuts each of a net's `runs` at every run end lying on it, so that
+/// all bends *and branch nodes* of the net are segment ends in the
+/// obstacle map. The sweep's endpoint-blocking rule then protects
+/// T-junctions of multipoint nets from other nets sliding along them.
+/// The runs are [`merge_collinear`]'s: maximal, none a point. The ends
+/// lying on a run are found by binary search: O(S log S).
+pub(crate) fn split_at_junctions(runs: &[Segment]) -> Vec<Segment> {
+    // Every run end, as (y, x) for cutting horizontal runs and as
+    // (x, y) for cutting vertical ones, sorted and distinct.
+    let ends = |swap: bool| {
+        let mut ends: Vec<(i32, i32)> = runs
+            .iter()
+            .flat_map(|s| <[Point; 2]>::from(s.endpoints()))
+            .map(|p| if swap { (p.y, p.x) } else { (p.x, p.y) })
+            .collect();
+        ends.sort_unstable();
+        ends.dedup();
+        ends
+    };
+    let (rows, columns) = (ends(true), ends(false));
+    let mut out = Vec::with_capacity(runs.len());
+    for s in runs {
+        let ends = if s.axis() == Axis::Horizontal { &rows } else { &columns };
+        let (lo, hi) = ((s.track(), s.span().lo()), (s.track(), s.span().hi()));
+        let on = &ends[ends.partition_point(|&e| e < lo)..ends.partition_point(|&e| e <= hi)];
+        let piece = |w: &[(i32, i32)]| Interval::new(w[0].1, w[1].1);
+        out.extend(on.windows(2).map(|w| Segment::on_axis(s.axis(), s.track(), piece(w))));
+    }
+    out
+}
+
+/// The bends of the wire made of `segments`, counted in place: the
+/// non-point segments are coalesced into runs, and a bend is a
+/// horizontal and a vertical run that meet at an end of both. This is
+/// what `NetPath::from_segments(merge_collinear(..)).bends()` counts: a
+/// zero-length piece is never a corner. Two runs of one axis share no
+/// point, and two perpendicular runs meet at most once, so each bend is
+/// counted once.
+fn corners(segments: &mut Vec<Segment>) -> u32 {
+    segments.retain(|s| !s.is_point());
+    coalesce(segments);
+    let (hs, vs) = segments.split_at(segments.partition_point(|s| s.axis() == Axis::Horizontal));
+    let is_end = |span: Interval, v: i32| v == span.lo() || v == span.hi();
+    let mut bends = 0;
+    for h in hs {
+        for v in vs {
+            bends += u32::from(is_end(h.span(), v.track()) && is_end(v.span(), h.track()));
+        }
+    }
+    bends
+}
+
+/// The maximal runs of the `segments` that are not points, each where
+/// its earliest piece stood: O(S log S).
+pub(crate) fn merge_collinear(segments: impl IntoIterator<Item = Segment>) -> Vec<Segment> {
+    let pieces: Vec<Segment> = segments.into_iter().filter(|s| !s.is_point()).collect();
+    let mut runs = pieces.clone();
+    coalesce(&mut runs);
+    // A piece lies on the last run of its line that starts at or before it.
+    let start = |s: &Segment| (s.axis(), s.track(), s.span().lo());
+    let mut placed = vec![false; runs.len()];
+    let run_of = |s: &Segment| {
+        let r = runs.partition_point(|r| start(r) <= start(s)) - 1;
+        (!std::mem::replace(&mut placed[r], true)).then_some(runs[r])
+    };
+    pieces.iter().filter_map(run_of).collect()
+}
+
+/// The merge [`merge_collinear`] replaced: each piece joins the first
+/// earlier result it shares a point with, so a piece bridging two
+/// earlier results leaves them apart. Test oracle only.
+#[cfg(test)]
+pub(crate) fn merge_first_fit(segments: &[Segment]) -> Vec<Segment> {
+    let mut out: Vec<Segment> = Vec::new();
+    'next: for &s in segments.iter().filter(|s| !s.is_point()) {
+        for o in &mut out {
+            // Touching at an end or overlapping merges; a gap does not.
+            let (a, b) = (o.span(), s.span());
+            let line = (o.axis(), o.track()) == (s.axis(), s.track());
+            if line && a.lo() <= b.hi() && b.lo() <= a.hi() {
+                *o = Segment::on_axis(o.axis(), o.track(), a.hull(b));
+                continue 'next;
+            }
+        }
+        out.push(s);
+    }
+    out
+}
+
+/// The split [`split_at_junctions`] replaced: each segment is cut at
+/// every segment end found by scanning them all, O(S²). Test oracle
+/// only.
+#[cfg(test)]
+pub(crate) fn split_scanning(segs: &[Segment]) -> Vec<Segment> {
+    let endpoints: Vec<Point> =
+        segs.iter().flat_map(|s| <[Point; 2]>::from(s.endpoints())).collect();
     let mut out = Vec::with_capacity(segs.len());
     for s in segs {
         let mut cuts: Vec<i32> = endpoints
@@ -1141,53 +1224,6 @@ pub(crate) fn split_at_junctions(segs: &[Segment]) -> Vec<Segment> {
         for w in cuts.windows(2) {
             out.push(Segment::on_axis(s.axis(), s.track(), Interval::new(w[0], w[1])));
         }
-    }
-    out
-}
-
-/// The bends of the wire made of `segments`, counted in place: the
-/// non-point segments are sorted and coalesced into runs per axis and
-/// track, and a bend is a horizontal and a vertical run that meet at an
-/// end of both. This is what `NetPath::from_segments(merge_collinear(..))
-/// .bends()` counts: merging only joins pieces that share a point, and
-/// a zero-length piece is never a corner. Two runs of one axis share no
-/// point, and two perpendicular runs meet at most once, so each bend is
-/// counted once.
-fn corners(segments: &mut Vec<Segment>) -> u32 {
-    segments.retain(|s| !s.is_point());
-    segments.sort_unstable();
-    // Not `Segment::merge`: its `hi + 1` overflows at `i32::MAX`.
-    segments.dedup_by(|s, run| {
-        let joins = (run.axis(), run.track()) == (s.axis(), s.track())
-            && s.span().lo() <= run.span().hi();
-        if joins {
-            *run = Segment::on_axis(run.axis(), run.track(), run.span().hull(s.span()));
-        }
-        joins
-    });
-    let (hs, vs) = segments.split_at(segments.partition_point(|s| s.axis() == Axis::Horizontal));
-    let is_end = |span: Interval, v: i32| v == span.lo() || v == span.hi();
-    let mut bends = 0;
-    for h in hs {
-        for v in vs {
-            bends += u32::from(is_end(h.span(), v.track()) && is_end(v.span(), h.track()));
-        }
-    }
-    bends
-}
-
-/// Merges collinear touching segments and drops zero-length ones.
-pub(crate) fn merge_collinear(mut segs: Vec<Segment>) -> Vec<Segment> {
-    segs.retain(|s| !s.is_point());
-    let mut out: Vec<Segment> = Vec::new();
-    'next: for s in segs {
-        for o in &mut out {
-            if let Some(m) = o.merge(&s) {
-                *o = m;
-                continue 'next;
-            }
-        }
-        out.push(s);
     }
     out
 }
@@ -1432,6 +1468,78 @@ mod tests {
         ]);
         assert_eq!(merged.len(), 2);
         assert!(merged.contains(&Segment::horizontal(0, 0, 6)));
+    }
+
+    #[test]
+    fn merge_collinear_joins_what_first_fit_leaves_apart() {
+        // The last piece bridges the first two: first-fit joins it to
+        // the first and leaves two touching runs.
+        let h = |lo, hi| Segment::horizontal(0, lo, hi);
+        let pieces = [h(0, 2), h(4, 6), h(2, 4)];
+        assert_eq!(merge_first_fit(&pieces), [h(0, 4), h(4, 6)]);
+        assert_eq!(merge_collinear(pieces.to_vec()), [h(0, 6)]);
+    }
+
+    #[test]
+    fn merge_collinear_reaches_i32_max() {
+        let top = |lo| Segment::horizontal(i32::MAX, lo, i32::MAX);
+        let side = Segment::vertical(i32::MAX, 0, i32::MAX);
+        let merged = merge_collinear(vec![top(0), side, top(5)]);
+        assert_eq!(merged, [top(0), side]);
+    }
+
+    /// A coordinate near either end of `i32` or near zero, from a set
+    /// small enough that pieces often touch, overlap and meet.
+    fn extreme_coord() -> impl Strategy<Value = i32> {
+        (prop::sample::select(vec![i32::MIN, -2, i32::MAX - 4]), 0i32..5).prop_map(|(c, d)| c + d)
+    }
+
+    /// A piece of wire on an extreme track with extreme ends, a point
+    /// now and then.
+    fn extreme_piece() -> impl Strategy<Value = Segment> {
+        let ends = (extreme_coord(), extreme_coord());
+        (any::<bool>(), extreme_coord(), ends).prop_map(|(horizontal, track, (a, b))| {
+            let axis = if horizontal { Axis::Horizontal } else { Axis::Vertical };
+            Segment::on_axis(axis, track, Interval::new(a.min(b), a.max(b)))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Where first-fit leaves no two runs of one line touching, the
+        /// sorting merge returns its runs in its order.
+        #[test]
+        fn merge_collinear_matches_a_maximal_first_fit(
+            pieces in prop::collection::vec(extreme_piece(), 0..20),
+        ) {
+            let first_fit = merge_first_fit(&pieces);
+            let mut runs = first_fit.clone();
+            coalesce(&mut runs);
+            if runs.len() == first_fit.len() {
+                prop_assert_eq!(merge_collinear(pieces), first_fit);
+            }
+        }
+
+        /// The binary-search split cuts merged runs exactly as the
+        /// scanning split does, and where first-fit is maximal it leaves
+        /// on every track the obstacles the scanning split of the
+        /// first-fit merge left.
+        #[test]
+        fn split_at_junctions_matches_the_scanning_split(
+            pieces in prop::collection::vec(extreme_piece(), 0..20),
+        ) {
+            let runs = merge_collinear(pieces.clone());
+            let split = split_at_junctions(&runs);
+            prop_assert_eq!(&split, &split_scanning(&runs));
+            let first_fit = merge_first_fit(&pieces);
+            if first_fit.len() == runs.len() {
+                let (mut old, mut new) = (split_scanning(&first_fit), split);
+                old.sort_unstable();
+                new.sort_unstable();
+                prop_assert_eq!(new, old);
+            }
+        }
     }
 
     /// A search's outcome and explored rect, with sweeps pruned to the

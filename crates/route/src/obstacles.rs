@@ -79,6 +79,10 @@ pub struct ObstacleMap {
     /// net's segments, caps or claims. A superset with repeats; the
     /// per-net removals compact it.
     net_tracks: Vec<Vec<(Axis, i32)>>,
+    /// Test-only switch back to the first-fit merge and the scanning
+    /// split, the oracle of [`ObstacleMap::rewire_net`].
+    #[cfg(test)]
+    pub(crate) old_bookkeeping: bool,
 }
 
 impl ObstacleMap {
@@ -218,10 +222,18 @@ impl ObstacleMap {
 
     /// Replaces the wires of `net` with `wired`, merged and then split
     /// at bends and junctions so every turn of the net blocks other
-    /// sweeps. Claims of the net stay.
+    /// sweeps. Claims of the net stay. This is the only way a net's
+    /// wires enter the map.
     pub(crate) fn rewire_net(&mut self, net: NetId, wired: &[Segment]) {
         self.remove_net(net);
-        for seg in split_at_junctions(&merge_collinear(wired.to_vec())) {
+        #[cfg(test)]
+        if self.old_bookkeeping {
+            for seg in crate::expand::split_scanning(&crate::expand::merge_first_fit(wired)) {
+                self.add(seg, ObstacleKind::Net(net));
+            }
+            return;
+        }
+        for seg in split_at_junctions(&merge_collinear(wired.iter().copied())) {
             self.add(seg, ObstacleKind::Net(net));
         }
     }

@@ -10,8 +10,12 @@ use netart_diagram::{Diagram, GhostWire, NetPath};
 use netart_fault::FaultKind;
 
 use crate::budget::BudgetMeter;
-use crate::expand::{merge_collinear, split_at_junctions, Front, Search, SearchResult, Workspace};
+use crate::expand::{merge_collinear, Front, Search, SearchResult, Workspace};
 use crate::{lee, NetOrder, ObstacleKind, ObstacleMap, RouteConfig};
+
+/// How many bend generations a search may open before it gives up: a
+/// safety valve generous enough never to trigger on real diagrams.
+const MAX_BENDS: u32 = 64;
 
 /// Budget multiplier for the salvage cascade's escalated retry.
 const ESCALATION_FACTOR: u32 = 4;
@@ -164,12 +168,21 @@ impl RouteReport {
 #[derive(Debug, Clone, Default)]
 pub struct Eureka {
     config: RouteConfig,
+    /// Test-only switch back to the whole-wire rescans, and in the map
+    /// to the first-fit merge and the scanning split: the oracle of the
+    /// per-connection bookkeeping in `route_net`.
+    #[cfg(test)]
+    old_bookkeeping: bool,
 }
 
 impl Eureka {
     /// A router with the given options.
     pub fn new(config: RouteConfig) -> Self {
-        Eureka { config }
+        Eureka {
+            config,
+            #[cfg(test)]
+            old_bookkeeping: false,
+        }
     }
 
     /// The options in use.
@@ -395,6 +408,10 @@ impl Eureka {
     fn build_map(&self, diagram: &Diagram, network: &Network) -> ObstacleMap {
         let placement = diagram.placement();
         let mut map = ObstacleMap::new();
+        #[cfg(test)]
+        {
+            map.old_bookkeeping = self.old_bookkeeping;
+        }
 
         let border = self.border_rect(diagram, network);
         map.add_rect(&border, ObstacleKind::Module);
@@ -407,11 +424,7 @@ impl Eureka {
             map.add_point(p, ObstacleKind::Module);
         }
         for (n, path) in diagram.routes() {
-            // Split at bends and junctions so every turn of the net
-            // blocks other sweeps (same invariant route_net maintains).
-            for seg in split_at_junctions(path.segments()) {
-                map.add(seg, ObstacleKind::Net(n));
-            }
+            map.rewire_net(n, path.segments());
         }
         if self.config.claimpoints {
             for n in network.nets() {
@@ -471,36 +484,25 @@ impl Eureka {
         let st_points = Self::system_term_points(diagram, network, net);
         map.lift_terminals(&st_points);
 
-        let prerouted: Vec<Segment> = diagram
+        let mut wired: Vec<Segment> = diagram
             .route(net)
             .map(|p| p.segments().to_vec())
             .unwrap_or_default();
-        let mut wired: Vec<Segment> = prerouted.clone();
-        let mut added: Vec<Segment> = Vec::new();
-        let mut connected = vec![false; pins.len()];
-
+        let prerouted = wired.len();
+        // Each unconnected pin's distance to the wire, lowered by what
+        // each connection adds (0 exactly where the wire touches the
+        // pin); `None` once the pin is connected.
+        let mut dist = vec![Some(u32::MAX); pins.len()];
         // Pins already touched by prerouted geometry are done.
-        for (i, (p, _)) in pins.iter().enumerate() {
-            if wired.iter().any(|s| s.contains(*p)) {
-                connected[i] = true;
-            }
-        }
+        self.reach(&pins, &mut dist, &wired, 0, true);
 
         let mut ok = true;
         if wired.is_empty() {
             // INIT_NET: closest pair first; when an initiation fails,
             // try another pair (§5.5.3).
-            let mut pairs: Vec<(usize, usize)> = Vec::new();
-            for i in 0..pins.len() {
-                for j in (i + 1)..pins.len() {
-                    pairs.push((i, j));
-                }
-            }
-            pairs.sort_by_key(|&(i, j)| pins[i].0.manhattan(pins[j].0));
             let mut initiated = false;
-            for (i, j) in pairs {
-                let mut search =
-                    Search::new(map, net, self.config.swap_tiebreak, self.config.max_bends, ws);
+            for (i, j) in init_pairs(&pins) {
+                let mut search = Search::new(map, net, self.config.swap_tiebreak, MAX_BENDS, ws);
                 for &d in &pins[i].1 {
                     search.seed(Front::A, pins[i].0, d);
                 }
@@ -510,13 +512,12 @@ impl Eureka {
                 let result = search.run(meter);
                 *explored = union_bbox(*explored, search.explored_rect());
                 if let SearchResult::Connected(conn) = result {
-                    for seg in conn.segments {
-                        wired.push(seg);
-                        added.push(seg);
-                    }
+                    wired.extend(conn.segments);
                     map.rewire_net(net, &wired);
-                    connected[i] = true;
-                    connected[j] = true;
+                    // Only the pair counts as connected: a pin the first
+                    // wire runs over is still searched from.
+                    self.reach(&pins, &mut dist, &wired, 0, false);
+                    (dist[i], dist[j]) = (None, None);
                     initiated = true;
                     break;
                 }
@@ -526,12 +527,16 @@ impl Eureka {
 
         // EXPAND_NET: nearest unconnected pin towards the partial net.
         while ok {
-            let next = (0..pins.len())
-                .filter(|&i| !connected[i])
-                .min_by_key(|&i| dist_to_wires(pins[i].0, &wired));
+            let next = (0..pins.len()).filter_map(|i| Some((dist[i]?, i))).min().map(|(_, i)| i);
+            #[cfg(test)]
+            let next = if self.old_bookkeeping {
+                let unconnected = (0..pins.len()).filter(|&i| dist[i].is_some());
+                unconnected.min_by_key(|&i| dist_to_wires(pins[i].0, &wired))
+            } else {
+                next
+            };
             let Some(i) = next else { break };
-            let mut search =
-                Search::new(map, net, self.config.swap_tiebreak, self.config.max_bends, ws);
+            let mut search = Search::new(map, net, self.config.swap_tiebreak, MAX_BENDS, ws);
             for &d in &pins[i].1 {
                 search.seed(Front::A, pins[i].0, d);
             }
@@ -539,18 +544,12 @@ impl Eureka {
             *explored = union_bbox(*explored, search.explored_rect());
             match result {
                 SearchResult::Connected(conn) => {
-                    for seg in conn.segments {
-                        wired.push(seg);
-                        added.push(seg);
-                    }
+                    let from = wired.len();
+                    wired.extend(conn.segments);
                     map.rewire_net(net, &wired);
-                    connected[i] = true;
+                    dist[i] = None;
                     // A new stretch may run over further pins.
-                    for (k, (p, _)) in pins.iter().enumerate() {
-                        if !connected[k] && wired.iter().any(|s| s.contains(*p)) {
-                            connected[k] = true;
-                        }
-                    }
+                    self.reach(&pins, &mut dist, &wired, from, true);
                 }
                 SearchResult::Unreachable | SearchResult::OverBudget => ok = false,
             }
@@ -560,14 +559,12 @@ impl Eureka {
         map.restore_terminals(&st_points);
 
         if ok {
-            let mut all = prerouted;
-            all.extend(added);
-            diagram.set_route(net, NetPath::from_segments(merge_collinear(all)));
+            diagram.set_route(net, NetPath::from_segments(merge_collinear(wired)));
             true
         } else {
             // All-or-nothing: a failed net leaves no partial wires (the
             // prerouted part, if any, stays).
-            map.rewire_net(net, &prerouted);
+            map.rewire_net(net, &wired[..prerouted]);
             // Re-claim the terminals so the spots stay protected until
             // the retry pass.
             if self.config.claimpoints {
@@ -578,6 +575,31 @@ impl Eureka {
                 }
             }
             false
+        }
+    }
+
+    /// Lowers each unconnected pin's distance to the net's wire by
+    /// `wired[from..]`, the segments a connection added. With `mark`,
+    /// every pin the wire now touches becomes connected.
+    fn reach(
+        &self,
+        pins: &[(Point, Vec<Dir>)],
+        dist: &mut [Option<u32>],
+        wired: &[Segment],
+        from: usize,
+        mark: bool,
+    ) {
+        for ((p, _), d) in pins.iter().zip(dist) {
+            let Some(old) = *d else { continue };
+            let lowered = old.min(dist_to_wires(*p, &wired[from..]));
+            let touched = lowered == 0;
+            #[cfg(test)]
+            let touched = if self.old_bookkeeping {
+                wired.iter().any(|s| s.contains(*p))
+            } else {
+                touched
+            };
+            *d = (!(mark && touched)).then_some(lowered);
         }
     }
 
@@ -768,20 +790,13 @@ impl Eureka {
             }
             // Roll back: drop whatever the retry added, restore every
             // victim and the net's own prior (pre)route.
-            map.remove_net(net);
+            map.rewire_net(net, net_before.as_ref().map_or(&[], NetPath::segments));
             diagram.clear_route(net);
             if let Some(path) = net_before {
-                for seg in split_at_junctions(path.segments()) {
-                    map.add(seg, ObstacleKind::Net(net));
-                }
                 diagram.set_route(net, path);
             }
             for (v, path) in saved {
-                map.remove_net(v);
-                diagram.clear_route(v);
-                for seg in split_at_junctions(path.segments()) {
-                    map.add(seg, ObstacleKind::Net(v));
-                }
+                map.rewire_net(v, path.segments());
                 diagram.set_route(v, path);
             }
         }
@@ -905,6 +920,22 @@ impl Eureka {
     }
 }
 
+/// The pin pairs INIT_NET tries, closest first and ties by index. The
+/// closest pair is found by a scan; all k(k-1)/2 pairs are listed and
+/// sorted only if it fails.
+fn init_pairs(pins: &[(Point, Vec<Dir>)]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let n = pins.len();
+    let pairs = move || (0..n).flat_map(move |i| (i + 1..n).map(move |j| (i, j)));
+    let key = move |&(i, j): &(usize, usize)| (pins[i].0.manhattan(pins[j].0), i, j);
+    let first = pairs().min_by_key(key);
+    let rest = std::iter::once(()).flat_map(move |()| {
+        let mut rest: Vec<_> = pairs().filter(|&p| Some(p) != first).collect();
+        rest.sort_unstable_by_key(key);
+        rest
+    });
+    first.into_iter().chain(rest)
+}
+
 /// Manhattan distance from a point to the nearest wire segment.
 fn dist_to_wires(p: Point, wires: &[Segment]) -> u32 {
     wires
@@ -926,8 +957,11 @@ fn dist_to_wires(p: Point, wires: &[Segment]) -> u32 {
 
 #[cfg(test)]
 mod tests {
+    use netart_geom::{Interval, Rotation};
+    use netart_place::{Pablo, PlaceConfig};
+    use proptest::prelude::*;
+
     use super::*;
-    use netart_geom::Rotation;
     use netart_netlist::{Library, ModuleId, NetworkBuilder, Template, TermType};
 
     fn buf_lib() -> (Library, netart_netlist::TemplateId) {
@@ -1427,5 +1461,108 @@ mod tests {
         assert!(path.connects(&[Point::new(4, 9), Point::new(10, 9)]));
         assert!(d.ghost(bad).is_some());
         assert!(d.check().is_ok(), "{}", d.check());
+    }
+
+    /// A routed net's wire cut back to its first `keep` segments, each
+    /// longer one cut into two pieces that overlap by one unit, and the
+    /// first piece repeated: a partial preroute with collinear overlaps
+    /// and, where the net branches, T-junctions.
+    fn partial_preroute(segments: &[Segment], keep: usize) -> Vec<Segment> {
+        let mut pre = Vec::new();
+        for s in &segments[..keep.clamp(1, segments.len())] {
+            let (lo, hi) = (s.span().lo(), s.span().hi());
+            if hi - lo >= 2 {
+                let mid = lo + (hi - lo) / 2;
+                pre.push(Segment::on_axis(s.axis(), s.track(), Interval::new(lo, mid + 1)));
+                pre.push(Segment::on_axis(s.axis(), s.track(), Interval::new(mid, hi)));
+            } else {
+                pre.push(*s);
+            }
+        }
+        pre.push(pre[0]);
+        pre
+    }
+
+    /// Everything a routing run returns, as text.
+    fn outcome(d: &Diagram, report: &RouteReport) -> String {
+        format!(
+            "{}{}{:?} {:?} {:?}\n{:?}",
+            netart_diagram::escher::write_diagram("d", d),
+            netart_diagram::svg::render(d),
+            report.routed,
+            report.failed,
+            report.salvaged,
+            report.net_stats,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The per-connection bookkeeping (pin distances lowered by what
+        /// a connection adds, the sorting merge, the binary-search split)
+        /// routes exactly as the whole-wire rescans, the first-fit merge
+        /// and the scanning split did: on random networks with wide
+        /// nets and system terminals, partly prerouted, under node
+        /// budgets tight enough to send nets through salvage.
+        #[test]
+        fn per_connection_bookkeeping_matches_whole_wire_rescans(
+            (modules, nets, fanout) in (2usize..20, 1usize..12, 2usize..16),
+            (terms, seed) in (0usize..3, 0u64..500),
+            prerouted in any::<u64>(),
+            keep in 1usize..6,
+            node_limit in prop::sample::select(vec![None, Some(1u64), Some(40), Some(400)]),
+            claims in any::<bool>(),
+        ) {
+            let spec = netart_workloads::RandomSpec {
+                modules, nets, max_fanout: fanout, system_terminals: terms, seed,
+            };
+            let network = netart_workloads::random_network(&spec);
+            let placement = Pablo::new(PlaceConfig::strings()).place(&network);
+            let mut routed = Diagram::new(network.clone(), placement.clone());
+            Eureka::new(RouteConfig::default()).route(&mut routed);
+            let mut diagram = Diagram::new(network.clone(), placement);
+            for n in network.nets() {
+                let Some(path) = routed.route(n) else { continue };
+                let pre = partial_preroute(path.segments(), keep);
+                // Where first-fit leaves touching runs apart, the two
+                // merges differ by design.
+                let mut runs = pre.clone();
+                netart_geom::coalesce(&mut runs);
+                let maximal = crate::expand::merge_first_fit(&pre).len()
+                    == runs.iter().filter(|r| !r.is_point()).count();
+                if (prerouted >> (n.index() % 64)) & 1 == 1 && maximal {
+                    diagram.set_route(n, NetPath::from_segments(pre));
+                }
+            }
+            let mut config = RouteConfig { claimpoints: claims, ..RouteConfig::default() };
+            if let Some(limit) = node_limit {
+                config = config.with_budget(crate::Budget::new().with_node_limit(limit));
+            }
+            let runs = [false, true].map(|old_bookkeeping| {
+                let mut d = diagram.clone();
+                let report = Eureka { config: config.clone(), old_bookkeeping }.route(&mut d);
+                outcome(&d, &report)
+            });
+            prop_assert_eq!(&runs[0], &runs[1]);
+        }
+
+        /// INIT_NET tries the pin pairs in the order of the sorted list
+        /// of all pairs it replaced: by distance, then by index.
+        #[test]
+        fn init_pairs_come_in_the_sorted_list_order(
+            points in prop::collection::vec((0i32..6, 0i32..6), 0..9),
+        ) {
+            let pins: Vec<(Point, Vec<Dir>)> =
+                points.iter().map(|&(x, y)| (Point::new(x, y), vec![])).collect();
+            let mut pairs = Vec::new();
+            for i in 0..pins.len() {
+                for j in (i + 1)..pins.len() {
+                    pairs.push((i, j));
+                }
+            }
+            pairs.sort_by_key(|&(i, j)| pins[i].0.manhattan(pins[j].0));
+            prop_assert_eq!(init_pairs(&pins).collect::<Vec<_>>(), pairs);
+        }
     }
 }
