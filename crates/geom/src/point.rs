@@ -35,8 +35,10 @@ impl Point {
     /// Manhattan (rectilinear) distance to `other`.
     ///
     /// This is the natural wire-length metric for rectilinear routing.
-    pub fn manhattan(self, other: Point) -> u32 {
-        self.x.abs_diff(other.x) + self.y.abs_diff(other.y)
+    /// It is a `u64`: two points of the `i32` plane lie up to
+    /// 2 × `u32::MAX` apart.
+    pub fn manhattan(self, other: Point) -> u64 {
+        u64::from(self.x.abs_diff(other.x)) + u64::from(self.y.abs_diff(other.y))
     }
 
     /// Squared Euclidean distance to `other`, saturating at `i64::MAX`.

@@ -141,7 +141,7 @@ fn wire_cost(
                 return 0;
             }
             let pc = placement.module_rect(network, p).center();
-            count * i64::from(c.manhattan(pc))
+            count * i64::try_from(c.manhattan(pc)).expect("Manhattan distances stay below 2^33")
         })
         .sum()
 }

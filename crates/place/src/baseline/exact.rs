@@ -75,7 +75,7 @@ pub fn solve(network: &Network, slots: &[Point]) -> Option<ExactAssignment> {
         return Some(ExactAssignment { slot_of: Vec::new(), cost: 0 });
     }
     let w = weights(network);
-    let dist = |a: usize, b: usize| u64::from(slots[a].manhattan(slots[b]));
+    let dist = |a: usize, b: usize| slots[a].manhattan(slots[b]);
 
     let mut best_cost = u64::MAX;
     let mut best: Vec<usize> = Vec::new();
@@ -155,7 +155,7 @@ pub fn placement_cost(network: &Network, placement: &Placement) -> u64 {
     for i in 0..n {
         for j in (i + 1)..n {
             if w[i][j] > 0 {
-                total += w[i][j] * u64::from(centers[i].manhattan(centers[j]));
+                total += w[i][j] * centers[i].manhattan(centers[j]);
             }
         }
     }
@@ -245,7 +245,7 @@ mod tests {
         permute(&idx, &mut Vec::new(), &mut |perm| {
             let mut cost = 0;
             for w in 0..3usize {
-                cost += u64::from(slots[perm[w]].manhattan(slots[perm[w + 1]]));
+                cost += slots[perm[w]].manhattan(slots[perm[w + 1]]);
             }
             best = best.min(cost);
         });

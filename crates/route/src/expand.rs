@@ -28,7 +28,8 @@
 //! axis (swept against and scanned for meetings) and the coverage
 //! ledger per front and direction. A ledger track stays sorted and
 //! coalesced, so [`cover`] finds the uncovered pieces of a new active
-//! by binary search.
+//! by binary search, and merges the span into the ledger where the
+//! ledger sits in its table's store.
 //!
 //! An expansion walks the map's lane and both fronts' active tables
 //! with one forward [`Walk`] each, merged into its [`Stops`], so a
@@ -38,13 +39,17 @@
 //! Every list a search grows lives in a [`Workspace`] that outlives it:
 //! the router keeps one per routing run, and each search clears it
 //! instead of freeing it, so sweep steps and candidates allocate
-//! nothing and a typical search little.
+//! nothing and a typical search little. Its track tables keep each
+//! track's list in the table's own store, so a track a search touches
+//! costs no allocation either.
+
+use std::ops::Range;
 
 use netart_geom::{coalesce, Axis, Dir, Interval, Point, Segment};
 use netart_netlist::NetId;
 
 use crate::budget::BudgetMeter;
-use crate::tracks::{Stop, TrackTable, Walk};
+use crate::tracks::{Stop, TrackMut, TrackTable, Walk};
 use crate::{Obstacle, ObstacleKind, ObstacleMap};
 
 /// Which wavefront an active segment belongs to.
@@ -222,7 +227,9 @@ const RETAINED: usize = 128;
 
 /// The state of a search, kept across the searches of one routing run
 /// so its capacity is reused. A search clears it when it starts and
-/// when it ends.
+/// when it ends. The twelve track tables hold their lists in stores of
+/// their own, which a clear empties but keeps a little of (see
+/// [`TrackTable::clear`]).
 #[derive(Default)]
 pub(crate) struct Workspace {
     arena: Vec<Active>,
@@ -249,8 +256,9 @@ pub(crate) struct Workspace {
 
 impl Workspace {
     /// Empties every list. The lists that grow with the search give
-    /// back what they hold beyond [`RETAINED`] entries, so a large
-    /// search does not raise the memory held through the rest of the run.
+    /// back what they hold beyond [`RETAINED`] entries, and the tables
+    /// what their stores hold beyond a few kilobytes, so a large search
+    /// does not raise the memory held through the rest of the run.
     fn clear(&mut self) {
         for table in self.index.iter_mut().flatten() {
             table.clear();
@@ -360,21 +368,41 @@ impl Stops {
     }
 }
 
-/// Adds `span` to one track's coverage ledger and appends to `out` the
-/// pieces of `span` that were not covered before, ascending.
+/// A coverage ledger that [`cover`] edits in place: sorted, and
+/// coalesced, so no two of its intervals overlap or touch.
+pub(crate) trait Ledger {
+    fn intervals(&self) -> &[Interval];
+    /// Replaces the intervals at `range` with `merged`.
+    fn merge(&mut self, range: Range<usize>, merged: Interval);
+}
+
+/// One track of a coverage table, edited where it sits in the table's
+/// store.
+impl Ledger for TrackMut<'_, Interval> {
+    fn intervals(&self) -> &[Interval] {
+        self.get()
+    }
+
+    fn merge(&mut self, range: Range<usize>, merged: Interval) {
+        self.replace(range, merged);
+    }
+}
+
+/// Adds `span` to a coverage ledger and appends to `out` the pieces of
+/// `span` that were not covered before, ascending.
 ///
-/// The ledger is kept sorted, and coalesced: no two of its intervals
-/// overlap or touch. The intervals that meet `span` are found by binary
-/// search and replaced by their union with it, so each new piece is a
-/// maximal uncovered run, as subtracting the ledger one interval at a
-/// time would leave it.
-fn cover(ledger: &mut Vec<Interval>, span: Interval, out: &mut Vec<Interval>) {
+/// The intervals that meet `span` are found by binary search and
+/// replaced by their union with it, so each new piece is a maximal
+/// uncovered run, as subtracting the ledger one interval at a time
+/// would leave it.
+pub(crate) fn cover(ledger: &mut impl Ledger, span: Interval, out: &mut Vec<Interval>) {
+    let covered = ledger.intervals();
     let (lo, hi) = (i64::from(span.lo()), i64::from(span.hi()));
-    let first = ledger.partition_point(|c| i64::from(c.hi()) + 1 < lo);
-    let last = first + ledger[first..].partition_point(|c| i64::from(c.lo()) <= hi + 1);
+    let first = covered.partition_point(|c| i64::from(c.hi()) + 1 < lo);
+    let last = first + covered[first..].partition_point(|c| i64::from(c.lo()) <= hi + 1);
     // The lowest point of `span` not yet known to be covered.
     let mut next = lo;
-    for c in &ledger[first..last] {
+    for c in &covered[first..last] {
         if i64::from(c.lo()) > next {
             out.push(Interval::new(next as i32, (i64::from(c.lo()) - 1).min(hi) as i32));
         }
@@ -383,11 +411,11 @@ fn cover(ledger: &mut Vec<Interval>, span: Interval, out: &mut Vec<Interval>) {
     if next <= hi {
         out.push(Interval::new(next as i32, span.hi()));
     }
-    let merged = match ledger[first..last] {
+    let merged = match covered[first..last] {
         [] => span,
-        [a, ..] => span.hull(a).hull(ledger[last - 1]),
+        [a, ..] => span.hull(a).hull(covered[last - 1]),
     };
-    ledger.splice(first..last, [merged]);
+    ledger.merge(first..last, merged);
 }
 
 /// Appends to `out` the pieces of `span` left after cutting out the
@@ -486,8 +514,8 @@ impl<'a> Search<'a> {
         // was reached before with no more bends than now.
         let mut pieces = std::mem::take(&mut self.ws.bufs.uncovered);
         pieces.clear();
-        self.ws.covered[a.front.idx()][dir_idx(a.dir)]
-            .edit(a.track, |ledger| cover(ledger, a.span, &mut pieces));
+        let ledger = &mut self.ws.covered[a.front.idx()][dir_idx(a.dir)].track_mut(a.track);
+        cover(ledger, a.span, &mut pieces);
         for &span in &pieces {
             let id = self.ws.arena.len();
             let mut piece = a.clone();
@@ -1229,7 +1257,7 @@ pub(crate) fn split_scanning(segs: &[Segment]) -> Vec<Segment> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use proptest::prelude::*;
 
     use super::*;
@@ -1592,10 +1620,21 @@ mod tests {
         assert_eq!(run_search(&map, &seeds, true), before);
     }
 
+    /// A plain ledger, the model of a coverage table's track.
+    impl Ledger for Vec<Interval> {
+        fn intervals(&self) -> &[Interval] {
+            self
+        }
+
+        fn merge(&mut self, range: Range<usize>, merged: Interval) {
+            self.splice(range, [merged]);
+        }
+    }
+
     /// The coverage subtraction that [`cover`] replaced, kept as its
     /// oracle: the leftover pieces of `span` in ascending order, after
     /// removing each ledger interval in turn.
-    fn subtract_all(span: Interval, covered: &[Interval]) -> Vec<Interval> {
+    pub(crate) fn subtract_all(span: Interval, covered: &[Interval]) -> Vec<Interval> {
         let mut pieces = vec![span];
         for &c in covered {
             pieces = pieces

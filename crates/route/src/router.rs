@@ -492,7 +492,7 @@ impl Eureka {
         // Each unconnected pin's distance to the wire, lowered by what
         // each connection adds (0 exactly where the wire touches the
         // pin); `None` once the pin is connected.
-        let mut dist = vec![Some(u32::MAX); pins.len()];
+        let mut dist = vec![Some(u64::MAX); pins.len()];
         // Pins already touched by prerouted geometry are done.
         self.reach(&pins, &mut dist, &wired, 0, true);
 
@@ -584,7 +584,7 @@ impl Eureka {
     fn reach(
         &self,
         pins: &[(Point, Vec<Dir>)],
-        dist: &mut [Option<u32>],
+        dist: &mut [Option<u64>],
         wired: &[Segment],
         from: usize,
         mark: bool,
@@ -883,7 +883,7 @@ impl Eureka {
                     .filter(|&j| connected[j])
                     .map(|j| pins[i].manhattan(pins[j]))
                     .min()
-                    .unwrap_or(u32::MAX)
+                    .unwrap_or(u64::MAX)
             });
             let Some(i) = next else { break };
             let target = (0..pins.len())
@@ -937,22 +937,19 @@ fn init_pairs(pins: &[(Point, Vec<Dir>)]) -> impl Iterator<Item = (usize, usize)
 }
 
 /// Manhattan distance from a point to the nearest wire segment.
-fn dist_to_wires(p: Point, wires: &[Segment]) -> u32 {
+fn dist_to_wires(p: Point, wires: &[Segment]) -> u64 {
     wires
         .iter()
         .map(|s| {
             let (a, b) = s.endpoints();
-            match s.axis() {
-                netart_geom::Axis::Horizontal => {
-                    p.x.clamp(a.x, b.x).abs_diff(p.x) + p.y.abs_diff(s.track())
-                }
-                netart_geom::Axis::Vertical => {
-                    p.y.clamp(a.y, b.y).abs_diff(p.y) + p.x.abs_diff(s.track())
-                }
-            }
+            let nearest = match s.axis() {
+                netart_geom::Axis::Horizontal => Point::new(p.x.clamp(a.x, b.x), s.track()),
+                netart_geom::Axis::Vertical => Point::new(s.track(), p.y.clamp(a.y, b.y)),
+            };
+            p.manhattan(nearest)
         })
         .min()
-        .unwrap_or(u32::MAX)
+        .unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -1101,6 +1098,40 @@ mod tests {
         assert_eq!(report.routed.len(), 2);
         assert_eq!(metrics.bounding_area, (2 * far as u64 + 4) * 2);
         assert_eq!(metrics.total_length, 2 * far as u64 - 8, "{metrics:?}");
+        assert!(check.is_ok(), "{check}");
+        assert!(took < std::time::Duration::from_millis(250), "{took:?}");
+    }
+
+    /// One net whose pins lie more than `u32::MAX` apart routes,
+    /// measures and checks as promptly: three buffers on a diagonal at
+    /// (-1.09×10⁹, -1.09×10⁹), (0, 0) and (1.09×10⁹, 1.09×10⁹), whose
+    /// outer pins INIT_NET's pair order and EXPAND_NET's pin distances
+    /// measure 4.36×10⁹ apart.
+    #[test]
+    fn a_net_spanning_more_than_u32_routes_in_no_time() {
+        let far = 1_090_000_000;
+        let (lib, t) = buf_lib();
+        let mut b = NetworkBuilder::new(lib);
+        let u0 = b.add_instance("u0", t).unwrap();
+        let u1 = b.add_instance("u1", t).unwrap();
+        let u2 = b.add_instance("u2", t).unwrap();
+        b.connect_pin("n", u0, "y").unwrap();
+        b.connect_pin("n", u1, "a").unwrap();
+        b.connect_pin("n", u2, "a").unwrap();
+        let network = b.finish().unwrap();
+        let mut placement = netart_diagram::Placement::new(&network);
+        placement.place_module(u0, Point::new(-far, -far), Rotation::R0);
+        placement.place_module(u1, Point::new(0, 0), Rotation::R0);
+        placement.place_module(u2, Point::new(far, far), Rotation::R0);
+        let mut d = Diagram::new(network, placement);
+        let start = std::time::Instant::now();
+        let report = Eureka::new(RouteConfig::default()).route(&mut d);
+        let metrics = d.metrics();
+        let check = d.check();
+        let took = start.elapsed();
+        assert!(report.failed.is_empty(), "{report:?}");
+        assert_eq!(report.routed.len(), 1);
+        assert!(metrics.total_length > u64::from(u32::MAX), "{metrics:?}");
         assert!(check.is_ok(), "{check}");
         assert!(took < std::time::Duration::from_millis(250), "{took:?}");
     }

@@ -1,11 +1,11 @@
 //! A sparse per-track table: the one index behind the obstacle map's
-//! lanes and the search's active index and coverage ledger.
+//! lanes and the search's active index and coverage ledgers.
 //!
 //! Tracks are grouped into chunks of 64 consecutive coordinates. Each
 //! chunk holds one occupancy word (bit `i` set when track `base + i`
-//! holds anything) and one non-empty list per set bit, in ascending
-//! track order, so a track's list sits at the popcount of the bits
-//! below it. The chunks sit in a `Vec` sorted by base.
+//! holds anything) and one span per set bit, in ascending track order,
+//! so a track's span sits at the popcount of the bits below it. The
+//! chunks sit in a `Vec` sorted by base.
 //!
 //! * A lookup is a binary search over the chunks plus a popcount.
 //! * The next occupied track above or below is a bit scan, in the
@@ -15,15 +15,36 @@
 //!   search at all: it keeps a chunk index and the bits of that chunk
 //!   still ahead, and borrows nothing between steps.
 //!
+//! A table allocates nothing per track or per chunk. Every track's
+//! values sit in one contiguous value [`Store`], and every chunk's
+//! spans in one span store; a span says where a list starts in its
+//! store, how long it is and how much room it has.
+//!
+//! * A list that outgrows its room moves to the end of the store with
+//!   twice the room, or grows where it is when it ends the store. The
+//!   room it leaves is garbage, as is the room of a list that empties.
+//! * When a list must move while the store is full and more than an
+//!   eighth of it is garbage, the lists slide down over the garbage
+//!   instead of the store growing. A store that must grow grows by a
+//!   quarter, so little of it is spare.
+//! * Clearing a table keeps [`RETAINED_BYTES`] of each store's
+//!   storage, so a table that is cleared and refilled, as a search's
+//!   tables are, allocates little.
+//!
 //! Memory grows with the occupied chunks, never with the coordinate
-//! extent, so the whole `i32` plane stays addressable. A table keeps a
-//! few emptied small lists for its next new tracks, so one that is
-//! cleared and refilled, as a search's tables are, allocates little.
+//! extent, so the whole `i32` plane stays addressable.
+
+use std::ops::Range;
 
 /// Tracks per chunk, as a shift.
 const CHUNK_BITS: u32 = 6;
 /// Clears the offset bits of a track, leaving its chunk base.
 const BASE_MASK: i32 = !((1 << CHUNK_BITS) - 1);
+/// The room a list gets when it first grows.
+const MIN_ROOM: usize = 4;
+/// How many bytes of storage a store keeps when its table is cleared:
+/// more than a typical search's tables hold, little next to a large one.
+const RETAINED_BYTES: usize = 4096;
 
 /// The chunk base and bit offset of a track. Negative tracks round
 /// down: track -1 is offset 63 of the chunk based at -64.
@@ -36,17 +57,167 @@ fn bits_between(lo: u32, hi: u32) -> u64 {
     (u64::MAX << lo) & (u64::MAX >> (63 - hi))
 }
 
+/// A store position or size, as a span keeps it.
+fn index(n: usize) -> u32 {
+    u32::try_from(n).expect("a track table store holds fewer than 2^32 entries")
+}
+
+/// The room a full list moves to.
+fn wider(room: u32) -> usize {
+    (room as usize * 2).max(MIN_ROOM)
+}
+
+/// Where one list sits in a [`Store`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+    /// The entries from `start` reserved for the list: at least `len`.
+    room: u32,
+}
+
+impl Span {
+    /// The entries holding the list.
+    fn live(self) -> Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+}
+
+/// Many lists in one `Vec`, each in the room of its [`Span`], which its
+/// owner keeps. Entries in no span's room are garbage.
 #[derive(Debug, Clone)]
-struct Chunk<T> {
+struct Store<T> {
+    entries: Vec<T>,
+    garbage: usize,
+}
+
+impl<T> Default for Store<T> {
+    fn default() -> Self {
+        Store { entries: Vec::new(), garbage: 0 }
+    }
+}
+
+impl<T: Copy> Store<T> {
+    fn list(&self, span: Span) -> &[T] {
+        &self.entries[span.live()]
+    }
+
+    /// Appends `value` to a list, growing the list's room first when
+    /// it is full.
+    fn push(&mut self, span: &mut Span, value: T) {
+        if span.len == span.room {
+            self.grow(span, value);
+        }
+        self.entries[span.start as usize + span.len as usize] = value;
+        span.len += 1;
+    }
+
+    /// Replaces the entries at `range` of a list with `value`.
+    fn splice(&mut self, span: &mut Span, range: Range<usize>, value: T) {
+        if range.is_empty() {
+            self.push(span, value);
+            self.entries[span.live()][range.start..].rotate_right(1);
+            return;
+        }
+        let list = &mut self.entries[span.live()];
+        list[range.start] = value;
+        list.copy_within(range.end.., range.start + 1);
+        span.len -= index(range.len() - 1);
+    }
+
+    /// Gives a full list [`wider`] room: in place when the list ends
+    /// the store, else by moving the list to the end. `fill` pads the
+    /// new room. Storage that runs out grows by a quarter at least.
+    fn grow(&mut self, span: &mut Span, fill: T) {
+        let (start, room, wider) = (span.start as usize, span.room as usize, wider(span.room));
+        let end = self.entries.len();
+        let at_end = start + room == end;
+        let need = if at_end { start + wider } else { end + wider };
+        if need > self.entries.capacity() {
+            self.entries.reserve_exact((need - end).max(end / 4));
+        }
+        self.entries.resize(need, fill);
+        if !at_end {
+            self.entries.copy_within(span.live(), end);
+            self.garbage += room;
+            span.start = index(end);
+        }
+        span.room = index(wider);
+    }
+
+    /// Keeps the entries of a list for which `keep` holds, in order,
+    /// and returns how many were dropped. An emptied list's room
+    /// becomes garbage.
+    fn retain(&mut self, span: &mut Span, mut keep: impl FnMut(&T) -> bool) -> usize {
+        let list = &mut self.entries[span.live()];
+        let mut kept = 0;
+        for i in 0..list.len() {
+            if keep(&list[i]) {
+                list[kept] = list[i];
+                kept += 1;
+            }
+        }
+        let dropped = list.len() - kept;
+        span.len = index(kept);
+        if kept == 0 {
+            self.garbage += span.room as usize;
+        }
+        dropped
+    }
+
+    /// Removes the entry at `at` of a list. An emptied list's room
+    /// becomes garbage.
+    fn remove(&mut self, span: &mut Span, at: usize) {
+        self.entries[span.live()].copy_within(at + 1.., at);
+        span.len -= 1;
+        if span.len == 0 {
+            self.garbage += span.room as usize;
+        }
+    }
+
+    /// Whether a list moving into `room` entries at the end would
+    /// outgrow the storage while an eighth of the store is garbage:
+    /// then sliding the lists down makes space without growing.
+    fn cramped(&self, room: usize) -> bool {
+        self.entries.len() + room > self.entries.capacity() && self.garbage * 8 > self.entries.len()
+    }
+
+    /// Slides every list down over the garbage, in store order, each
+    /// keeping its room. `lists` holds every list's span, each with a
+    /// tag naming its owner; the moved spans are written back there.
+    fn compact(&mut self, lists: &mut [(Span, usize)]) {
+        lists.sort_unstable_by_key(|(span, _)| span.start);
+        let mut at = 0;
+        for (span, _) in lists.iter_mut() {
+            self.entries.copy_within(span.live(), at);
+            span.start = index(at);
+            at += span.room as usize;
+        }
+        self.entries.truncate(at);
+        self.garbage = 0;
+    }
+
+    /// Drops every list, keeping at most [`RETAINED_BYTES`] of storage.
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.entries.shrink_to(RETAINED_BYTES / std::mem::size_of::<T>().max(1));
+        self.garbage = 0;
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Chunk {
     base: i32,
     /// Bit `i`: track `base + i` is occupied. Never zero.
     occupied: u64,
-    /// One non-empty list per set bit of `occupied`, in bit order.
-    slots: Vec<Vec<T>>,
+    /// Where the chunk's spans sit in the span store: one per set bit
+    /// of `occupied`, in bit order.
+    spans: Span,
 }
 
-impl<T> Chunk<T> {
-    /// The slot index of offset `off`: the set bits below it.
+impl Chunk {
+    /// The rank of offset `off` among the chunk's spans: the set bits
+    /// below it.
     fn rank(&self, off: u32) -> usize {
         (self.occupied & !(u64::MAX << off)).count_ones() as usize
     }
@@ -55,17 +226,9 @@ impl<T> Chunk<T> {
         self.occupied >> off & 1 == 1
     }
 
-    /// The occupied tracks whose offsets are in `mask`, ascending, with
-    /// their lists.
-    fn tracks(&self, mask: u64) -> impl Iterator<Item = (i32, &[T])> {
-        let mut word = self.occupied & mask;
-        std::iter::from_fn(move || {
-            (word != 0).then(|| {
-                let off = word.trailing_zeros();
-                word &= word - 1;
-                (self.base + off as i32, self.slots[self.rank(off)].as_slice())
-            })
-        })
+    /// Where the span of the track at rank `slot` sits in the span store.
+    fn at(&self, slot: usize) -> usize {
+        self.spans.start as usize + slot
     }
 }
 
@@ -75,108 +238,145 @@ impl<T> Chunk<T> {
 /// track they empty, because the sweeps stop at every present track.
 #[derive(Debug, Clone)]
 pub(crate) struct TrackTable<T> {
-    chunks: Vec<Chunk<T>>,
-    /// Emptied small lists, kept for the next new tracks.
-    spare: Vec<Vec<T>>,
+    chunks: Vec<Chunk>,
+    /// Every chunk's spans, each list in its chunk's room.
+    spans: Store<Span>,
+    /// Every track's values, each list in its span's room.
+    values: Store<T>,
 }
-
-/// How many emptied lists a table keeps at most.
-const SPARE: usize = 32;
-/// The largest capacity of a list a table keeps: that of a list's
-/// first allocation, so the spare lists hold little memory.
-const SPARE_CAPACITY: usize = 4;
 
 impl<T> Default for TrackTable<T> {
     fn default() -> Self {
-        TrackTable { chunks: Vec::new(), spare: Vec::new() }
+        TrackTable { chunks: Vec::new(), spans: Store::default(), values: Store::default() }
     }
 }
 
-impl<T> TrackTable<T> {
+impl<T: Copy> TrackTable<T> {
     /// The index of the chunk based at `base`, or where it would go.
     fn find(&self, base: i32) -> Result<usize, usize> {
         self.chunks.binary_search_by_key(&base, |c| c.base)
     }
 
+    /// The chunk index and rank of a track, when it is occupied.
+    fn locate(&self, track: i32) -> Option<(usize, usize)> {
+        let (base, off) = split(track);
+        let ci = self.find(base).ok()?;
+        let chunk = &self.chunks[ci];
+        chunk.has(off).then(|| (ci, chunk.rank(off)))
+    }
+
+    /// The span of the track at rank `slot` of chunk `ci`.
+    fn span(&self, ci: usize, slot: usize) -> Span {
+        self.spans.entries[self.chunks[ci].at(slot)]
+    }
+
     /// The values on a track, in insertion order (empty when absent).
     pub(crate) fn get(&self, track: i32) -> &[T] {
-        let (base, off) = split(track);
-        match self.find(base) {
-            Ok(i) if self.chunks[i].has(off) => &self.chunks[i].slots[self.chunks[i].rank(off)],
-            _ => &[],
+        match self.locate(track) {
+            Some((ci, slot)) => self.values.list(self.span(ci, slot)),
+            None => &[],
         }
     }
 
-    /// Runs `edit` on a track's list, creating the track when absent
-    /// and dropping it (and an emptied chunk) when `edit` leaves the
-    /// list empty.
-    pub(crate) fn edit<R>(&mut self, track: i32, edit: impl FnOnce(&mut Vec<T>) -> R) -> R {
+    /// One track, looked up once for a read and an in-place edit.
+    pub(crate) fn track_mut(&mut self, track: i32) -> TrackMut<'_, T> {
+        let at = self.locate(track);
+        TrackMut { table: self, track, at }
+    }
+
+    /// Slides the value store's lists down over its garbage.
+    fn compact_values(&mut self) {
+        let mut lists: Vec<(Span, usize)> = (self.chunks.iter())
+            .flat_map(|c| c.spans.live())
+            .map(|i| (self.spans.entries[i], i))
+            .collect();
+        self.values.compact(&mut lists);
+        for (span, i) in lists {
+            self.spans.entries[i] = span;
+        }
+    }
+
+    /// Slides the span store's lists down over its garbage.
+    fn compact_spans(&mut self) {
+        let mut lists: Vec<(Span, usize)> =
+            self.chunks.iter().enumerate().map(|(ci, c)| (c.spans, ci)).collect();
+        self.spans.compact(&mut lists);
+        for (span, ci) in lists {
+            self.chunks[ci].spans = span;
+        }
+    }
+
+    /// The chunk index and rank of a track, which is created with an
+    /// empty list when absent: the caller fills it.
+    fn occupy(&mut self, track: i32) -> (usize, usize) {
         let (base, off) = split(track);
         let ci = self.find(base).unwrap_or_else(|ci| {
-            self.chunks.insert(ci, Chunk { base, occupied: 0, slots: Vec::new() });
+            self.chunks.insert(ci, Chunk { base, occupied: 0, spans: Span::default() });
             ci
         });
-        let chunk = &mut self.chunks[ci];
-        let slot = chunk.rank(off);
-        if !chunk.has(off) {
-            chunk.occupied |= 1 << off;
-            chunk.slots.insert(slot, self.spare.pop().unwrap_or_default());
-        }
-        let out = edit(&mut chunk.slots[slot]);
-        if chunk.slots[slot].is_empty() {
-            let list = chunk.slots.remove(slot);
-            chunk.occupied &= !(1 << off);
-            if chunk.occupied == 0 {
-                self.chunks.remove(ci);
+        let slot = self.chunks[ci].rank(off);
+        if !self.chunks[ci].has(off) {
+            let spans = self.chunks[ci].spans;
+            if spans.len == spans.room && self.spans.cramped(wider(spans.room)) {
+                self.compact_spans();
             }
-            self.recycle(list);
+            let chunk = &mut self.chunks[ci];
+            chunk.occupied |= 1 << off;
+            self.spans.splice(&mut chunk.spans, slot..slot, Span::default());
         }
-        out
+        (ci, slot)
     }
 
-    /// Keeps an emptied list for the next new track, when it is small
-    /// and fewer than [`SPARE`] are kept already.
-    fn recycle(&mut self, mut list: Vec<T>) {
-        if self.spare.len() < SPARE && list.capacity() <= SPARE_CAPACITY {
-            list.clear();
-            self.spare.push(list);
+    /// Where the span of the list at `(ci, slot)` sits in the span
+    /// store, ready for one more value: when that would move the list
+    /// and the value store is [`Store::cramped`], the store's lists
+    /// slide down first.
+    fn make_room(&mut self, (ci, slot): (usize, usize)) -> usize {
+        let span = self.span(ci, slot);
+        if span.len == span.room && self.values.cramped(wider(span.room)) {
+            self.compact_values();
         }
+        self.chunks[ci].at(slot)
     }
 
     /// Appends a value to a track.
     pub(crate) fn push(&mut self, track: i32, value: T) {
-        self.edit(track, |list| list.push(value));
+        let at = self.occupy(track);
+        let at = self.make_room(at);
+        self.values.push(&mut self.spans.entries[at], value);
     }
 
     /// Drops the values on one track for which `remove` holds; an
     /// absent track stays absent. Returns how many were dropped.
     pub(crate) fn remove_where(&mut self, track: i32, mut remove: impl FnMut(&T) -> bool) -> usize {
-        if self.get(track).is_empty() {
-            return 0;
+        let Some((ci, slot)) = self.locate(track) else { return 0 };
+        let chunk = &mut self.chunks[ci];
+        let span = &mut self.spans.entries[chunk.at(slot)];
+        let dropped = self.values.retain(span, |v| !remove(v));
+        if span.len == 0 {
+            chunk.occupied &= !(1 << split(track).1);
+            self.spans.remove(&mut chunk.spans, slot);
+            if chunk.occupied == 0 {
+                self.chunks.remove(ci);
+            }
         }
-        self.edit(track, |list| {
-            let before = list.len();
-            list.retain(|v| !remove(v));
-            before - list.len()
-        })
+        dropped
     }
 
     /// Drops every value for which `remove(track, value)` holds, over
     /// the whole table. Returns how many were dropped.
     pub(crate) fn remove_all_where(&mut self, mut remove: impl FnMut(i32, &T) -> bool) -> usize {
-        let mut removed = 0;
+        let mut dropped = 0;
         for chunk in &mut self.chunks {
             let (mut word, mut slot) = (chunk.occupied, 0);
             while word != 0 {
                 let off = word.trailing_zeros();
                 word &= word - 1;
                 let track = chunk.base + off as i32;
-                let list = &mut chunk.slots[slot];
-                let before = list.len();
-                list.retain(|v| !remove(track, v));
-                removed += before - list.len();
-                if list.is_empty() {
-                    chunk.slots.remove(slot);
+                let span = &mut self.spans.entries[chunk.at(slot)];
+                dropped += self.values.retain(span, |v| !remove(track, v));
+                if span.len == 0 {
+                    self.spans.remove(&mut chunk.spans, slot);
                     chunk.occupied &= !(1 << off);
                 } else {
                     slot += 1;
@@ -184,7 +384,7 @@ impl<T> TrackTable<T> {
             }
         }
         self.chunks.retain(|c| c.occupied != 0);
-        removed
+        dropped
     }
 
     /// The nearest occupied track strictly above `from`.
@@ -223,7 +423,20 @@ impl<T> TrackTable<T> {
 
     /// The list of a track a [`Walk`] stopped at.
     pub(crate) fn list(&self, stop: Stop) -> &[T] {
-        &self.chunks[stop.chunk].slots[stop.slot]
+        self.values.list(self.span(stop.chunk, stop.slot))
+    }
+
+    /// The occupied tracks of chunk `c` whose offsets are in `mask`,
+    /// ascending, with their lists.
+    fn tracks<'a>(&'a self, c: &'a Chunk, mask: u64) -> impl Iterator<Item = (i32, &'a [T])> {
+        let mut word = c.occupied & mask;
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let off = word.trailing_zeros();
+                word &= word - 1;
+                (c.base + off as i32, self.values.list(self.spans.entries[c.at(c.rank(off))]))
+            })
+        })
     }
 
     /// The occupied tracks in `lo..=hi`, ascending, with their lists.
@@ -235,7 +448,7 @@ impl<T> TrackTable<T> {
             .flat_map(move |c| {
                 let first = if lo > c.base { (lo - c.base) as u32 } else { 0 };
                 let last = if hi < c.base + 63 { (hi - c.base) as u32 } else { 63 };
-                c.tracks(bits_between(first, last))
+                self.tracks(c, bits_between(first, last))
             })
     }
 
@@ -244,14 +457,12 @@ impl<T> TrackTable<T> {
         self.range(i32::MIN, i32::MAX)
     }
 
-    /// Drops every track, keeping the chunk list's capacity and a few
-    /// of the emptied lists.
+    /// Drops every track, keeping the chunk list's capacity and at most
+    /// [`RETAINED_BYTES`] of each store's.
     pub(crate) fn clear(&mut self) {
-        let mut chunks = std::mem::take(&mut self.chunks);
-        for list in chunks.drain(..).flat_map(|c| c.slots) {
-            self.recycle(list);
-        }
-        self.chunks = chunks;
+        self.chunks.clear();
+        self.spans.clear();
+        self.values.clear();
     }
 
     /// How many tracks are occupied.
@@ -265,9 +476,38 @@ impl<T> TrackTable<T> {
     fn chunk_count(&self) -> usize {
         self.chunks.len()
     }
+
+    /// Asserts that every list lies in its own room inside its store
+    /// and that the rooms and the garbage add up to each store, and
+    /// returns the value store's length and garbage.
+    #[cfg(test)]
+    fn check_stores(&self) -> (usize, usize) {
+        fn check<T>(store: &Store<T>, spans: &mut [Span]) {
+            spans.sort_unstable_by_key(|s| s.start);
+            let mut end = 0;
+            for s in spans.iter() {
+                assert!(s.len > 0 && s.len <= s.room, "{s:?}");
+                assert!(s.start as usize >= end, "rooms overlap at {s:?}");
+                end = s.start as usize + s.room as usize;
+            }
+            assert!(end <= store.entries.len());
+            let rooms: usize = spans.iter().map(|s| s.room as usize).sum();
+            assert_eq!(rooms + store.garbage, store.entries.len());
+        }
+        let mut chunk_spans: Vec<Span> = self.chunks.iter().map(|c| c.spans).collect();
+        for c in &self.chunks {
+            assert_eq!(c.spans.len, c.occupied.count_ones());
+        }
+        check(&self.spans, &mut chunk_spans);
+        let mut track_spans: Vec<Span> =
+            self.chunks.iter().flat_map(|c| self.spans.list(c.spans)).copied().collect();
+        check(&self.values, &mut track_spans);
+        (self.values.entries.len(), self.values.garbage)
+    }
 }
 
-/// An occupied track met by a [`Walk`], and where its list sits.
+/// An occupied track met by a [`Walk`], and the rank of its span in
+/// its chunk.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Stop {
     pub(crate) track: i32,
@@ -279,8 +519,9 @@ pub(crate) struct Stop {
 /// first: the chunk at hand and its bits still ahead. It borrows
 /// nothing, so the table may change between steps as long as its
 /// chunks and occupancy words do not. Pushing onto a track that is
-/// already occupied changes neither, and a [`Stop`] met before such a
-/// push still reads the track's list.
+/// already occupied changes neither, even when the list moves in the
+/// store, and a [`Stop`] met before such a push still reads the
+/// track's list.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Walk {
     chunk: usize,
@@ -302,13 +543,47 @@ impl Walk {
     }
 }
 
+/// One track of a [`TrackTable`], looked up once: its values can be
+/// read and then edited in place without a second lookup.
+pub(crate) struct TrackMut<'a, T> {
+    table: &'a mut TrackTable<T>,
+    track: i32,
+    /// The track's chunk index and rank, once it is occupied.
+    at: Option<(usize, usize)>,
+}
+
+impl<T: Copy> TrackMut<'_, T> {
+    /// The track's values, in insertion order (empty when absent).
+    pub(crate) fn get(&self) -> &[T] {
+        match self.at {
+            Some((ci, slot)) => self.table.values.list(self.table.span(ci, slot)),
+            None => &[],
+        }
+    }
+
+    /// Replaces the values at `range` with `value`, creating the track
+    /// when absent (then `range` must be `0..0`).
+    pub(crate) fn replace(&mut self, range: Range<usize>, value: T) {
+        let at = match self.at {
+            Some(at) => at,
+            None => self.table.occupy(self.track),
+        };
+        self.at = Some(at);
+        let at = self.table.make_room(at);
+        self.table.values.splice(&mut self.table.spans.entries[at], range, value);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
 
+    use netart_geom::Interval;
     use proptest::prelude::*;
 
     use super::*;
+    use crate::expand::cover;
+    use crate::expand::tests::subtract_all;
 
     /// One edit of a random table history.
     #[derive(Debug, Clone)]
@@ -316,6 +591,12 @@ mod tests {
         Push(i32, u8),
         Remove(i32, u8),
         RemoveAll(u8),
+        /// Pushes `v` onto 24 tracks from `t` on, three rounds over
+        /// them, so their lists outgrow their rooms in turn.
+        Spread(i32, u8),
+        /// Covers a span on one track of the ledger table.
+        Cover(i32, Interval),
+        Clear,
     }
 
     /// Tracks clustered around a few centres, including both ends of
@@ -326,11 +607,23 @@ mod tests {
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
-        (0u8..5, track_strategy(), 0u8..4).prop_map(|(op, t, v)| match op {
-            0..=2 => Op::Push(t, v),
-            3 => Op::Remove(t, v),
-            _ => Op::RemoveAll(v),
+        let span = (-40i32..40, 0i32..12).prop_map(|(lo, len)| Interval::new(lo, lo + len));
+        // Ledger edits stay on a few tracks, so each ledger gathers
+        // intervals for later spans to merge.
+        let ledger = prop::sample::select(vec![i32::MIN, -1, 0, 64, i32::MAX]);
+        (0u8..16, track_strategy(), 0u8..4, ledger, span).prop_map(|(op, t, v, lt, span)| match op {
+            0..=4 => Op::Push(t, v),
+            5 | 6 => Op::Remove(t, v),
+            7 => Op::RemoveAll(v),
+            8 | 9 => Op::Spread(t, v),
+            10..=14 => Op::Cover(lt, span),
+            _ => Op::Clear,
         })
+    }
+
+    /// The tracks `Op::Spread` pushes onto, saturating at `i32::MAX`.
+    fn spread_tracks(t: i32) -> impl Iterator<Item = i32> {
+        (0..24).map(move |k| t.saturating_add(k * 5))
     }
 
     fn oracle_next_above(m: &BTreeMap<i32, Vec<u8>>, from: i32) -> Option<i32> {
@@ -346,7 +639,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Every query answers as a `BTreeMap` of lists that drops
-        /// emptied tracks does.
+        /// emptied tracks does, through histories that move lists in
+        /// their store, slide the store down over garbage, clear the
+        /// table and refill it; and a ledger edited in place hands out
+        /// the pieces that subtracting what it handed out before leaves.
         #[test]
         fn track_table_matches_a_btreemap(
             ops in prop::collection::vec(op_strategy(), 0..60),
@@ -355,11 +651,24 @@ mod tests {
         ) {
             let mut table = TrackTable::default();
             let mut oracle: BTreeMap<i32, Vec<u8>> = BTreeMap::new();
+            // The ledger table, its coalesced model, and every piece
+            // each track was handed, the model of what it covers.
+            let mut ledgers = TrackTable::default();
+            let mut ledger_oracle: BTreeMap<i32, Vec<Interval>> = BTreeMap::new();
+            let mut handed: BTreeMap<i32, Vec<Interval>> = BTreeMap::new();
             for op in &ops {
                 match *op {
                     Op::Push(t, v) => {
                         table.push(t, v);
                         oracle.entry(t).or_default().push(v);
+                    }
+                    Op::Spread(t, v) => {
+                        for _ in 0..3 {
+                            for t in spread_tracks(t) {
+                                table.push(t, v);
+                                oracle.entry(t).or_default().push(v);
+                            }
+                        }
                     }
                     Op::Remove(t, v) => {
                         let mut want = 0;
@@ -384,7 +693,29 @@ mod tests {
                         let got = table.remove_all_where(|t, &x| (t as u8 ^ x) & 3 == v);
                         prop_assert_eq!(got, want);
                     }
+                    Op::Cover(t, span) => {
+                        let mut pieces = Vec::new();
+                        cover(&mut ledgers.track_mut(t), span, &mut pieces);
+                        let seen = handed.entry(t).or_default();
+                        prop_assert_eq!(&pieces, &subtract_all(span, seen));
+                        seen.extend(pieces.iter().copied());
+                        cover(ledger_oracle.entry(t).or_default(), span, &mut Vec::new());
+                        prop_assert_eq!(ledgers.get(t), ledger_oracle[&t].as_slice());
+                    }
+                    Op::Clear => {
+                        table.clear();
+                        oracle.clear();
+                        ledgers.clear();
+                        ledger_oracle.clear();
+                        handed.clear();
+                    }
                 }
+                table.check_stores();
+                ledgers.check_stores();
+                let all: Vec<(i32, &[Interval])> = ledgers.iter().collect();
+                let want: Vec<(i32, &[Interval])> =
+                    ledger_oracle.iter().map(|(&t, l)| (t, l.as_slice())).collect();
+                prop_assert_eq!(all, want);
                 prop_assert_eq!(table.len(), oracle.len());
                 prop_assert!(table.chunk_count() <= oracle.len());
                 for &t in probes.iter().chain(oracle.keys()) {
@@ -420,6 +751,39 @@ mod tests {
                 prop_assert_eq!(all, want);
             }
         }
+    }
+
+    /// Pushes interleaved over many tracks move lists to the end of the
+    /// store, leaving garbage; once removals add more, the store slides
+    /// down over it instead of growing. Every list reads back as pushed
+    /// throughout.
+    #[test]
+    fn lists_move_and_the_store_slides_down() {
+        let mut table = TrackTable::default();
+        let mut oracle: BTreeMap<i32, Vec<u32>> = BTreeMap::new();
+        let (mut moved, mut slid) = (false, false);
+        for round in 0..40u32 {
+            let (_, before) = table.check_stores();
+            for t in (0..50).map(|k| k * 3) {
+                table.push(t, round);
+                oracle.entry(t).or_default().push(round);
+            }
+            let (_, after) = table.check_stores();
+            moved |= after > before;
+            slid |= after < before;
+            if round % 4 == 3 {
+                let gone = |t: i32, v: u32| (t as u32 / 3 + v).is_multiple_of(3);
+                table.remove_all_where(|t, &v| gone(t, v));
+                oracle.retain(|&t, list| {
+                    list.retain(|&v| !gone(t, v));
+                    !list.is_empty()
+                });
+            }
+            let all: Vec<(i32, &[u32])> = table.iter().collect();
+            let want: Vec<(i32, &[u32])> = oracle.iter().map(|(&t, l)| (t, l.as_slice())).collect();
+            assert_eq!(all, want);
+        }
+        assert!(moved && slid, "moved {moved}, slid {slid}");
     }
 
     #[test]
