@@ -192,6 +192,51 @@ fn chaos_salvage_sites() {
     }
 }
 
+/// A net whose routed wire fails the router's self-check keeps its
+/// partial preroute: three buffers, net `n` prerouted from u0.y to u1.a
+/// over a bump at y = 4, and u2.a still to connect.
+#[test]
+fn chaos_failed_self_check_keeps_the_preroute() {
+    let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    netart_fault::disarm_all();
+    let dir = scratch("self-check-preroute");
+    let lib = dir.join("lib");
+    fs::create_dir_all(&lib).unwrap();
+    fs::write(lib.join("buf.qto"), "module buf 40 20\nin a 0 10\nout y 40 10\n").unwrap();
+    fs::write(dir.join("design.net"), "n u0 y\nn u1 a\nn u2 a\n").unwrap();
+    fs::write(dir.join("design.call"), "u0 buf\nu1 buf\nu2 buf\n").unwrap();
+    let bump = "node: n h 4 6 8\n";
+    fs::write(
+        dir.join("pre.esc"),
+        format!(
+            "#TUE-ES-871\ntname: pre\nrepr: 0 0 14 10\nsubsys: u0 buf 0 0 0\n\
+             subsys: u1 buf 10 0 0\nsubsys: u2 buf 10 8 0\nnode: n h 1 4 6\n\
+             node: n v 6 1 4\n{bump}node: n v 8 1 4\nnode: n h 1 8 10\n"
+        ),
+    )
+    .unwrap();
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let run = netart_cli::run_eureka(&argv(&[
+        "--inject",
+        "route.net:1:garbage-output",
+        "-L",
+        &path("lib"),
+        "--diagram",
+        &path("pre.esc"),
+        "-o",
+        &path("out"),
+        &path("design.net"),
+        &path("design.call"),
+    ]));
+    let fired = netart_fault::fired();
+    netart_fault::disarm_all();
+    run.expect("eureka runs");
+    assert!(fired.iter().any(|s| s.starts_with("route.net")), "fired: {fired:?}");
+    let esc = fs::read_to_string(dir.join("out.esc")).expect("diagram written");
+    assert!(esc.contains(bump), "the preroute is gone:\n{esc}");
+    let _ = fs::remove_dir_all(dir);
+}
+
 #[test]
 fn chaos_emit_site() {
     for kind in KINDS {
