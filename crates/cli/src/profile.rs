@@ -14,7 +14,7 @@
 
 use netart::obs::{ProfileCell, ProfileReport, ProfileTotals};
 use netart::place::PlaceConfig;
-use netart::route::NetRouteStats;
+use netart::route::{union_bbox, NetRouteStats};
 use netart::Outcome;
 
 use crate::commands::{load_network, route_config_from_args, CliError};
@@ -24,16 +24,6 @@ use crate::ArgError;
 /// An inclusive diagram-coordinate bounding box `(min_x, min_y,
 /// max_x, max_y)`.
 type Bbox = (i32, i32, i32, i32);
-
-fn union(a: Option<Bbox>, b: Option<Bbox>) -> Option<Bbox> {
-    match (a, b) {
-        (Some((ax0, ay0, ax1, ay1)), Some((bx0, by0, bx1, by1))) => {
-            Some((ax0.min(bx0), ay0.min(by0), ax1.max(bx1), ay1.max(by1)))
-        }
-        (a, None) => a,
-        (None, b) => b,
-    }
-}
 
 /// The spatial footprint of one net's routing effort: the searches'
 /// activation bbox when the regular passes ran, else the routed
@@ -47,13 +37,14 @@ fn net_footprint(outcome: &Outcome, s: &NetRouteStats) -> Option<Bbox> {
     if let Some(path) = outcome.diagram.route(s.net) {
         for seg in path.segments() {
             let (a, b) = seg.endpoints();
-            bbox = union(bbox, Some((a.x.min(b.x), a.y.min(b.y), a.x.max(b.x), a.y.max(b.y))));
+            bbox = union_bbox(bbox, Some((a.x.min(b.x), a.y.min(b.y), a.x.max(b.x), a.y.max(b.y))));
         }
     }
     if bbox.is_none() {
         if let Some(ghost) = outcome.diagram.ghost(s.net) {
             for (a, b) in &ghost.lines {
-                bbox = union(bbox, Some((a.x.min(b.x), a.y.min(b.y), a.x.max(b.x), a.y.max(b.y))));
+                let line = (a.x.min(b.x), a.y.min(b.y), a.x.max(b.x), a.y.max(b.y));
+                bbox = union_bbox(bbox, Some(line));
             }
         }
     }
@@ -84,7 +75,7 @@ fn build_profile(outcome: &Outcome, grid: u32) -> ProfileReport {
         .collect();
     let bounds = footprints
         .iter()
-        .fold(None, |acc, (_, b)| union(acc, Some(*b)));
+        .fold(None, |acc, (_, b)| union_bbox(acc, Some(*b)));
     let Some((x0, y0, x1, y1)) = bounds else {
         // Nothing spatial at all (an empty or fully point-prerouted
         // design): a degenerate but valid profile.

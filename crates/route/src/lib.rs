@@ -67,4 +67,4 @@ mod tracks;
 pub use budget::{Budget, BudgetBreach, BudgetMeter, CancelToken, TIME_POLL_STRIDE};
 pub use config::{NetOrder, RouteConfig};
 pub use obstacles::{Obstacle, ObstacleKind, ObstacleMap};
-pub use router::{Eureka, NetRouteStats, RouteReport, SalvageRecord, SalvageStep};
+pub use router::{union_bbox, Eureka, NetRouteStats, RouteReport, SalvageRecord, SalvageStep};
