@@ -13,8 +13,8 @@
 //!
 //! Simplifications versus the 1969 paper: escape points are tried at
 //! the line ends and at the projection of the goal (instead of the full
-//! cover-based enumeration), and only `Module` obstacles block probes
-//! (nets are ignored, as in a first-pass sketch router).
+//! cover-based enumeration), and only `Module` and `Terminal` obstacles
+//! block probes (nets are ignored, as in a first-pass sketch router).
 
 use netart_geom::{Axis, Interval, Point, Rect, Segment};
 
@@ -35,7 +35,7 @@ struct Probe {
 }
 
 /// Maximal free segment through `p` along `axis`, stopped by `Module`
-/// obstacles and the `bounds` rectangle.
+/// and `Terminal` obstacles and the `bounds` rectangle.
 fn maximal_line(map: &ObstacleMap, bounds: Rect, p: Point, axis: Axis) -> Segment {
     let (track, coord, limit) = match axis {
         Axis::Horizontal => (p.y, p.x, bounds.x_span()),
@@ -47,7 +47,8 @@ fn maximal_line(map: &ObstacleMap, bounds: Rect, p: Point, axis: Axis) -> Segmen
     let perp = axis.perpendicular();
     for t in limit.lo()..=limit.hi() {
         for o in map.at(perp, t) {
-            if o.kind != ObstacleKind::Module || !o.span.contains(track) {
+            let solid = matches!(o.kind, ObstacleKind::Module | ObstacleKind::Terminal(_));
+            if !solid || !o.span.contains(track) {
                 continue;
             }
             if t < coord {

@@ -45,9 +45,12 @@ fn classify(map: &ObstacleMap, p: Point, net: NetId) -> Cell {
                 continue;
             }
             match o.kind {
-                // The net's own claims never block it (§5.7).
-                ObstacleKind::Claim(n) if n == net => {}
-                ObstacleKind::Module | ObstacleKind::Claim(_) => return Cell::Blocked,
+                // The net's own claims (§5.7) and terminal points never
+                // block it.
+                ObstacleKind::Claim(n) | ObstacleKind::Terminal(n) if n == net => {}
+                ObstacleKind::Module | ObstacleKind::Terminal(_) | ObstacleKind::Claim(_) => {
+                    return Cell::Blocked
+                }
                 ObstacleKind::Net(n) if n == net => return Cell::Blocked,
                 ObstacleKind::Net(_) => {
                     // Endpoints (bends) block; interiors are crossable.
@@ -187,6 +190,7 @@ pub fn route_two_points_metered(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::line_expansion;
 
     fn nid(i: usize) -> NetId {
         NetId::from_index(i)
@@ -286,6 +290,27 @@ mod tests {
         );
         assert!(p.is_none());
         assert!(meter.breach().is_some());
+    }
+
+    /// A wall at x = 10 whose only gap, (10, 5), holds a system terminal
+    /// point of net 0: both line expansion and the Lee wave take net 0
+    /// through it, and neither takes net 1.
+    #[test]
+    fn a_terminal_point_passes_its_own_net_and_blocks_others() {
+        let (mut m, b) = plane(20, 10);
+        m.add(Segment::vertical(10, 0, 4), ObstacleKind::Module);
+        m.add(Segment::vertical(10, 6, 10), ObstacleKind::Module);
+        m.add_point(Point::new(10, 5), ObstacleKind::Terminal(nid(0)));
+        let (from, to) = (Point::new(2, 5), Point::new(17, 5));
+        let line = |net| {
+            line_expansion::route_two_points(&m, (from, &[Dir::Right]), (to, &[Dir::Left]), net)
+        };
+        let own = line(nid(0)).expect("the net passes its own terminal");
+        assert_eq!((own.bends(), own.length()), (0, 15), "{:?}", own.segments());
+        assert!(line(nid(1)).is_none(), "another net's terminal blocks");
+        let own = route_two_points(&m, b, from, to, nid(0)).expect("the wave passes it too");
+        assert_eq!((own.bends(), own.length()), (0, 15), "{:?}", own.segments());
+        assert!(route_two_points(&m, b, from, to, nid(1)).is_none());
     }
 
     #[test]
