@@ -9,71 +9,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use netart::geom::{Dir, Point, Rect, Segment};
+use netart::geom::Dir;
 use netart::netlist::NetId;
-use netart::route::{hightower, lee, line_expansion, ObstacleKind, ObstacleMap};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-struct Maze {
-    map: ObstacleMap,
-    bounds: Rect,
-    from: Point,
-    to: Point,
-}
-
-fn random_maze(seed: u64) -> Option<Maze> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let w = rng.gen_range(24..48);
-    let h = rng.gen_range(20..40);
-    let bounds = Rect::new(Point::new(0, 0), w, h);
-    let mut map = ObstacleMap::new();
-    map.add_rect(&bounds, ObstacleKind::Module);
-    let mut rects = Vec::new();
-    for _ in 0..rng.gen_range(3..9) {
-        let rw = rng.gen_range(2..9);
-        let rh = rng.gen_range(2..9);
-        let x = rng.gen_range(1..(w - rw).max(2));
-        let y = rng.gen_range(1..(h - rh).max(2));
-        let r = Rect::new(Point::new(x, y), rw, rh);
-        map.add_rect(&r, ObstacleKind::Module);
-        rects.push(r);
-    }
-    let mut used = Vec::new();
-    for n in 0..rng.gen_range(0..4) {
-        let track = rng.gen_range(2..h - 2);
-        if used.contains(&track) {
-            continue;
-        }
-        used.push(track);
-        let lo = rng.gen_range(1..w / 2);
-        let hi = rng.gen_range(w / 2..w - 1);
-        map.add(
-            Segment::horizontal(track, lo, hi),
-            ObstacleKind::Net(NetId::from_index(100 + n)),
-        );
-    }
-    let clear = |p: Point| {
-        bounds.contains_strictly(p)
-            && !rects.iter().any(|r| r.contains(p))
-            && !map.point_matches(p, |_| true)
-    };
-    let mut pick = || {
-        for _ in 0..200 {
-            let p = Point::new(rng.gen_range(1..w), rng.gen_range(1..h));
-            if clear(p) {
-                return Some(p);
-            }
-        }
-        None
-    };
-    let from = pick()?;
-    let to = pick()?;
-    (from != to).then_some(Maze { map, bounds, from, to })
-}
+use netart::route::{hightower, lee, line_expansion};
+use netart_bench::COMPARISON_MAZES;
+use netart_workloads::{random_maze, Maze};
 
 fn mazes() -> Vec<Maze> {
-    (0..200).filter_map(random_maze).collect()
+    (0..200).filter_map(|seed| random_maze(&COMPARISON_MAZES, seed)).collect()
 }
 
 fn bench_routers(c: &mut Criterion) {

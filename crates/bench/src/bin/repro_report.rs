@@ -8,12 +8,14 @@
 
 use std::time::Instant;
 
-use netart::geom::{Dir, Point, Rect, Segment};
+use netart::geom::{Dir, Point, Rect};
 use netart::netlist::NetId;
 use netart::route::{hightower, lee, line_expansion, NetOrder, ObstacleKind, ObstacleMap, RouteConfig};
 use netart::Generator;
-use netart_bench::{fig6_1, fig6_2, fig6_3, fig6_4, fig6_5, fig6_6, fig6_7, render_table};
-use netart_workloads::{life, random_network, RandomSpec};
+use netart_bench::{
+    fig6_1, fig6_2, fig6_3, fig6_4, fig6_5, fig6_6, fig6_7, render_table, COMPARISON_MAZES,
+};
+use netart_workloads::{life, random_maze, random_network, RandomSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -149,63 +151,6 @@ fn net_order_ablation() {
     println!();
 }
 
-struct Maze {
-    map: ObstacleMap,
-    bounds: Rect,
-    from: Point,
-    to: Point,
-}
-
-fn random_maze(seed: u64) -> Option<Maze> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let w = rng.gen_range(24..48);
-    let h = rng.gen_range(20..40);
-    let bounds = Rect::new(Point::new(0, 0), w, h);
-    let mut map = ObstacleMap::new();
-    map.add_rect(&bounds, ObstacleKind::Module);
-    let mut rects = Vec::new();
-    for _ in 0..rng.gen_range(3..9) {
-        let rw = rng.gen_range(2..9);
-        let rh = rng.gen_range(2..9);
-        let x = rng.gen_range(1..(w - rw).max(2));
-        let y = rng.gen_range(1..(h - rh).max(2));
-        let r = Rect::new(Point::new(x, y), rw, rh);
-        map.add_rect(&r, ObstacleKind::Module);
-        rects.push(r);
-    }
-    let mut used = Vec::new();
-    for n in 0..rng.gen_range(0..4) {
-        let track = rng.gen_range(2..h - 2);
-        if used.contains(&track) {
-            continue;
-        }
-        used.push(track);
-        let lo = rng.gen_range(1..w / 2);
-        let hi = rng.gen_range(w / 2..w - 1);
-        map.add(
-            Segment::horizontal(track, lo, hi),
-            ObstacleKind::Net(NetId::from_index(100 + n)),
-        );
-    }
-    let clear = |p: Point, map: &ObstacleMap, rects: &[Rect]| {
-        bounds.contains_strictly(p)
-            && !rects.iter().any(|r| r.contains(p))
-            && !map.point_matches(p, |_| true)
-    };
-    let pick = |map: &ObstacleMap, rects: &[Rect], rng: &mut StdRng| {
-        for _ in 0..200 {
-            let p = Point::new(rng.gen_range(1..w), rng.gen_range(1..h));
-            if clear(p, map, rects) {
-                return Some(p);
-            }
-        }
-        None
-    };
-    let from = pick(&map, &rects, &mut rng)?;
-    let to = pick(&map, &rects, &mut rng)?;
-    (from != to).then_some(Maze { map, bounds, from, to })
-}
-
 fn router_comparison() {
     println!("§5.2/§5.4 — router class comparison on 500 random mazes");
     println!("-------------------------------------------------------");
@@ -213,7 +158,7 @@ fn router_comparison() {
     let mut stats = [(0usize, 0u64, 0u64, 0f64); 3]; // solved, bends, length, time
     let mut attempted = 0;
     for seed in 0..500 {
-        let Some(maze) = random_maze(seed) else { continue };
+        let Some(maze) = random_maze(&COMPARISON_MAZES, seed) else { continue };
         attempted += 1;
         let runs: [Box<dyn Fn() -> Option<netart::NetPath>>; 3] = [
             Box::new(|| {

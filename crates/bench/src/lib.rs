@@ -24,7 +24,12 @@ use netart::route::RouteConfig;
 use netart::Generator;
 use netart_govern::MemBudget;
 use netart_workloads::text::{self, TextWorkload};
-use netart_workloads::{controller_cluster, life, string_chain};
+use netart_workloads::{controller_cluster, life, string_chain, MazeSpec};
+
+/// The random mazes of the §5.2/§5.4 router class comparison (see
+/// [`netart_workloads::random_maze`]).
+pub const COMPARISON_MAZES: MazeSpec =
+    MazeSpec { width: 24..48, height: 20..40, modules: 3..9, module_side: 2..9, nets: 0..4 };
 
 /// One row of the reproduced table 6.1, with quality metrics attached.
 #[derive(Debug, Clone)]

@@ -12,73 +12,17 @@
 //!   reachable mazes (its documented incompleteness),
 //! * every produced path is a connected tree through both terminals.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use netart::geom::{Dir, Point, Rect, Segment};
+use netart::geom::Dir;
 use netart::netlist::NetId;
-use netart::route::{hightower, lee, line_expansion, ObstacleKind, ObstacleMap};
+use netart::route::{hightower, lee, line_expansion};
+use netart_workloads::{Maze, MazeSpec};
 
-struct Maze {
-    map: ObstacleMap,
-    bounds: Rect,
-    from: Point,
-    to: Point,
-}
+/// The mazes the guarantees are checked on.
+const MAZES: MazeSpec =
+    MazeSpec { width: 20..36, height: 16..30, modules: 2..7, module_side: 2..8, nets: 0..3 };
 
 fn random_maze(seed: u64) -> Option<Maze> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let w = rng.gen_range(20..36);
-    let h = rng.gen_range(16..30);
-    let bounds = Rect::new(Point::new(0, 0), w, h);
-    let mut map = ObstacleMap::new();
-    map.add_rect(&bounds, ObstacleKind::Module);
-    let mut rects = Vec::new();
-    for _ in 0..rng.gen_range(2..7) {
-        let rw = rng.gen_range(2..8);
-        let rh = rng.gen_range(2..8);
-        let x = rng.gen_range(1..(w - rw).max(2));
-        let y = rng.gen_range(1..(h - rh).max(2));
-        let r = Rect::new(Point::new(x, y), rw, rh);
-        map.add_rect(&r, ObstacleKind::Module);
-        rects.push(r);
-    }
-    // Pre-existing foreign nets to cross; their interiors are legal
-    // crossings, their endpoints block. Distinct tracks: two nets may
-    // never overlap collinearly in a legal diagram.
-    let mut used_tracks = Vec::new();
-    for n in 0..rng.gen_range(0..3) {
-        let track = rng.gen_range(2..h - 2);
-        if used_tracks.contains(&track) {
-            continue;
-        }
-        used_tracks.push(track);
-        let lo = rng.gen_range(1..w / 2);
-        let hi = rng.gen_range(w / 2..w - 1);
-        map.add(
-            Segment::horizontal(track, lo, hi),
-            ObstacleKind::Net(NetId::from_index(100 + n)),
-        );
-    }
-    // Terminals must be clear of every obstacle so all four routers
-    // start from identical conditions.
-    let clear = |p: Point, rects: &[Rect], map: &ObstacleMap| {
-        bounds.contains_strictly(p)
-            && !rects.iter().any(|r| r.contains(p))
-            && !map.point_matches(p, |_| true)
-    };
-    let mut pick = |map: &ObstacleMap| {
-        for _ in 0..200 {
-            let p = Point::new(rng.gen_range(1..w), rng.gen_range(1..h));
-            if clear(p, &rects, map) {
-                return Some(p);
-            }
-        }
-        None
-    };
-    let from = pick(&map)?;
-    let to = pick(&map)?;
-    (from != to).then_some(Maze { map, bounds, from, to })
+    netart_workloads::random_maze(&MAZES, seed)
 }
 
 fn net() -> NetId {
