@@ -239,7 +239,20 @@ fn sigterm_drains_gracefully_with_a_complete_manifest() {
         .arg(&dir)
         .spawn()
         .expect("netart batch starts");
-    std::thread::sleep(std::time::Duration::from_millis(120));
+    // Signal once the first diagram is out, so the batch is mid-run
+    // whatever the build's speed; give up waiting if it ends first.
+    let started = std::time::Instant::now();
+    let first_out = || {
+        fs::read_dir(&out).is_ok_and(|mut entries| {
+            entries.any(|e| e.is_ok_and(|e| e.path().extension().is_some_and(|x| x == "esc")))
+        })
+    };
+    while !first_out()
+        && child.try_wait().expect("batch status").is_none()
+        && started.elapsed() < std::time::Duration::from_secs(60)
+    {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     let _ = Command::new("kill")
         .args(["-TERM", &child.id().to_string()])
         .status()
