@@ -262,8 +262,8 @@ impl Eureka {
     }
 
     /// Builds the obstacle configuration (`ADD_OBSTACLE_BOUNDINGS` plus
-    /// claims and prerouted nets).
-    fn build_map(&self, diagram: &Diagram, network: &Network) -> ObstacleMap {
+    /// prerouted nets) inside `border`; [`Run::new`] adds the claims.
+    fn build_map(&self, diagram: &Diagram, network: &Network, border: &Rect) -> ObstacleMap {
         let placement = diagram.placement();
         let mut map = ObstacleMap::new();
         #[cfg(test)]
@@ -272,8 +272,7 @@ impl Eureka {
             map.shuffle = self.shuffle;
         }
 
-        let border = self.border_rect(diagram, network);
-        map.add_rect(&border, ObstacleKind::Module);
+        map.add_rect(border, ObstacleKind::Module);
 
         for m in network.modules() {
             map.add_rect(&placement.module_rect(network, m), ObstacleKind::Module);
@@ -289,23 +288,6 @@ impl Eureka {
         }
         for (n, path) in diagram.routes() {
             map.rewire_net(n, path.segments());
-        }
-        if self.config.claimpoints {
-            for n in network.nets() {
-                if diagram.route(n).is_some() {
-                    continue;
-                }
-                for &pin in network.net(n).pins() {
-                    if let Pin::Sub { module, term } = pin {
-                        let pos = placement.terminal_position(network, module, term);
-                        let side = placement.terminal_side(network, module, term);
-                        let claim = pos.step(side);
-                        if border.contains_strictly(claim) {
-                            map.add_point(claim, ObstacleKind::Claim(n));
-                        }
-                    }
-                }
-            }
         }
         map
     }
@@ -345,6 +327,8 @@ struct Run<'a> {
     diagram: &'a mut Diagram,
     network: Network,
     map: ObstacleMap,
+    /// The routing-plane border, computed once per run.
+    border: Rect,
     ws: Workspace,
     stats: Vec<NetRouteStats>,
     salvaged: Vec<SalvageRecord>,
@@ -358,7 +342,7 @@ struct Run<'a> {
 impl<'a> Run<'a> {
     /// A run over `diagram`, with its cyclic preroutes dropped
     /// (Appendix F: "the nets may not contain a cycle") and its
-    /// obstacle map built.
+    /// obstacle map built, claims included.
     fn new(router: &'a Eureka, diagram: &'a mut Diagram) -> Self {
         let network = diagram.network().clone();
         assert!(
@@ -370,16 +354,42 @@ impl<'a> Run<'a> {
                 diagram.clear_route(n);
             }
         }
-        let map = router.build_map(diagram, &network);
-        Run {
+        let border = router.border_rect(diagram, &network);
+        let map = router.build_map(diagram, &network, &border);
+        let mut run = Run {
             router,
             stats: network.nets().map(NetRouteStats::attempt).collect(),
             diagram,
             network,
             map,
+            border,
             ws: Workspace::default(),
             salvaged: Vec::new(),
             injected: None,
+        };
+        let nets: Vec<NetId> = run.network.nets().collect();
+        for n in nets {
+            run.claim_terminals(n);
+        }
+        run
+    }
+
+    /// The one claim rule (§5.7), for the initial map and for a net
+    /// whose first attempt failed: a net with no route claims the
+    /// point in front of each module pin that lies strictly inside the
+    /// border. A net with a preroute, even a partial one, claims
+    /// nothing.
+    fn claim_terminals(&mut self, net: NetId) {
+        if !self.router.config.claimpoints || self.diagram.route(net).is_some() {
+            return;
+        }
+        for (p, side) in self.pins(net) {
+            if let Some(side) = side {
+                let claim = p.step(side);
+                if self.border.contains_strictly(claim) {
+                    self.map.add_point(claim, ObstacleKind::Claim(net));
+                }
+            }
         }
     }
 
@@ -421,12 +431,8 @@ impl<'a> Run<'a> {
             // The attempt lifted the net's claims; a failed one claims
             // its terminals again, so the spots stay protected for the
             // rest of the pass (§5.7).
-            if ran && !record.routed && self.router.config.claimpoints {
-                for (p, side) in self.pins(n) {
-                    if let Some(side) = side {
-                        self.map.add_point(p.step(side), ObstacleKind::Claim(n));
-                    }
-                }
+            if ran && !record.routed {
+                self.claim_terminals(n);
             }
             debug!(
                 "first pass",
@@ -825,7 +831,7 @@ impl<'a> Run<'a> {
         if pins.len() < 2 {
             return (false, 0);
         }
-        let bounds = self.router.border_rect(self.diagram, &self.network).inflate(-1);
+        let bounds = self.border.inflate(-1);
 
         let mut wired: Vec<Segment> = self
             .diagram
@@ -1448,6 +1454,22 @@ mod tests {
         let record = run.stats[n.index()];
         assert!(record.retried && !record.routed, "{record:?}");
         assert_eq!(claims(&run), 0, "a claim outlived the first pass");
+    }
+
+    /// A failed net with a partial preroute claims nothing after its
+    /// first attempt, just as the initial map gave it no claims.
+    #[test]
+    fn a_prerouted_net_gains_no_claims_in_the_first_pass() {
+        let (mut d, n) = enclosed_pin();
+        d.set_route(n, NetPath::from_segments(vec![Segment::horizontal(11, 4, 8)]));
+        let router = Eureka::new(RouteConfig::default());
+        assert!(router.config().claimpoints);
+        let mut run = Run::new(&router, &mut d);
+        let claims = |run: &Run| run.map.clone().remove_all_claims();
+        assert_eq!(claims(&run), 0, "the initial map claims nothing for a prerouted net");
+        run.first_pass(&[n]);
+        assert!(!run.stats[n.index()].routed);
+        assert_eq!(claims(&run), 0, "the failed attempt claimed the prerouted net's pins");
     }
 
     /// Net `good` routes straight through the corridor next to net
