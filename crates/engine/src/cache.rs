@@ -26,23 +26,11 @@ struct CacheState<K, V> {
     entries: HashMap<K, Entry<V>>,
     bytes: usize,
     clock: u64,
-    stats: CacheStats,
 }
 
-/// Counters a cache accumulates over its lifetime, plus the current
-/// occupancy gauges.
+/// The cache's occupancy gauges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// `get` calls that found their key.
-    pub hits: u64,
-    /// `get` calls that did not.
-    pub misses: u64,
-    /// Entries accepted by `put`.
-    pub insertions: u64,
-    /// Entries evicted to respect the byte budget.
-    pub evictions: u64,
-    /// `put`s refused because one entry exceeded the whole budget.
-    pub rejected_oversize: u64,
     /// Bytes resident right now.
     pub bytes: usize,
     /// Entries resident right now.
@@ -65,7 +53,6 @@ impl<K: Eq + Hash + Clone, V: Clone> ByteCache<K, V> {
                 entries: HashMap::new(),
                 bytes: 0,
                 clock: 0,
-                stats: CacheStats::default(),
             }),
         }
     }
@@ -79,30 +66,20 @@ impl<K: Eq + Hash + Clone, V: Clone> ByteCache<K, V> {
         let mut state = self.lock();
         state.clock += 1;
         let clock = state.clock;
-        match state.entries.get_mut(key) {
-            Some(entry) => {
-                entry.stamp = clock;
-                let value = entry.value.clone();
-                state.stats.hits += 1;
-                Some(value)
-            }
-            None => {
-                state.stats.misses += 1;
-                None
-            }
-        }
+        let entry = state.entries.get_mut(key)?;
+        entry.stamp = clock;
+        Some(entry.value.clone())
     }
 
     /// Inserts `key → value`, charging `bytes` against the budget and
-    /// evicting least-recently-used entries until the total fits.
-    /// Returns `false` when the entry alone exceeds the whole budget
-    /// (it is not stored — the cache can never hold more than its
-    /// budget, so it can never OOM the server).
-    pub fn put(&self, key: K, value: V, bytes: usize) -> bool {
+    /// evicting least-recently-used entries until the total fits. An
+    /// entry that alone exceeds the whole budget is not stored — the
+    /// cache can never hold more than its budget, so it can never OOM
+    /// the server.
+    pub fn put(&self, key: K, value: V, bytes: usize) {
         let mut state = self.lock();
         if bytes > self.budget {
-            state.stats.rejected_oversize += 1;
-            return false;
+            return;
         }
         state.clock += 1;
         let stamp = state.clock;
@@ -110,7 +87,6 @@ impl<K: Eq + Hash + Clone, V: Clone> ByteCache<K, V> {
             state.bytes -= old.bytes;
         }
         state.bytes += bytes;
-        state.stats.insertions += 1;
         while state.bytes > self.budget {
             // Deterministic LRU: the smallest stamp is the coldest.
             let Some(coldest) = state
@@ -123,19 +99,16 @@ impl<K: Eq + Hash + Clone, V: Clone> ByteCache<K, V> {
             };
             if let Some(evicted) = state.entries.remove(&coldest) {
                 state.bytes -= evicted.bytes;
-                state.stats.evictions += 1;
             }
         }
-        true
     }
 
-    /// A snapshot of the counters and occupancy gauges.
+    /// A snapshot of the occupancy gauges.
     pub fn stats(&self) -> CacheStats {
         let state = self.lock();
         CacheStats {
             bytes: state.bytes,
             entries: state.entries.len(),
-            ..state.stats
         }
     }
 }
@@ -148,60 +121,63 @@ mod tests {
     fn hit_miss_and_stats() {
         let cache: ByteCache<&str, u32> = ByteCache::new(100);
         assert_eq!(cache.get(&"a"), None);
-        assert!(cache.put("a", 1, 10));
+        cache.put("a", 1, 10);
         assert_eq!(cache.get(&"a"), Some(1));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!((stats.bytes, stats.entries), (10, 1));
+        assert_eq!(cache.stats(), CacheStats { bytes: 10, entries: 1 });
     }
 
     #[test]
     fn lru_eviction_respects_the_byte_budget() {
         let cache: ByteCache<&str, u32> = ByteCache::new(30);
-        assert!(cache.put("a", 1, 10));
-        assert!(cache.put("b", 2, 10));
-        assert!(cache.put("c", 3, 10));
+        cache.put("a", 1, 10);
+        cache.put("b", 2, 10);
+        cache.put("c", 3, 10);
         // Touch `a` so `b` is now the coldest entry.
         assert_eq!(cache.get(&"a"), Some(1));
-        assert!(cache.put("d", 4, 10));
+        cache.put("d", 4, 10);
+        assert_eq!(cache.stats(), CacheStats { bytes: 30, entries: 3 }, "one eviction");
         assert_eq!(cache.get(&"b"), None, "the coldest entry was evicted");
         assert_eq!(cache.get(&"a"), Some(1), "the refreshed entry survived");
         assert_eq!(cache.get(&"c"), Some(3));
         assert_eq!(cache.get(&"d"), Some(4));
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 1);
-        assert!(stats.bytes <= 30, "never over budget: {}", stats.bytes);
     }
 
     #[test]
     fn a_large_insert_evicts_several() {
         let cache: ByteCache<&str, u32> = ByteCache::new(30);
-        assert!(cache.put("a", 1, 10));
-        assert!(cache.put("b", 2, 10));
-        assert!(cache.put("c", 3, 25));
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 2, "both cold entries had to go");
-        assert_eq!(stats.entries, 1);
+        cache.put("a", 1, 10);
+        cache.put("b", 2, 10);
+        cache.put("c", 3, 25);
+        assert_eq!(
+            cache.stats(),
+            CacheStats { bytes: 25, entries: 1 },
+            "both cold entries had to go"
+        );
+        assert_eq!(cache.get(&"a"), None);
+        assert_eq!(cache.get(&"b"), None);
         assert_eq!(cache.get(&"c"), Some(3));
     }
 
     #[test]
     fn oversized_entries_are_refused() {
         let cache: ByteCache<&str, u32> = ByteCache::new(10);
-        assert!(!cache.put("huge", 1, 11));
+        cache.put("small", 1, 4);
+        cache.put("huge", 2, 11);
         assert_eq!(cache.get(&"huge"), None);
-        let stats = cache.stats();
-        assert_eq!(stats.rejected_oversize, 1);
-        assert_eq!(stats.insertions, 0);
+        assert_eq!(cache.get(&"small"), Some(1), "a refused entry evicts nothing");
+        assert_eq!(cache.stats(), CacheStats { bytes: 4, entries: 1 });
     }
 
     #[test]
     fn reinsert_replaces_without_double_charging() {
         let cache: ByteCache<&str, u32> = ByteCache::new(100);
-        assert!(cache.put("a", 1, 40));
-        assert!(cache.put("a", 2, 60));
-        let stats = cache.stats();
-        assert_eq!(stats.bytes, 60, "the old entry's bytes were released");
+        cache.put("a", 1, 40);
+        cache.put("a", 2, 60);
+        assert_eq!(
+            cache.stats(),
+            CacheStats { bytes: 60, entries: 1 },
+            "the old entry's bytes were released"
+        );
         assert_eq!(cache.get(&"a"), Some(2));
     }
 }
