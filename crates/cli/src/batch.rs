@@ -22,14 +22,13 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netart::netlist::doctor::{DoctorCode, InputPolicy};
 use netart::netlist::ingest::{self, IngestBudgets, IngestError, Record};
 use netart::netlist::Library;
 use netart::obs::{AllocSnapshot, BatchManifest, FlightRecorder};
-use netart::route::{CancelToken, RouteConfig};
+use netart::route::RouteConfig;
 use netart::place::PlaceConfig;
 use netart_engine::{EngineConfig, JobContext, JobFailure, JobSuccess};
 
@@ -39,8 +38,8 @@ use crate::commands::{
 use crate::session::{push_warnings, RunOutput, Session, Spec};
 use crate::sys;
 
-/// Set by the process signal handler; bridged onto the engine's drain
-/// token by [`run_batch`]'s poller thread.
+/// Set by the process signal handler; [`run_batch`] hands its reader
+/// to the engine as the drain signal.
 static SIGNAL_DRAIN: AtomicBool = AtomicBool::new(false);
 
 /// Installs SIGINT/SIGTERM handlers that request a graceful drain of
@@ -52,7 +51,7 @@ pub fn install_drain_handlers() {
 }
 
 /// Whether a SIGINT/SIGTERM drain request is pending. Observed by
-/// [`run_batch`]'s poller and by `netart serve`'s accept loop.
+/// [`run_batch`]'s engine and by `netart serve`'s accept loop.
 pub(crate) fn signal_drain_requested() -> bool {
     SIGNAL_DRAIN.load(Ordering::SeqCst)
 }
@@ -404,29 +403,13 @@ fn batch(session: &Session) -> Result<RunOutput, CliError> {
         drain_grace: Duration::from_millis(args.parsed("drain-grace", 5_000)?),
     };
 
-    // Bridge the process signal flag onto the engine's drain token.
-    SIGNAL_DRAIN.store(false, Ordering::SeqCst);
-    let drain = CancelToken::new();
-    let done = Arc::new(AtomicBool::new(false));
-    let poller = {
-        let drain = drain.clone();
-        let done = Arc::clone(&done);
-        std::thread::spawn(move || {
-            while !done.load(Ordering::Acquire) {
-                if SIGNAL_DRAIN.load(Ordering::SeqCst) {
-                    drain.cancel();
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        })
-    };
-
+    // The process signal flag is the engine's drain signal.
+    reset_signal_drain();
     let manifest: BatchManifest = netart_engine::run(
         "netart batch",
         &inputs,
         &config,
-        &drain,
+        signal_drain_requested,
         |input, ctx| match jobs.get(input) {
             Some(job) => attempt_job(
                 job,
@@ -441,8 +424,6 @@ fn batch(session: &Session) -> Result<RunOutput, CliError> {
             None => Err(JobFailure::permanent(format!("unknown job key `{input}`"))),
         },
     );
-    done.store(true, Ordering::Release);
-    let _ = poller.join();
     if args.value("blackbox").is_some() {
         // Drop the hook's handle so in-process callers (tests) never
         // see a stale recorder from a previous batch.

@@ -4,10 +4,12 @@
 //! "stay up and answer diagram requests until told to stop". The
 //! robustness posture is the point, not the transport:
 //!
-//! * **admission control** — requests pass through the engine
-//!   [`Service`]'s bounded queue; a full queue sheds with `429
-//!   Retry-After` instead of queueing unboundedly, and a declared
-//!   body over the cap is refused with `413` before it is buffered;
+//! * **admission control** — each connection thread runs its request
+//!   through the engine [`Service`]'s gate: at most `--workers`
+//!   pipelines run at once, at most `--queue-depth` requests wait
+//!   for a slot, and a request past that sheds with `429
+//!   Retry-After` instead of queueing unboundedly; a declared body
+//!   over the cap is refused with `413` before it is buffered;
 //! * **deadline propagation** — each request's `timeout_ms` (capped
 //!   by the server-side ceiling) becomes the service deadline *and*
 //!   the per-net routing budget ceiling, so the watchdog trips the
@@ -22,7 +24,8 @@
 //! * **lifecycle** — `/healthz` says the process is alive, `/readyz`
 //!   flips to `503` the moment SIGINT/SIGTERM arrives, in-flight work
 //!   drains within the grace bound, and a panicking request answers
-//!   `500` while the listener lives on;
+//!   `500` while the listener lives on (`catch_unwind` at the gate
+//!   and at the connection);
 //! * **live telemetry** — `GET /metrics` exposes the
 //!   [`Telemetry`] registry in Prometheus text exposition (counters
 //!   by outcome, queue/cache gauges, latency and routing-effort
@@ -60,7 +63,7 @@ use netart::obs::{
 use netart::place::PlaceConfig;
 use netart::route::{Budget, NetOrder, RouteConfig};
 use netart_engine::{
-    ByteCache, Fnv1a, JobContext, Service, ServiceConfig, SingleFlight, SubmitError, TicketOutcome,
+    ByteCache, Fnv1a, JobContext, Service, ServiceConfig, SingleFlight, SubmitError,
 };
 
 use crate::commands::{
@@ -95,8 +98,8 @@ const M_DEADLINE: &str = "netart_serve_deadline_cancelled_total";
 /// Requests refused with `413` because the declared body exceeds
 /// `--max-body`.
 const M_TOO_LARGE: &str = "netart_serve_too_large_total";
-/// Panics caught outside the service worker (routing or framing a
-/// response), each answered `500` with the connection alone lost.
+/// Panics caught outside the gate's `catch_unwind` (routing or framing
+/// a response), each answered `500` with the connection alone lost.
 const M_CONNECTION_PANICS: &str = "netart_serve_connection_panics_total";
 /// Telemetry recording attempts lost to an injected `serve.telemetry`
 /// fault (the observed request itself is unaffected).
@@ -107,7 +110,7 @@ const M_LATENCY: &str = "netart_serve_request_latency_ns";
 const M_ROUTE_WALL: &str = "netart_serve_route_wall_ns";
 /// Search nodes expanded per computed request.
 const M_NODES: &str = "netart_serve_nodes_expanded";
-/// Time a job waited in the admission queue, nanoseconds.
+/// Time a job waited at the admission gate for a slot, nanoseconds.
 const M_QUEUE_WAIT: &str = "netart_serve_queue_wait_ns";
 /// Requests refused because the `--memory-budget` governor had no room
 /// (at admission or mid-parse). Each refusal answered `503
@@ -130,9 +133,9 @@ struct RenderOptions {
     order: NetOrder,
 }
 
-/// One admitted diagram job, as the worker pool sees it.
+/// One diagram job, as the pipeline sees it.
 struct DiagramJob {
-    /// The request id, stamped on the worker's span and on any
+    /// The request id, stamped on the job's span and on any
     /// deadline-cancellation degradation so traces, access-log lines
     /// and response bodies correlate.
     rid: String,
@@ -169,20 +172,14 @@ enum FlightResult {
     Panicked(String),
 }
 
-/// Everything the handler needs per request; cloned cheaply off the
-/// server state (the library is the only real payload).
-struct HandlerState {
+struct ServerState {
+    /// The admission gate every pipeline run passes.
+    service: Service,
+    /// What each pipeline run starts from: the boot-time library, the
+    /// doctor's input policy and the base routing budget.
     library: Library,
     policy: InputPolicy,
     base_budget: Budget,
-    telemetry: Arc<Telemetry>,
-    /// The process-wide `--memory-budget` governor; each job parses
-    /// under a snapshot of its remaining room.
-    mem_budget: Arc<MemBudget>,
-}
-
-struct ServerState {
-    service: Service<DiagramJob, Computed>,
     flight: SingleFlight<String, Arc<FlightResult>>,
     cache: ByteCache<String, Arc<ServeReport>>,
     /// The one account of the server's traffic: `/metrics` renders it
@@ -207,7 +204,7 @@ struct ServerState {
     /// The `--memory-budget` governor: request bodies lease their
     /// bytes here for the life of the connection, and each job's parse
     /// runs under a snapshot of the remaining room.
-    mem_budget: Arc<MemBudget>,
+    mem_budget: MemBudget,
     default_options: RenderOptions,
     /// Handle onto the always-on flight recorder ring; frozen into a
     /// blackbox dump on panic, deadline breach, request fault, or
@@ -254,16 +251,16 @@ fn artifact_key(net: &str, cal: &str, io: Option<&str>, options: &RenderOptions)
 }
 
 /// The pipeline, request-scoped: doctor → place → route (under the
-/// request's token and budget ceiling) → checked emit. Runs on a
-/// service worker under `catch_unwind`; a panic here is the worker's
-/// problem, not the listener's.
-fn handle_job(state: &HandlerState, job: DiagramJob, ctx: &JobContext) -> Computed {
-    // The worker span carries the request id, so a Perfetto trace
+/// request's token and budget ceiling) → checked emit. Runs on the
+/// connection thread inside the gate's `catch_unwind`; a panic here
+/// answers `500`, it does not reach the listener.
+fn handle_job(state: &ServerState, job: DiagramJob, ctx: &JobContext) -> Computed {
+    // The job span carries the request id, so a Perfetto trace
     // correlates with the access-log line for the same request.
     let span = tracing::span!(tracing::Level::INFO, "serve.job", rid = job.rid.as_str());
     let _guard = span.enter();
 
-    // The canonical "my handler exploded" site: inside the worker's
+    // The canonical "my handler exploded" site: inside the gate's
     // catch_unwind, so an injected panic must answer `500` and leave
     // the listener serving.
     if let Some(kind) = netart_fault::fire(netart_fault::sites::SERVE_REQUEST) {
@@ -312,7 +309,7 @@ fn handle_job(state: &HandlerState, job: DiagramJob, ctx: &JobContext) -> Comput
     };
     let doctor_ns = ns(t_doctor.elapsed());
 
-    // The deadline both bounds the whole request (the service
+    // The deadline both bounds the whole request (the gate's
     // watchdog trips the token) and ceilings the per-net routing
     // budget, so a single pathological net cannot eat the allowance
     // the client gave the whole diagram.
@@ -370,8 +367,8 @@ fn handle_job(state: &HandlerState, job: DiagramJob, ctx: &JobContext) -> Comput
         ));
     }
 
-    // Worker-side effort histograms. Fault-guarded: losing a sample
-    // must never lose the request.
+    // Effort histograms. Fault-guarded: losing a sample must never
+    // lose the request.
     record_telemetry(&state.telemetry, |t| {
         if let Some(route_ns) = run_report.phase_ns("route") {
             t.observe(M_ROUTE_WALL, route_ns);
@@ -498,9 +495,9 @@ impl HttpReply {
 }
 
 /// `POST /v1/diagram`: parse the request document, consult the cache,
-/// coalesce with identical concurrent requests, admit through the
-/// bounded queue, frame the outcome. Fills `acc` for the access log
-/// and the request counters as the request resolves.
+/// coalesce with identical concurrent requests, run the pipeline
+/// behind the admission gate, frame the outcome. Fills `acc` for the
+/// access log and the request counters as the request resolves.
 fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord) -> HttpReply {
     let parsed = std::str::from_utf8(body)
         .map_err(|_| "request body is not UTF-8".to_owned())
@@ -587,21 +584,19 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
         artifact: key.clone(),
     };
     let (result, leads) = state.flight.run(&key, || {
-        match state.service.submit(job, Some(timeout)) {
+        match state.service.run(Some(timeout), |ctx| handle_job(state, job, ctx)) {
             Err(SubmitError::Busy) => Arc::new(FlightResult::Shed),
             Err(SubmitError::Draining) => Arc::new(FlightResult::Draining),
-            Ok((ticket, _token)) => match ticket.wait() {
-                TicketOutcome::Panicked(message) => Arc::new(FlightResult::Panicked(message)),
-                TicketOutcome::Finished(computed) => {
-                    // Insert while the flight is still open: anyone
-                    // arriving after the flight resolves must find the
-                    // cache already warm (no recompute window).
-                    if computed.cacheable && computed.report.status != ServeStatus::Failed {
-                        cache_put(state, key.clone(), &computed.report);
-                    }
-                    Arc::new(FlightResult::Done(Box::new(computed)))
+            Ok(Err(message)) => Arc::new(FlightResult::Panicked(message)),
+            Ok(Ok(computed)) => {
+                // Insert while the flight is still open: anyone
+                // arriving after the flight resolves must find the
+                // cache already warm (no recompute window).
+                if computed.cacheable && computed.report.status != ServeStatus::Failed {
+                    cache_put(state, key.clone(), &computed.report);
                 }
-            },
+                Arc::new(FlightResult::Done(Box::new(computed)))
+            }
         }
     });
 
@@ -845,9 +840,10 @@ fn mem_reject(state: &ServerState, message: String) -> HttpReply {
     reply
 }
 
-/// One connection, one request, one response. Runs on its own thread;
-/// the final defence in depth — even a panic past the service's
-/// `catch_unwind` (routing, framing) kills only this connection.
+/// One connection, one request, one response. Runs on its own thread,
+/// which also runs the request's pipeline behind the gate; the final
+/// defence in depth — even a panic past the gate's `catch_unwind`
+/// (routing, framing) kills only this connection.
 ///
 /// Admission control runs here, on the declared `Content-Length`,
 /// before a single body byte is buffered: over the `--max-body` cap is
@@ -1025,10 +1021,10 @@ fn serve(session: &Session, recorder: FlightHandle) -> Result<RunOutput, CliErro
     };
     let policy = session.policy;
     let base_budget = budget_from_args(args)?;
-    let mem_budget = Arc::new(match args.value("memory-budget") {
+    let mem_budget = match args.value("memory-budget") {
         Some(s) => MemBudget::bytes(parse_bytes("memory-budget", s)?),
         None => MemBudget::unlimited(),
-    });
+    };
 
     let mut boot_degs = Vec::new();
     let library = load_library(session, &mut boot_degs)?;
@@ -1081,14 +1077,6 @@ fn serve(session: &Session, recorder: FlightHandle) -> Result<RunOutput, CliErro
         None => None,
     };
 
-    let handler_state = HandlerState {
-        library,
-        policy,
-        base_budget,
-        telemetry: Arc::clone(&telemetry),
-        mem_budget: Arc::clone(&mem_budget),
-    };
-    let service = Service::new(&config, move |job, ctx| handle_job(&handler_state, job, ctx));
     let shard = shard_identity.map(|(index, count)| {
         let fleet = Arc::new(FleetView::new(count as usize));
         // Supervisor broadcasts arrive over stdin; increases of the
@@ -1104,7 +1092,10 @@ fn serve(session: &Session, recorder: FlightHandle) -> Result<RunOutput, CliErro
         None => "r".to_owned(),
     };
     let state = Arc::new(ServerState {
-        service,
+        service: Service::new(&config),
+        library,
+        policy,
+        base_budget,
         flight: SingleFlight::new(),
         cache: ByteCache::new(args.parsed("cache-bytes", 16 * 1024 * 1024usize)?),
         telemetry,
@@ -1172,7 +1163,7 @@ fn serve(session: &Session, recorder: FlightHandle) -> Result<RunOutput, CliErro
             || state.shard.as_ref().is_some_and(|s| s.fleet.orphaned());
         if draining_since.is_none() && stop_requested {
             // Readiness flips *first* so load balancers stop routing,
-            // then admission closes; queued and running requests keep
+            // then admission closes; waiting and running requests keep
             // their connections and finish within the grace.
             state.ready.store(false, Ordering::Release);
             state.service.drain();

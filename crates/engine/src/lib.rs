@@ -2,11 +2,12 @@
 //!
 //! The per-run robustness work (budgets, salvage, the doctor, fault
 //! injection) hardens *one* pipeline invocation; this crate makes a
-//! *fleet* of invocations survivable. It runs a set of jobs through a
-//! caller-supplied pipeline function on a std-thread worker pool, with:
+//! *fleet* of invocations survivable. [`run`] takes a set of jobs
+//! through a caller-supplied pipeline function on scoped std-thread
+//! workers, with:
 //!
-//! * a bounded job queue whose blocking `push` is the admission
-//!   control ([`queue::BoundedQueue`]);
+//! * a shared cursor from which each worker claims the next input, so
+//!   nothing waits in memory beyond the jobs running;
 //! * per-job panic isolation — a panicking job is an attempt failure,
 //!   never a dead worker;
 //! * a wall-clock watchdog per attempt that trips a cooperative
@@ -15,27 +16,29 @@
 //! * retry with exponential backoff and deterministic jitter for
 //!   *transient* failures, and a circuit breaker that quarantines
 //!   inputs which fail every retry;
-//! * graceful drain: when the drain token trips (SIGINT/SIGTERM in
+//! * graceful drain: when the drain signal holds (SIGINT/SIGTERM in
 //!   the CLI), in-flight jobs get a grace period to finish before
-//!   their tokens are cancelled, and still-queued jobs are recorded
-//!   as `skipped` — the manifest is always complete.
+//!   their tokens are cancelled, and unclaimed inputs are recorded as
+//!   `skipped` — the manifest is always complete.
 //!
 //! The outcome is a deterministic [`BatchManifest`]: records sorted
 //! by input path, every wall-clock quantity strippable via
 //! [`BatchManifest::normalized`], so `--jobs N` and `--jobs 1` runs
 //! compare byte-for-byte.
+//!
+//! `netart serve` uses the same watchdog behind a [`Service`], an
+//! admission gate that runs each request on its caller's thread.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod cache;
-mod queue;
 mod service;
 mod single_flight;
 mod supervisor;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -44,8 +47,7 @@ pub use netart_route::CancelToken;
 use tracing::{debug, warn};
 
 pub use cache::{ByteCache, CacheStats};
-pub use queue::{BoundedQueue, TryPushError};
-pub use service::{Service, ServiceConfig, SubmitError, Ticket, TicketOutcome};
+pub use service::{Service, ServiceConfig, SubmitError};
 pub use single_flight::SingleFlight;
 pub use supervisor::{ShardAction, ShardPhase, ShardTable, SupervisorConfig};
 
@@ -78,9 +80,9 @@ pub struct JobContext {
     /// Whether this is the final attempt — the job function may
     /// accept a degraded result here that it would retry otherwise.
     pub last_attempt: bool,
-    /// How long the request sat in the admission queue before a
-    /// worker picked it up. Zero for engines without a queue (the
-    /// batch pool starts attempts immediately).
+    /// How long the request waited at the [`Service`] gate for a
+    /// slot. Zero in the batch pool, which starts attempts
+    /// immediately.
     pub queue_wait: Duration,
 }
 
@@ -253,11 +255,11 @@ fn backoff_delay(input: &str, attempt: u32) -> Duration {
     backoff_schedule(BACKOFF_BASE, BACKOFF_CAP, input, attempt)
 }
 
-/// Sleeps for `total`, waking early when `drain` trips.
-fn interruptible_sleep(total: Duration, drain: &CancelToken) {
+/// Sleeps for `total`, waking early when `drain` holds.
+fn interruptible_sleep(total: Duration, drain: &impl Fn() -> bool) {
     let deadline = Instant::now() + total;
     while Instant::now() < deadline {
-        if drain.is_cancelled() {
+        if drain() {
             return;
         }
         let left = deadline.saturating_duration_since(Instant::now());
@@ -270,8 +272,9 @@ fn interruptible_sleep(total: Duration, drain: &CancelToken) {
 /// `job` is called as `job(input, &ctx)` and must honour
 /// `ctx.cancel`; it may be called multiple times for the same input
 /// (retries). A panicking call counts as a transient attempt failure.
-/// `drain` is the external stop signal (the CLI trips it from its
-/// SIGINT/SIGTERM handler); `tool` names the manifest producer.
+/// `drain` is the external stop signal, polled by the workers and the
+/// watchdog (the CLI passes the reader of its SIGINT/SIGTERM flag);
+/// `tool` names the manifest producer.
 ///
 /// Always returns a complete manifest: one record per input, sorted
 /// by input path, whatever happened.
@@ -279,7 +282,7 @@ pub fn run<F>(
     tool: &str,
     inputs: &[String],
     config: &EngineConfig,
-    drain: &CancelToken,
+    drain: impl Fn() -> bool + Sync,
     job: F,
 ) -> BatchManifest
 where
@@ -287,58 +290,46 @@ where
 {
     let started = Instant::now();
     let workers = (config.workers.max(1) as usize).min(inputs.len().max(1));
-    let queue: BoundedQueue<usize> = BoundedQueue::new(workers * 2);
-    let records: Mutex<Vec<JobRecord>> = Mutex::new(Vec::with_capacity(inputs.len()));
+    let cursor = AtomicUsize::new(0);
+    let records: Mutex<Vec<Option<JobRecord>>> = Mutex::new(vec![None; inputs.len()]);
     let slots: Vec<Mutex<Option<Watch>>> = (0..workers).map(|_| Mutex::new(None)).collect();
     let done = AtomicBool::new(false);
 
     std::thread::scope(|s| {
-        s.spawn(|| watchdog(&slots, config.drain_grace, &done, || drain.is_cancelled()));
+        s.spawn(|| watchdog(&slots, config.drain_grace, &done, &drain));
 
-        let worker_handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let queue = &queue;
-                let records = &records;
-                let slot = &slots[w];
-                let job = &job;
+        let worker_handles: Vec<_> = slots
+            .iter()
+            .map(|slot| {
+                let (cursor, records, drain, job) = (&cursor, &records, &drain, &job);
                 s.spawn(move || {
-                    while let Some(idx) = queue.pop() {
-                        let input = inputs[idx].as_str();
-                        let record = if drain.is_cancelled() {
-                            skipped_record(input)
-                        } else {
-                            run_job(input, config, drain, slot, job)
-                        };
-                        records
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .push(record);
+                    // Each worker claims the next input until none is
+                    // left or drain holds.
+                    while !drain() {
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(input) = inputs.get(idx) else { break };
+                        let record = run_job(input, config, drain, slot, job);
+                        records.lock().unwrap_or_else(std::sync::PoisonError::into_inner)[idx] =
+                            Some(record);
                     }
                 })
             })
             .collect();
-
-        // The dispatcher runs inline: a full queue blocks it here —
-        // admission control for arbitrarily long manifests.
-        for idx in 0..inputs.len() {
-            if queue.push(idx).is_err() {
-                break;
-            }
-        }
-        queue.close();
         for handle in worker_handles {
             let _ = handle.join();
         }
         done.store(true, Ordering::Release);
     });
 
-    // Insurance against a lost worker (a panic outside the job's
-    // catch_unwind): any index still queued becomes a skipped record,
-    // so the manifest stays complete.
-    let mut records = records.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-    while let Some(idx) = queue.try_pop() {
-        records.push(skipped_record(inputs[idx].as_str()));
-    }
+    // An input without a record was never claimed (drain) or lost
+    // with its worker (a panic outside the job's catch_unwind): it is
+    // skipped, so the manifest stays complete.
+    let records = records.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let records = records
+        .into_iter()
+        .zip(inputs)
+        .map(|(record, input)| record.unwrap_or_else(|| skipped_record(input)))
+        .collect();
 
     // Aggregation fault point: the manifest build must survive an
     // injected panic just like a job must.
@@ -346,7 +337,7 @@ where
         warn!("injected fault at manifest aggregation survived");
     }
 
-    let mut manifest = BatchManifest::new(tool, workers as u32, drain.is_cancelled(), records);
+    let mut manifest = BatchManifest::new(tool, workers as u32, drain(), records);
     manifest.summary.duration_ns = started.elapsed().as_nanos() as u64;
     manifest
 }
@@ -370,7 +361,7 @@ fn skipped_record(input: &str) -> JobRecord {
 fn run_job<F>(
     input: &str,
     config: &EngineConfig,
-    drain: &CancelToken,
+    drain: &impl Fn() -> bool,
     slot: &Mutex<Option<Watch>>,
     job: &F,
 ) -> JobRecord
@@ -392,7 +383,7 @@ where
             queue_wait: Duration::ZERO,
         };
         // If drain was requested with no grace left, don't start.
-        if drain.is_cancelled() && config.drain_grace.is_zero() {
+        if drain() && config.drain_grace.is_zero() {
             return finish(
                 input,
                 JobStatus::Failed,
@@ -450,7 +441,7 @@ where
 
         // Drain-cancelled attempts are not retried: the batch is
         // shutting down, so the job resolves as failed (cancelled).
-        if drain.is_cancelled() {
+        if drain() {
             return finish(
                 input,
                 JobStatus::Failed,
@@ -466,7 +457,7 @@ where
         }
         if attempt < max_attempts {
             interruptible_sleep(backoff_delay(input, attempt), drain);
-            if drain.is_cancelled() {
+            if drain() {
                 return finish(
                     input,
                     JobStatus::Failed,
@@ -550,7 +541,7 @@ mod tests {
             "test",
             &inputs(&["c", "a", "b"]),
             &pool(2),
-            &CancelToken::new(),
+            || false,
             |_, _| Ok(JobSuccess::default()),
         );
         assert_eq!(manifest.summary.ok, 3);
@@ -567,7 +558,7 @@ mod tests {
             "test",
             &inputs(&["a"]),
             &pool(1),
-            &CancelToken::new(),
+            || false,
             |_, _| {
                 Ok(JobSuccess {
                     report: None,
@@ -588,7 +579,7 @@ mod tests {
             "test",
             &inputs(&["flaky"]),
             &pool(1),
-            &CancelToken::new(),
+            || false,
             |_, ctx| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 if ctx.attempt < 2 {
@@ -609,7 +600,7 @@ mod tests {
             "test",
             &inputs(&["poison", "fine"]),
             &pool(2),
-            &CancelToken::new(),
+            || false,
             |input, _| {
                 if input == "poison" {
                     Err(JobFailure::transient("always broken"))
@@ -644,7 +635,7 @@ mod tests {
             "test",
             &inputs(&["hook_poison", "hook_fine"]),
             &pool(2),
-            &CancelToken::new(),
+            || false,
             |input, _| {
                 if input == "hook_poison" {
                     Err(JobFailure::transient("always broken"))
@@ -672,7 +663,7 @@ mod tests {
             "test",
             &inputs(&["broken"]),
             &pool(1),
-            &CancelToken::new(),
+            || false,
             |_, _| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 Err(JobFailure::permanent("parse error"))
@@ -689,7 +680,7 @@ mod tests {
             "test",
             &inputs(&["bomb", "calm"]),
             &pool(2),
-            &CancelToken::new(),
+            || false,
             |input, _| {
                 if input == "bomb" {
                     panic!("boom at {input}");
@@ -707,13 +698,11 @@ mod tests {
 
     #[test]
     fn pre_drained_batch_skips_everything() {
-        let drain = CancelToken::new();
-        drain.cancel();
         let manifest = run(
             "test",
             &inputs(&["a", "b"]),
             &pool(2),
-            &drain,
+            || true,
             |_, _| Ok(JobSuccess::default()),
         );
         assert_eq!(manifest.summary.skipped, 2);
@@ -732,7 +721,7 @@ mod tests {
             "test",
             &inputs(&["hang"]),
             &config,
-            &CancelToken::new(),
+            || false,
             |_, ctx| {
                 // A cooperative busy loop, like a router polling its
                 // meter: it only ends when the watchdog trips us.
@@ -762,7 +751,7 @@ mod tests {
             "test",
             &inputs(&["running", "queued-1", "queued-2"]),
             &config,
-            &drain,
+            || drain.is_cancelled(),
             move |input, ctx| {
                 if input == "running" {
                     // First job trips the drain itself, then hangs
@@ -786,6 +775,43 @@ mod tests {
         }
     }
 
+    /// Asserts `manifest` holds exactly one record per input.
+    fn assert_one_record_each(manifest: &BatchManifest, inputs: &[String]) {
+        let mut recorded: Vec<&str> = manifest.jobs.iter().map(|j| j.input.as_str()).collect();
+        recorded.sort_unstable();
+        let mut expected: Vec<&str> = inputs.iter().map(String::as_str).collect();
+        expected.sort_unstable();
+        assert_eq!(recorded, expected);
+    }
+
+    #[test]
+    fn spare_workers_give_one_record_per_input() {
+        let inputs = inputs(&["a", "b", "c"]);
+        let manifest = run("test", &inputs, &pool(8), || false, |_, _| Ok(JobSuccess::default()));
+        assert_one_record_each(&manifest, &inputs);
+        assert_eq!(manifest.summary.ok, 3);
+        assert_eq!(manifest.jobs_in_flight, 3, "no more workers than inputs");
+    }
+
+    #[test]
+    fn a_drain_mid_batch_gives_one_record_per_input() {
+        let inputs: Vec<String> = (0..40).map(|i| format!("job{i:02}")).collect();
+        let drain = CancelToken::new();
+        let calls = AtomicU32::new(0);
+        let manifest = run("test", &inputs, &pool(2), || drain.is_cancelled(), |_, _| {
+            if calls.fetch_add(1, Ordering::SeqCst) == 9 {
+                drain.cancel();
+            }
+            Ok(JobSuccess::default())
+        });
+        assert_one_record_each(&manifest, &inputs);
+        assert!(manifest.drained);
+        let s = &manifest.summary;
+        assert_eq!(s.ok as u32, calls.load(Ordering::SeqCst), "every started job is recorded");
+        assert_eq!(s.ok + s.skipped, 40, "{s:?}");
+        assert!(s.skipped >= 29, "no job starts after the drain: {s:?}");
+    }
+
     #[test]
     fn parallel_and_serial_manifests_normalise_identically() {
         let job = |input: &str, _ctx: &JobContext| {
@@ -796,8 +822,8 @@ mod tests {
             }
         };
         let inputs = inputs(&["w", "x-bad", "y", "z"]);
-        let serial = run("test", &inputs, &pool(1), &CancelToken::new(), job);
-        let parallel = run("test", &inputs, &pool(4), &CancelToken::new(), job);
+        let serial = run("test", &inputs, &pool(1), || false, job);
+        let parallel = run("test", &inputs, &pool(4), || false, job);
         // Worker count is a run parameter, not an outcome; align it
         // like the CLI determinism test does.
         let mut parallel = parallel.normalized();
