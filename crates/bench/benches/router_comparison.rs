@@ -12,8 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use netart::geom::Dir;
 use netart::netlist::NetId;
 use netart::route::{hightower, lee, line_expansion};
-use netart_bench::COMPARISON_MAZES;
-use netart_workloads::{random_maze, Maze};
+use netart_bench::{random_maze, Maze, COMPARISON_MAZES};
 
 fn mazes() -> Vec<Maze> {
     (0..200).filter_map(|seed| random_maze(&COMPARISON_MAZES, seed)).collect()

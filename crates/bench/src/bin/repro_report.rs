@@ -13,9 +13,10 @@ use netart::netlist::NetId;
 use netart::route::{hightower, lee, line_expansion, NetOrder, ObstacleKind, ObstacleMap, RouteConfig};
 use netart::Generator;
 use netart_bench::{
-    fig6_1, fig6_2, fig6_3, fig6_4, fig6_5, fig6_6, fig6_7, render_table, COMPARISON_MAZES,
+    fig6_1, fig6_2, fig6_3, fig6_4, fig6_5, fig6_6, fig6_7, random_maze, render_table,
+    COMPARISON_MAZES,
 };
-use netart_workloads::{life, random_maze, random_network, RandomSpec};
+use netart_workloads::{life, random_network, RandomSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

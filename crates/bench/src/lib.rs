@@ -24,10 +24,13 @@ use netart::route::RouteConfig;
 use netart::Generator;
 use netart_govern::MemBudget;
 use netart_workloads::text::{self, TextWorkload};
-use netart_workloads::{controller_cluster, life, string_chain, MazeSpec};
+use netart_workloads::{controller_cluster, life, string_chain};
+
+mod maze;
+pub use maze::{random_maze, Maze, MazeSpec};
 
 /// The random mazes of the §5.2/§5.4 router class comparison (see
-/// [`netart_workloads::random_maze`]).
+/// [`random_maze`]).
 pub const COMPARISON_MAZES: MazeSpec =
     MazeSpec { width: 24..48, height: 20..40, modules: 3..9, module_side: 2..9, nets: 0..4 };
 

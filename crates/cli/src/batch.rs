@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use netart::netlist::doctor::{DoctorCode, InputPolicy};
 use netart::netlist::ingest::{self, IngestBudgets, IngestError, Record};
 use netart::netlist::Library;
-use netart::obs::{AllocSnapshot, BatchManifest, FlightRecorder};
+use netart::obs::{AllocSnapshot, BatchManifest, FlightHandle, FlightRecorder, JobRecord};
 use netart::route::RouteConfig;
 use netart::place::PlaceConfig;
 use netart_engine::{EngineConfig, JobContext, JobFailure, JobSuccess};
@@ -347,20 +347,15 @@ pub fn run_batch(argv: &[String]) -> Result<RunOutput, CliError> {
     // events ride the fan-out into a bounded ring, and a quarantined
     // job freezes the ring into a post-mortem dump at that path.
     let mut recorders: Vec<Box<dyn tracing::Subscriber>> = Vec::new();
+    let mut blackbox = None;
     if let Some(path) = session.args.value("blackbox") {
         let (recorder, handle) =
             FlightRecorder::new(FlightRecorder::DEFAULT_CAPACITY, tracing::Level::INFO);
-        let path = PathBuf::from(path);
-        netart_engine::set_quarantine_hook(Some(Box::new(move |record| {
-            let dump = handle.snapshot("quarantine", Some(&record.input));
-            if !crate::blackbox::write_dump(&path, &dump) {
-                handle.note_degradation("flight_dump_failed");
-            }
-        })));
+        blackbox = Some((handle, PathBuf::from(path)));
         recorders.push(Box::new(recorder));
     }
     let session = session.start(recorders)?;
-    session.close(batch(&session))
+    session.close(batch(&session, blackbox.as_ref()))
 }
 
 /// Batch writes its manifest, not a trace: no `--trace-out`.
@@ -378,7 +373,10 @@ static BATCH: Spec = Spec {
     newline: true,
 };
 
-fn batch(session: &Session) -> Result<RunOutput, CliError> {
+fn batch(
+    session: &Session,
+    blackbox: Option<&(FlightHandle, PathBuf)>,
+) -> Result<RunOutput, CliError> {
     let args = &session.args;
     let policy = session.policy;
     let base_budget = budget_from_args(args)?;
@@ -403,6 +401,15 @@ fn batch(session: &Session) -> Result<RunOutput, CliError> {
         drain_grace: Duration::from_millis(args.parsed("drain-grace", 5_000)?),
     };
 
+    // A quarantined job freezes the flight ring into the blackbox.
+    let on_quarantine = |record: &JobRecord| {
+        if let Some((handle, path)) = blackbox {
+            let dump = handle.snapshot("quarantine", Some(&record.input));
+            if !crate::blackbox::write_dump(path, &dump) {
+                handle.note_degradation("flight_dump_failed");
+            }
+        }
+    };
     // The process signal flag is the engine's drain signal.
     reset_signal_drain();
     let manifest: BatchManifest = netart_engine::run(
@@ -410,6 +417,7 @@ fn batch(session: &Session) -> Result<RunOutput, CliError> {
         &inputs,
         &config,
         signal_drain_requested,
+        on_quarantine,
         |input, ctx| match jobs.get(input) {
             Some(job) => attempt_job(
                 job,
@@ -424,11 +432,6 @@ fn batch(session: &Session) -> Result<RunOutput, CliError> {
             None => Err(JobFailure::permanent(format!("unknown job key `{input}`"))),
         },
     );
-    if args.value("blackbox").is_some() {
-        // Drop the hook's handle so in-process callers (tests) never
-        // see a stale recorder from a previous batch.
-        netart_engine::set_quarantine_hook(None);
-    }
 
     session.write_stream("report-json", || manifest.to_json_string())?;
 

@@ -19,13 +19,10 @@ use crate::session::{RunOutput, Session, Spec};
 /// fired kind (panic included) or I/O failure degrades to `false`: a
 /// failed dump must never disturb the request or job that triggered
 /// it. Callers turn `false` into a `flight_dump_failed` degradation.
-pub(crate) fn write_dump(path: &Path, dump: &netart::obs::BlackboxDump) -> bool {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if netart_fault::fire(netart_fault::sites::OBS_FLIGHT).is_some() {
-            return false;
-        }
+pub(crate) fn write_dump(path: &Path, dump: &BlackboxDump) -> bool {
+    netart_fault::survive(netart_fault::sites::OBS_FLIGHT, || {
         std::fs::write(path, dump.to_json_string()).is_ok()
-    }))
+    })
     .unwrap_or(false)
 }
 

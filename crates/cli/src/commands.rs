@@ -87,15 +87,11 @@ fn parse_with_recovery<T>(
 
 /// The `--order def|most|few` net ordering (default `def`).
 pub(crate) fn order_from_args(args: &ParsedArgs) -> Result<NetOrder, ArgError> {
-    match args.value("order").unwrap_or("def") {
-        "def" => Ok(NetOrder::Definition),
-        "most" => Ok(NetOrder::MostPinsFirst),
-        "few" => Ok(NetOrder::FewestPinsFirst),
-        other => Err(ArgError::BadValue {
-            flag: "order".into(),
-            value: other.into(),
-        }),
-    }
+    let value = args.value("order").unwrap_or("def");
+    value.parse().map_err(|_| ArgError::BadValue {
+        flag: "order".into(),
+        value: value.into(),
+    })
 }
 
 /// The per-net routing [`Budget`] from `--route-timeout <ms>` and

@@ -48,7 +48,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::FromRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -147,30 +147,104 @@ struct DiagramJob {
     artifact: String,
 }
 
-/// What one pipeline run produced, before HTTP framing.
-struct Computed {
-    report: ServeReport,
-    /// `true` for doctor rejections (`422`), `false` for pipeline
-    /// failures (`500`). Meaningless unless the status is `Failed`.
-    rejected: bool,
-    /// Deterministic results may be cached; a deadline-cancelled run
-    /// is timing-dependent and must be recomputed next time.
-    cacheable: bool,
-    deadline_cancelled: bool,
-    /// The memory governor refused the parse (`ND015`): answer `503
-    /// Retry-After`, not `422` — the input may fit once in-flight work
-    /// releases its charges.
-    exhausted: bool,
+/// How a diagram request ends. The fate alone fixes the reply's
+/// status and `Retry-After`, the `outcome` label of the access log and
+/// of `netart_serve_requests_total`, and what the request leaves
+/// behind: a cache entry, a blackbox dump.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    Clean,
+    Degraded,
+    /// The request or the doctor rejected the input.
+    Rejected,
+    /// An injected `serve.request` fault or an emit failure.
+    Failed,
+    /// The memory governor had no room. Not final like a rejection:
+    /// the input may fit once in-flight work releases its charges.
+    MemReject,
+    /// Every slot and every place in line was taken.
+    Shed,
+    DrainReject,
+    /// The handler panicked inside the gate.
+    Panic,
 }
 
-/// How a flight (one admission attempt shared by coalesced callers)
-/// resolved.
-enum FlightResult {
-    Done(Box<Computed>),
-    Shed,
-    Draining,
-    Panicked(String),
+impl Fate {
+    fn status(self) -> u16 {
+        match self {
+            Fate::Clean | Fate::Degraded => 200,
+            Fate::Rejected => 422,
+            Fate::Failed | Fate::Panic => 500,
+            Fate::MemReject | Fate::DrainReject => 503,
+            Fate::Shed => 429,
+        }
+    }
+
+    /// Whether the refusal is of the moment, so the reply says
+    /// `Retry-After: 1`.
+    fn retry_after(self) -> bool {
+        matches!(self, Fate::MemReject | Fate::Shed)
+    }
+
+    /// The `outcome` label; a rejection counts as `failed`.
+    fn label(self) -> &'static str {
+        match self {
+            Fate::Clean => "clean",
+            Fate::Degraded => "degraded",
+            Fate::Rejected | Fate::Failed => "failed",
+            Fate::MemReject => "mem_reject",
+            Fate::Shed => "shed",
+            Fate::DrainReject => "drain_reject",
+            Fate::Panic => "panic",
+        }
+    }
+
+    /// Whether the gate ran the handler to a verdict, the doctor's
+    /// included: only then was a flight's request a cache `miss` or
+    /// `coalesced`.
+    fn ran(self) -> bool {
+        !matches!(self, Fate::Shed | Fate::DrainReject | Fate::Panic)
+    }
+
+    /// Whether the report may be cached. A deadline-cancelled run is
+    /// degraded but timing-dependent, so it never is either.
+    fn cacheable(self) -> bool {
+        matches!(self, Fate::Clean | Fate::Degraded)
+    }
+
+    /// Why the request that led a flight of this fate freezes the
+    /// flight ring, if it does. A deadline breach dumps whatever the
+    /// fate.
+    fn dump_reason(self) -> Option<&'static str> {
+        match self {
+            Fate::Failed => Some("fault"),
+            Fate::Panic => Some("panic"),
+            _ => None,
+        }
+    }
 }
+
+/// How one admission attempt ended, before HTTP framing; every caller
+/// coalesced onto it shares it.
+struct Computed {
+    fate: Fate,
+    report: ServeReport,
+    deadline_cancelled: bool,
+}
+
+impl Computed {
+    /// An ending without a diagram, explained by `message`.
+    fn failure(fate: Fate, message: impl Into<String>) -> Self {
+        Computed {
+            fate,
+            report: ServeReport::failure(message),
+            deadline_cancelled: false,
+        }
+    }
+}
+
+/// The reply body of a request refused while the server drains.
+const DRAINING: &str = "draining: not accepting work";
 
 struct ServerState {
     /// The admission gate every pipeline run passes.
@@ -180,8 +254,8 @@ struct ServerState {
     library: Library,
     policy: InputPolicy,
     base_budget: Budget,
-    flight: SingleFlight<String, Arc<FlightResult>>,
-    cache: ByteCache<String, Arc<ServeReport>>,
+    flight: SingleFlight<String, Arc<Computed>>,
+    cache: ByteCache<String, Arc<Computed>>,
     /// The one account of the server's traffic: `/metrics` renders it
     /// and `/stats` reads its counters back.
     telemetry: Arc<Telemetry>,
@@ -197,7 +271,6 @@ struct ServerState {
     shard: Option<ShardRuntime>,
     /// The `--access-log` sink; one JSON line per diagram request.
     access_log: Option<Mutex<File>>,
-    ready: AtomicBool,
     default_timeout: Duration,
     timeout_ceiling: Duration,
     max_body: usize,
@@ -264,13 +337,7 @@ fn handle_job(state: &ServerState, job: DiagramJob, ctx: &JobContext) -> Compute
     // catch_unwind, so an injected panic must answer `500` and leave
     // the listener serving.
     if let Some(kind) = netart_fault::fire(netart_fault::sites::SERVE_REQUEST) {
-        return Computed {
-            report: ServeReport::failure(format!("injected {kind} fault at `serve.request`")),
-            rejected: false,
-            cacheable: false,
-            deadline_cancelled: false,
-            exhausted: false,
-        };
+        return Computed::failure(Fate::Failed, format!("injected {kind} fault at `serve.request`"));
     }
 
     let mut degs = Vec::new();
@@ -293,17 +360,15 @@ fn handle_job(state: &ServerState, job: DiagramJob, ctx: &JobContext) -> Compute
             network
         }
         Err(e) => {
+            // The governor refused the parse (`ND015`), not the input.
             let exhausted = e
                 .diagnostics
                 .iter()
                 .any(|d| d.code == DoctorCode::ResourceExhausted);
-            let verb = if exhausted { "refused" } else { "rejected" };
-            return Computed {
-                report: ServeReport::failure(format!("input {verb}: {e}")),
-                rejected: !exhausted,
-                cacheable: false,
-                deadline_cancelled: false,
-                exhausted,
+            return if exhausted {
+                Computed::failure(Fate::MemReject, format!("input refused: {e}"))
+            } else {
+                Computed::failure(Fate::Rejected, format!("input rejected: {e}"))
             };
         }
     };
@@ -348,11 +413,8 @@ fn handle_job(state: &ServerState, job: DiagramJob, ctx: &JobContext) -> Compute
         Ok(artifacts) => artifacts,
         Err(e) => {
             return Computed {
-                report: ServeReport::failure(format!("emit failed: {e}")),
-                rejected: false,
-                cacheable: false,
                 deadline_cancelled,
-                exhausted: false,
+                ..Computed::failure(Fate::Failed, format!("emit failed: {e}"))
             }
         }
     };
@@ -384,13 +446,15 @@ fn handle_job(state: &ServerState, job: DiagramJob, ctx: &JobContext) -> Compute
         }
     });
 
+    let (fate, status) = if run_report.is_clean {
+        (Fate::Clean, ServeStatus::Clean)
+    } else {
+        (Fate::Degraded, ServeStatus::Degraded)
+    };
     Computed {
+        fate,
         report: ServeReport {
-            status: if !run_report.is_clean {
-                ServeStatus::Degraded
-            } else {
-                ServeStatus::Clean
-            },
+            status,
             cache: CacheOutcome::Miss,
             artifact: job.artifact,
             escher,
@@ -398,37 +462,25 @@ fn handle_job(state: &ServerState, job: DiagramJob, ctx: &JobContext) -> Compute
             error: None,
             report: Some(run_report),
         },
-        rejected: false,
-        cacheable: !deadline_cancelled,
         deadline_cancelled,
-        exhausted: false,
     }
 }
 
 /// A `get` that survives an injected `serve.cache` fault: any fired
 /// kind (panic included) degrades to a miss — recompute rather than
 /// crash or serve garbage.
-fn cache_get(state: &ServerState, key: &str) -> Option<Arc<ServeReport>> {
-    catch_unwind(AssertUnwindSafe(|| {
-        if netart_fault::fire(netart_fault::sites::SERVE_CACHE).is_some() {
-            return None;
-        }
-        state.cache.get(&key.to_owned())
-    }))
-    .unwrap_or(None)
+fn cache_get(state: &ServerState, key: &str) -> Option<Arc<Computed>> {
+    netart_fault::survive(netart_fault::sites::SERVE_CACHE, || state.cache.get(&key.to_owned()))
+        .flatten()
 }
 
 /// A `put` that survives an injected `serve.cache` fault: the insert
 /// is skipped, the response already computed is unaffected.
-fn cache_put(state: &ServerState, key: String, report: &ServeReport) {
+fn cache_put(state: &ServerState, key: String, computed: &Arc<Computed>) {
+    let report = &computed.report;
     let bytes = report.escher.len() + report.svg.len() + key.len() + CACHE_ENTRY_OVERHEAD;
-    let value = Arc::new(report.clone());
-    let _ = catch_unwind(AssertUnwindSafe(|| {
-        if netart_fault::fire(netart_fault::sites::SERVE_CACHE).is_some() {
-            return;
-        }
-        state.cache.put(key, value, bytes);
-    }));
+    let value = Arc::clone(computed);
+    netart_fault::survive(netart_fault::sites::SERVE_CACHE, || state.cache.put(key, value, bytes));
 }
 
 /// Runs a telemetry-recording block under the `serve.telemetry` fault
@@ -436,15 +488,7 @@ fn cache_put(state: &ServerState, key: String, report: &ServeReport) {
 /// the fault counter is bumped and the request being observed is
 /// never affected.
 fn record_telemetry(telemetry: &Telemetry, record: impl FnOnce(&Telemetry)) {
-    let faulted = catch_unwind(AssertUnwindSafe(|| {
-        if netart_fault::fire(netart_fault::sites::SERVE_TELEMETRY).is_some() {
-            return true;
-        }
-        record(telemetry);
-        false
-    }))
-    .unwrap_or(true);
-    if faulted {
+    if netart_fault::survive(netart_fault::sites::SERVE_TELEMETRY, || record(telemetry)).is_none() {
         telemetry.inc(M_TELEMETRY_FAULTS, &[], 1);
     }
 }
@@ -494,11 +538,24 @@ impl HttpReply {
     }
 }
 
-/// `POST /v1/diagram`: parse the request document, consult the cache,
-/// coalesce with identical concurrent requests, run the pipeline
-/// behind the admission gate, frame the outcome. Fills `acc` for the
-/// access log and the request counters as the request resolves.
-fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord) -> HttpReply {
+/// A diagram request's reply, framed by its fate: the status, and
+/// `Retry-After` when the refusal is of the moment. A memory refusal
+/// also counts in `netart_serve_mem_rejections_total`.
+fn answer(state: &ServerState, fate: Fate, report: &ServeReport) -> HttpReply {
+    if fate == Fate::MemReject {
+        record_telemetry(&state.telemetry, |t| t.inc(M_MEM_REJECTIONS, &[], 1));
+    }
+    let mut reply = HttpReply::report(fate.status(), report);
+    if fate.retry_after() {
+        reply.headers.push(("Retry-After", "1".to_owned()));
+    }
+    reply
+}
+
+/// `POST /v1/diagram`: parse the request document, answer the job it
+/// names, frame the outcome. Fills `acc` for the access log and the
+/// request counters as the request resolves.
+fn handle_diagram(state: &ServerState, body: &[u8], acc: &mut AccessRecord) -> HttpReply {
     let parsed = std::str::from_utf8(body)
         .map_err(|_| "request body is not UTF-8".to_owned())
         .and_then(|text| Json::parse(text).map_err(|e| format!("request body is not JSON: {e}")));
@@ -506,13 +563,24 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
         Ok(doc) => doc,
         Err(message) => return HttpReply::report(400, &ServeReport::failure(message)),
     };
+    let (fate, report) = match parse_job(state, &doc, &acc.rid) {
+        Ok(job) => answer_job(state, job, acc),
+        Err(message) => (Fate::Rejected, ServeReport::failure(message)),
+    };
+    acc.outcome = fate.label().to_owned();
+    if let Some(run) = &report.report {
+        acc.set_phases(run);
+    }
+    answer(state, fate, &report)
+}
+
+/// Reads a request document into a job, its options resolved against
+/// the server's defaults. `Err` is the rejection's message.
+fn parse_job(state: &ServerState, doc: &Json, rid: &str) -> Result<DiagramJob, String> {
     let field = |name: &str| doc.get(name).and_then(Json::as_str).map(str::to_owned);
     let (Some(net), Some(cal)) = (field("net"), field("cal")) else {
-        return HttpReply::report(
-            422,
-            &ServeReport::failure(
-                "request must carry string members `net` and `cal` (optionally `io`, `options`)",
-            ),
+        return Err(
+            "request must carry string members `net` and `cal` (optionally `io`, `options`)".into(),
         );
     };
     let io = field("io");
@@ -521,172 +589,105 @@ fn handle_diagram(state: &Arc<ServerState>, body: &[u8], acc: &mut AccessRecord)
     let margin = match opt("margin").map(|j| j.as_u64().ok_or(())) {
         None => state.default_options.margin,
         Some(Ok(m)) if i32::try_from(m).is_ok() => m as i32,
-        _ => {
-            return HttpReply::report(
-                422,
-                &ServeReport::failure("options.margin must be a small non-negative integer"),
-            );
-        }
+        _ => return Err("options.margin must be a small non-negative integer".into()),
     };
     let order = match opt("order").and_then(Json::as_str) {
         None => state.default_options.order,
-        Some("def") => NetOrder::Definition,
-        Some("most") => NetOrder::MostPinsFirst,
-        Some("few") => NetOrder::FewestPinsFirst,
-        Some(other) => {
-            return HttpReply::report(
-                422,
-                &ServeReport::failure(format!(
-                    "options.order must be def|most|few, not {other:?}"
-                )),
-            );
-        }
+        Some(order) => order
+            .parse()
+            .map_err(|_| format!("options.order must be def|most|few, not {order:?}"))?,
     };
     let timeout = match opt("timeout_ms").map(|j| j.as_u64().ok_or(())) {
         None | Some(Ok(0)) => state.default_timeout,
         Some(Ok(ms)) => Duration::from_millis(ms),
-        Some(Err(())) => {
-            return HttpReply::report(
-                422,
-                &ServeReport::failure("options.timeout_ms must be a non-negative integer"),
-            );
-        }
+        Some(Err(())) => return Err("options.timeout_ms must be a non-negative integer".into()),
     }
     .min(state.timeout_ceiling);
 
     let options = RenderOptions { margin, order };
-    let key = artifact_key(&net, &cal, io.as_deref(), &options);
-    acc.artifact = key.clone();
-
-    if let Some(cached) = cache_get(state, &key) {
-        acc.outcome = cached.status.as_str().to_owned();
-        acc.cache = "hit".to_owned();
-        if let Some(run) = &cached.report {
-            acc.set_phases(run);
-        }
-        let mut report = (*cached).clone();
-        report.cache = CacheOutcome::Hit;
-        return HttpReply::report(200, &report);
-    }
-
-    if !state.ready.load(Ordering::Acquire) {
-        acc.outcome = "drain_reject".to_owned();
-        return HttpReply::report(503, &ServeReport::failure("draining: not accepting work"));
-    }
-
-    let job = DiagramJob {
-        rid: acc.rid.clone(),
+    let artifact = artifact_key(&net, &cal, io.as_deref(), &options);
+    Ok(DiagramJob {
+        rid: rid.to_owned(),
         net,
         cal,
         io,
         options,
         timeout,
-        artifact: key.clone(),
-    };
-    let (result, leads) = state.flight.run(&key, || {
-        match state.service.run(Some(timeout), |ctx| handle_job(state, job, ctx)) {
-            Err(SubmitError::Busy) => Arc::new(FlightResult::Shed),
-            Err(SubmitError::Draining) => Arc::new(FlightResult::Draining),
-            Ok(Err(message)) => Arc::new(FlightResult::Panicked(message)),
-            Ok(Ok(computed)) => {
+        artifact,
+    })
+}
+
+/// Runs `job` behind the admission gate; a refusal or a panic is its
+/// fate too.
+fn run_gated(state: &ServerState, job: DiagramJob) -> Computed {
+    let timeout = job.timeout;
+    match state.service.run(Some(timeout), |ctx| handle_job(state, job, ctx)) {
+        Ok(Ok(computed)) => computed,
+        Ok(Err(message)) => {
+            Computed::failure(Fate::Panic, format!("request handler panicked: {message}"))
+        }
+        Err(SubmitError::Busy) => Computed::failure(
+            Fate::Shed,
+            "saturated: the admission queue is full; retry shortly",
+        ),
+        Err(SubmitError::Draining) => Computed::failure(Fate::DrainReject, DRAINING),
+    }
+}
+
+/// Answers a job from the cache, or from a flight that coalesces
+/// identical concurrent requests onto one pipeline run behind the
+/// admission gate. Fills `acc`'s artifact, cache and deadline members.
+fn answer_job(state: &ServerState, job: DiagramJob, acc: &mut AccessRecord) -> (Fate, ServeReport) {
+    acc.artifact = job.artifact.clone();
+    let key = job.artifact.clone();
+    let (computed, cache, leads) = match cache_get(state, &key) {
+        Some(cached) => (cached, CacheOutcome::Hit, false),
+        None if state.service.draining() => {
+            return (Fate::DrainReject, ServeReport::failure(DRAINING));
+        }
+        None => {
+            let (computed, leads) = state.flight.run(&key, || {
+                let computed = Arc::new(run_gated(state, job));
                 // Insert while the flight is still open: anyone
                 // arriving after the flight resolves must find the
                 // cache already warm (no recompute window).
-                if computed.cacheable && computed.report.status != ServeStatus::Failed {
-                    cache_put(state, key.clone(), &computed.report);
+                if computed.fate.cacheable() && !computed.deadline_cancelled {
+                    cache_put(state, key.clone(), &computed);
                 }
-                Arc::new(FlightResult::Done(Box::new(computed)))
-            }
+                computed
+            });
+            let cache = if leads { CacheOutcome::Miss } else { CacheOutcome::Coalesced };
+            (computed, cache, leads)
         }
-    });
+    };
 
-    match &*result {
-        FlightResult::Done(computed) => {
-            let outcome = if leads {
-                acc.cache = "miss".to_owned();
-                CacheOutcome::Miss
-            } else {
-                acc.cache = "coalesced".to_owned();
-                CacheOutcome::Coalesced
-            };
-            acc.outcome = computed.report.status.as_str().to_owned();
-            acc.deadline_cancelled = computed.deadline_cancelled;
-            if let Some(run) = &computed.report.report {
-                acc.set_phases(run);
+    let mut report = computed.report.clone();
+    if computed.fate.ran() {
+        report.cache = cache;
+        acc.cache = cache.as_str().to_owned();
+        acc.deadline_cancelled = computed.deadline_cancelled;
+    }
+    // Post-mortem triggers, leader-only so one incident leaves one
+    // dump. A faulted or failed dump write never disturbs the response
+    // — it surfaces as a `flight_dump_failed` degradation in the very
+    // report being returned.
+    let dump_reason = if computed.deadline_cancelled {
+        Some("deadline")
+    } else {
+        computed.fate.dump_reason()
+    };
+    if let (true, Some(reason)) = (leads, dump_reason) {
+        if !dump_blackbox(state, reason, Some(&acc.rid)) {
+            if let Some(run) = report.report.as_mut() {
+                run.push_degradation(cli_degradation(
+                    "flight_dump_failed",
+                    None,
+                    format!("blackbox dump for request {} could not be written", acc.rid),
+                ));
             }
-            let mut report = computed.report.clone();
-            report.cache = outcome;
-            // Post-mortem triggers, leader-only so one incident leaves
-            // one dump: a deadline breach or a 500-class failure (the
-            // `serve.request` fault lands here) freezes the flight
-            // ring. A faulted or failed dump write never disturbs the
-            // response — it surfaces as a `flight_dump_failed`
-            // degradation in the very report being returned.
-            let dump_reason = if computed.deadline_cancelled {
-                Some("deadline")
-            } else if report.status == ServeStatus::Failed
-                && !computed.rejected
-                && !computed.exhausted
-            {
-                Some("fault")
-            } else {
-                None
-            };
-            if let (true, Some(reason)) = (leads, dump_reason) {
-                if !dump_blackbox(state, reason, Some(&acc.rid)) {
-                    if let Some(run) = report.report.as_mut() {
-                        run.push_degradation(cli_degradation(
-                            "flight_dump_failed",
-                            None,
-                            format!(
-                                "blackbox dump for request {} could not be written",
-                                acc.rid
-                            ),
-                        ));
-                    }
-                }
-            }
-            if computed.exhausted {
-                // The governor, not the input, said no: the same
-                // request may fit once in-flight work releases its
-                // charges, so answer retryable 503, not final 422.
-                acc.outcome = "mem_reject".to_owned();
-                record_telemetry(&state.telemetry, |t| t.inc(M_MEM_REJECTIONS, &[], 1));
-                let mut reply = HttpReply::report(503, &report);
-                reply.headers.push(("Retry-After", "1".to_owned()));
-                return reply;
-            }
-            let status = match report.status {
-                ServeStatus::Clean | ServeStatus::Degraded => 200,
-                ServeStatus::Failed if computed.rejected => 422,
-                ServeStatus::Failed => 500,
-            };
-            HttpReply::report(status, &report)
-        }
-        FlightResult::Shed => {
-            acc.outcome = "shed".to_owned();
-            let mut reply = HttpReply::report(
-                429,
-                &ServeReport::failure("saturated: the admission queue is full; retry shortly"),
-            );
-            reply.headers.push(("Retry-After", "1".to_owned()));
-            reply
-        }
-        FlightResult::Draining => {
-            acc.outcome = "drain_reject".to_owned();
-            HttpReply::report(503, &ServeReport::failure("draining: not accepting work"))
-        }
-        FlightResult::Panicked(message) => {
-            acc.outcome = "panic".to_owned();
-            if leads {
-                dump_blackbox(state, "panic", Some(&acc.rid));
-            }
-            HttpReply::report(
-                500,
-                &ServeReport::failure(format!("request handler panicked: {message}")),
-            )
         }
     }
+    (computed.fate, report)
 }
 
 /// The `/stats` body: every counter is read back from the telemetry
@@ -732,10 +733,7 @@ fn stats_snapshot(state: &ServerState) -> ServeStats {
 /// `serve.telemetry` fault site — a fired fault (panic included)
 /// answers `503 metrics unavailable` and leaves the server serving.
 fn metrics_reply(state: &ServerState) -> HttpReply {
-    let rendered = catch_unwind(AssertUnwindSafe(|| {
-        if netart_fault::fire(netart_fault::sites::SERVE_TELEMETRY).is_some() {
-            return None;
-        }
+    let rendered = netart_fault::survive(netart_fault::sites::SERVE_TELEMETRY, || {
         let cache = state.cache.stats();
         let t = &state.telemetry;
         t.set_gauge("netart_serve_queue_depth", state.service.queued() as u64);
@@ -754,9 +752,8 @@ fn metrics_reply(state: &ServerState) -> HttpReply {
                 );
             }
         }
-        Some(t.render_prometheus())
-    }))
-    .unwrap_or(None);
+        t.render_prometheus()
+    });
     match rendered {
         Some(body) => HttpReply::text(200, "text/plain; version=0.0.4", body),
         None => {
@@ -770,7 +767,7 @@ fn route_request(state: &Arc<ServerState>, method: &str, path: &str, body: &[u8]
     match (method, path) {
         ("GET", "/healthz") => HttpReply::json(200, "{\"status\": \"ok\"}".to_owned()),
         ("GET", "/readyz") => {
-            if !state.ready.load(Ordering::Acquire) {
+            if state.service.draining() {
                 HttpReply::json(503, "{\"status\": \"draining\"}".to_owned())
             } else if !state.shard.as_ref().is_none_or(|s| s.fleet.quorum_ok()) {
                 // Sharded: this worker is fine, but the fleet lost its
@@ -829,17 +826,6 @@ fn route_request(state: &Arc<ServerState>, method: &str, path: &str, body: &[u8]
     }
 }
 
-/// A `503 Retry-After` refusal from the memory governor, with the
-/// `netart_serve_mem_rejections_total` counter bumped. Unlike the
-/// `413` cap (a permanent verdict on the input), this one is
-/// retryable: the budget frees as in-flight work completes.
-fn mem_reject(state: &ServerState, message: String) -> HttpReply {
-    record_telemetry(&state.telemetry, |t| t.inc(M_MEM_REJECTIONS, &[], 1));
-    let mut reply = HttpReply::report(503, &ServeReport::failure(message));
-    reply.headers.push(("Retry-After", "1".to_owned()));
-    reply
-}
-
 /// One connection, one request, one response. Runs on its own thread,
 /// which also runs the request's pipeline behind the gate; the final
 /// defence in depth — even a panic past the gate's `catch_unwind`
@@ -859,7 +845,11 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
             let body_lease = request.body.len() as u64;
             match state.mem_budget.try_charge("serve admission", body_lease) {
                 // Lost the admission race to a concurrent request.
-                Err(x) => mem_reject(state, format!("over memory budget: {x}")),
+                Err(x) => answer(
+                    state,
+                    Fate::MemReject,
+                    &ServeReport::failure(format!("over memory budget: {x}")),
+                ),
                 Ok(()) => {
                     let reply = match catch_unwind(AssertUnwindSafe(|| {
                         route_request(state, &request.method, &request.path, &request.body)
@@ -892,12 +882,13 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
                 )),
             )
         }
-        Err(RequestError::BodyTooLarge { declared, limit }) => mem_reject(
+        Err(RequestError::BodyTooLarge { declared, limit }) => answer(
             state,
-            format!(
+            Fate::MemReject,
+            &ServeReport::failure(format!(
                 "declared body of {declared} bytes exceeds the memory budget's remaining \
                  {limit} byte(s); retry shortly"
-            ),
+            )),
         ),
         Err(RequestError::Malformed(message)) => {
             HttpReply::report(400, &ServeReport::failure(message))
@@ -1103,7 +1094,6 @@ fn serve(session: &Session, recorder: FlightHandle) -> Result<RunOutput, CliErro
         rid_prefix,
         shard,
         access_log,
-        ready: AtomicBool::new(true),
         default_timeout,
         timeout_ceiling,
         max_body: args.parsed("max-body", 1024 * 1024usize)?,
@@ -1162,10 +1152,9 @@ fn serve(session: &Session, recorder: FlightHandle) -> Result<RunOutput, CliErro
             // rather than squatting on the shared socket.
             || state.shard.as_ref().is_some_and(|s| s.fleet.orphaned());
         if draining_since.is_none() && stop_requested {
-            // Readiness flips *first* so load balancers stop routing,
-            // then admission closes; waiting and running requests keep
-            // their connections and finish within the grace.
-            state.ready.store(false, Ordering::Release);
+            // Readiness and admission close together: `/readyz` reads
+            // the gate's draining state. Waiting and running requests
+            // keep their connections and finish within the grace.
             state.service.drain();
             draining_since = Some(Instant::now());
         }
@@ -1251,6 +1240,36 @@ mod tests {
         assert_eq!(key.len(), 16);
         assert!(key.chars().all(|c| c.is_ascii_hexdigit()));
         assert_eq!(key, artifact_key("x", "y", None, &options));
+    }
+
+    #[test]
+    fn each_fate_fixes_status_label_retry_after_and_what_it_leaves() {
+        use Fate::*;
+        // (fate, status, outcome label, Retry-After, ran, cacheable, dump)
+        let table = [
+            (Clean, 200, "clean", false, true, true, None),
+            (Degraded, 200, "degraded", false, true, true, None),
+            (Rejected, 422, "failed", false, true, false, None),
+            (Failed, 500, "failed", false, true, false, Some("fault")),
+            (MemReject, 503, "mem_reject", true, true, false, None),
+            (Shed, 429, "shed", true, false, false, None),
+            (DrainReject, 503, "drain_reject", false, false, false, None),
+            (Panic, 500, "panic", false, false, false, Some("panic")),
+        ];
+        for (fate, status, label, retry_after, ran, cacheable, dump) in table {
+            assert_eq!(
+                (
+                    fate.status(),
+                    fate.label(),
+                    fate.retry_after(),
+                    fate.ran(),
+                    fate.cacheable(),
+                    fate.dump_reason(),
+                ),
+                (status, label, retry_after, ran, cacheable, dump),
+                "{fate:?}"
+            );
+        }
     }
 
     #[test]

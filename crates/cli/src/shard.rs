@@ -36,7 +36,6 @@ use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpListener;
 use std::os::fd::AsRawFd;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -276,11 +275,7 @@ fn spawn_worker(
     events: &Sender<Event>,
 ) -> bool {
     table.record_spawn_attempt(shard);
-    let faulted = catch_unwind(AssertUnwindSafe(|| {
-        netart_fault::fire(netart_fault::sites::SERVE_SPAWN).is_some()
-    }))
-    .unwrap_or(true);
-    if faulted {
+    if netart_fault::survive(netart_fault::sites::SERVE_SPAWN, || ()).is_none() {
         eprintln!("shard {shard}: injected fault at `serve.spawn`; treating as spawn failure");
         return false;
     }
@@ -395,7 +390,6 @@ pub(crate) fn run_supervisor(
         crash_window: Duration::from_millis(
             args.parsed("crash-window", defaults.crash_window.as_millis() as u64)?,
         ),
-        ..defaults
     };
     let drain_grace = Duration::from_millis(args.parsed("drain-grace", 5_000u64)?);
 

@@ -124,38 +124,6 @@ impl JobFailure {
     }
 }
 
-/// A callback observing freshly quarantined jobs; see
-/// [`set_quarantine_hook`].
-pub type QuarantineHook = Box<dyn Fn(&JobRecord) + Send + Sync>;
-
-/// The process-wide quarantine observer. The CLI points this at the
-/// flight recorder so a tripped circuit breaker leaves a blackbox dump
-/// behind; it is a `Mutex<Option<..>>` rather than a `OnceLock`
-/// precisely so in-process tests can install, inspect, and clear it.
-static QUARANTINE_HOOK: Mutex<Option<QuarantineHook>> = Mutex::new(None);
-
-/// Installs (with `Some`) or clears (with `None`) the process-wide
-/// quarantine hook. The hook runs on the worker thread that exhausted
-/// the job's retries, after the quarantined [`JobRecord`] is fully
-/// built but before it lands in the manifest — keep it cheap and never
-/// panic inside it.
-pub fn set_quarantine_hook(hook: Option<QuarantineHook>) {
-    *QUARANTINE_HOOK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = hook;
-}
-
-/// Runs the installed quarantine hook, if any, on a freshly
-/// quarantined record.
-fn notify_quarantine(record: &JobRecord) {
-    let guard = QUARANTINE_HOOK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(hook) = guard.as_ref() {
-        hook(record);
-    }
-}
-
 /// One watchdog slot: the in-flight attempt of one worker.
 struct Watch {
     cancel: CancelToken,
@@ -167,6 +135,13 @@ const BACKOFF_BASE: Duration = Duration::from_millis(25);
 
 /// Upper bound on any retry delay (before jitter).
 const BACKOFF_CAP: Duration = Duration::from_secs(2);
+
+/// A shard's respawn delay after the first death in its crash window;
+/// doubles per further death.
+const SHARD_BACKOFF_BASE: Duration = Duration::from_millis(100);
+
+/// Upper bound on any shard respawn delay (before jitter).
+const SHARD_BACKOFF_CAP: Duration = Duration::from_secs(5);
 
 /// How often the watchdog scans in-flight attempts.
 const WATCHDOG_TICK: Duration = Duration::from_millis(10);
@@ -274,7 +249,10 @@ fn interruptible_sleep(total: Duration, drain: &impl Fn() -> bool) {
 /// (retries). A panicking call counts as a transient attempt failure.
 /// `drain` is the external stop signal, polled by the workers and the
 /// watchdog (the CLI passes the reader of its SIGINT/SIGTERM flag);
-/// `tool` names the manifest producer.
+/// `tool` names the manifest producer. `on_quarantine` sees each
+/// quarantined [`JobRecord`], fully built, on the worker thread that
+/// exhausted its retries, before it lands in the manifest — keep it
+/// cheap and never panic inside it.
 ///
 /// Always returns a complete manifest: one record per input, sorted
 /// by input path, whatever happened.
@@ -283,6 +261,7 @@ pub fn run<F>(
     inputs: &[String],
     config: &EngineConfig,
     drain: impl Fn() -> bool + Sync,
+    on_quarantine: impl Fn(&JobRecord) + Sync,
     job: F,
 ) -> BatchManifest
 where
@@ -302,6 +281,7 @@ where
             .iter()
             .map(|slot| {
                 let (cursor, records, drain, job) = (&cursor, &records, &drain, &job);
+                let on_quarantine = &on_quarantine;
                 s.spawn(move || {
                     // Each worker claims the next input until none is
                     // left or drain holds.
@@ -309,6 +289,9 @@ where
                         let idx = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(input) = inputs.get(idx) else { break };
                         let record = run_job(input, config, drain, slot, job);
+                        if record.status == JobStatus::Quarantined {
+                            on_quarantine(&record);
+                        }
                         records.lock().unwrap_or_else(std::sync::PoisonError::into_inner)[idx] =
                             Some(record);
                     }
@@ -332,8 +315,8 @@ where
         .collect();
 
     // Aggregation fault point: the manifest build must survive an
-    // injected panic just like a job must.
-    if catch_unwind(|| netart_fault::fire_hard(netart_fault::sites::ENGINE_MANIFEST)).is_err() {
+    // injected fault just like a job must.
+    if netart_fault::survive(netart_fault::sites::ENGINE_MANIFEST, || ()).is_none() {
         warn!("injected fault at manifest aggregation survived");
     }
 
@@ -491,7 +474,6 @@ where
         after_attempts: attempts,
         symptom: last_error,
     });
-    notify_quarantine(&record);
     record
 }
 
@@ -542,6 +524,7 @@ mod tests {
             &inputs(&["c", "a", "b"]),
             &pool(2),
             || false,
+            |_| {},
             |_, _| Ok(JobSuccess::default()),
         );
         assert_eq!(manifest.summary.ok, 3);
@@ -559,6 +542,7 @@ mod tests {
             &inputs(&["a"]),
             &pool(1),
             || false,
+            |_| {},
             |_, _| {
                 Ok(JobSuccess {
                     report: None,
@@ -580,6 +564,7 @@ mod tests {
             &inputs(&["flaky"]),
             &pool(1),
             || false,
+            |_| {},
             |_, ctx| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 if ctx.attempt < 2 {
@@ -601,6 +586,7 @@ mod tests {
             &inputs(&["poison", "fine"]),
             &pool(2),
             || false,
+            |_| {},
             |input, _| {
                 if input == "poison" {
                     Err(JobFailure::transient("always broken"))
@@ -623,19 +609,13 @@ mod tests {
 
     #[test]
     fn quarantine_hook_fires_once_per_quarantined_job() {
-        use std::sync::Arc;
-        let seen: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        set_quarantine_hook(Some(Box::new(move |record| {
-            sink.lock().unwrap().push(record.input.clone());
-        })));
-        // Unique input names: other tests' quarantines may fire the
-        // global hook while it is installed.
+        let seen: Mutex<Vec<String>> = Mutex::new(Vec::new());
         let manifest = run(
             "test",
             &inputs(&["hook_poison", "hook_fine"]),
             &pool(2),
             || false,
+            |record| seen.lock().unwrap().push(record.input.clone()),
             |input, _| {
                 if input == "hook_poison" {
                     Err(JobFailure::transient("always broken"))
@@ -644,7 +624,6 @@ mod tests {
                 }
             },
         );
-        set_quarantine_hook(None);
         let calls = seen.lock().unwrap();
         assert_eq!(
             calls.iter().filter(|i| *i == "hook_poison").count(),
@@ -664,6 +643,7 @@ mod tests {
             &inputs(&["broken"]),
             &pool(1),
             || false,
+            |_| {},
             |_, _| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 Err(JobFailure::permanent("parse error"))
@@ -681,6 +661,7 @@ mod tests {
             &inputs(&["bomb", "calm"]),
             &pool(2),
             || false,
+            |_| {},
             |input, _| {
                 if input == "bomb" {
                     panic!("boom at {input}");
@@ -703,6 +684,7 @@ mod tests {
             &inputs(&["a", "b"]),
             &pool(2),
             || true,
+            |_| {},
             |_, _| Ok(JobSuccess::default()),
         );
         assert_eq!(manifest.summary.skipped, 2);
@@ -722,6 +704,7 @@ mod tests {
             &inputs(&["hang"]),
             &config,
             || false,
+            |_| {},
             |_, ctx| {
                 // A cooperative busy loop, like a router polling its
                 // meter: it only ends when the watchdog trips us.
@@ -752,6 +735,7 @@ mod tests {
             &inputs(&["running", "queued-1", "queued-2"]),
             &config,
             || drain.is_cancelled(),
+            |_| {},
             move |input, ctx| {
                 if input == "running" {
                     // First job trips the drain itself, then hangs
@@ -787,7 +771,9 @@ mod tests {
     #[test]
     fn spare_workers_give_one_record_per_input() {
         let inputs = inputs(&["a", "b", "c"]);
-        let manifest = run("test", &inputs, &pool(8), || false, |_, _| Ok(JobSuccess::default()));
+        let manifest = run("test", &inputs, &pool(8), || false, |_| {}, |_, _| {
+            Ok(JobSuccess::default())
+        });
         assert_one_record_each(&manifest, &inputs);
         assert_eq!(manifest.summary.ok, 3);
         assert_eq!(manifest.jobs_in_flight, 3, "no more workers than inputs");
@@ -798,7 +784,7 @@ mod tests {
         let inputs: Vec<String> = (0..40).map(|i| format!("job{i:02}")).collect();
         let drain = CancelToken::new();
         let calls = AtomicU32::new(0);
-        let manifest = run("test", &inputs, &pool(2), || drain.is_cancelled(), |_, _| {
+        let manifest = run("test", &inputs, &pool(2), || drain.is_cancelled(), |_| {}, |_, _| {
             if calls.fetch_add(1, Ordering::SeqCst) == 9 {
                 drain.cancel();
             }
@@ -822,8 +808,8 @@ mod tests {
             }
         };
         let inputs = inputs(&["w", "x-bad", "y", "z"]);
-        let serial = run("test", &inputs, &pool(1), || false, job);
-        let parallel = run("test", &inputs, &pool(4), || false, job);
+        let serial = run("test", &inputs, &pool(1), || false, |_| {}, job);
+        let parallel = run("test", &inputs, &pool(4), || false, |_| {}, job);
         // Worker count is a run parameter, not an outcome; align it
         // like the CLI determinism test does.
         let mut parallel = parallel.normalized();

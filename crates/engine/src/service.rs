@@ -225,6 +225,11 @@ impl Service {
         self.shared.draining.store(true, Ordering::Release);
     }
 
+    /// Whether [`Service::drain`] was called: admission is closed.
+    pub fn draining(&self) -> bool {
+        self.shared.draining.load(Ordering::Acquire)
+    }
+
     /// Whether a started drain has finished: admission is closed, no
     /// caller waits and no handler runs.
     pub fn drained(&self) -> bool {
@@ -512,7 +517,9 @@ mod tests {
             let queued =
                 s.spawn(|| service.run(None, blocking(started_tx.clone(), &release_rx, 2)));
             wait_until(|| service.queued() == 1);
+            assert!(!service.draining());
             service.drain();
+            assert!(service.draining());
             assert_eq!(
                 service.run(None, |_ctx| 3).unwrap_err(),
                 SubmitError::Draining

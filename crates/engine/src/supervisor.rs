@@ -25,17 +25,11 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use crate::backoff_schedule;
+use crate::{backoff_schedule, SHARD_BACKOFF_BASE, SHARD_BACKOFF_CAP};
 
 /// Tuning knobs for the shard supervision policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisorConfig {
-    /// Respawn delay after the first death in the window; doubles per
-    /// further death.
-    pub backoff_base: Duration,
-    /// Ceiling on the exponential growth (deterministic jitter may
-    /// add up to 25% on top).
-    pub backoff_cap: Duration,
     /// Deaths within [`SupervisorConfig::crash_window`] that trip the
     /// crash-loop breaker. Clamped to at least 1.
     pub crash_limit: u32,
@@ -47,8 +41,6 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
-            backoff_base: Duration::from_millis(100),
-            backoff_cap: Duration::from_secs(5),
             crash_limit: 5,
             crash_window: Duration::from_secs(30),
         }
@@ -138,21 +130,6 @@ impl ShardTable {
         }
     }
 
-    /// Number of shards supervised.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether the table supervises no shards.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// The policy knobs this table runs under.
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.config
-    }
-
     /// Records a spawn attempt for `shard` (about to exec, successful
     /// or not). Every attempt beyond a shard's first counts as a
     /// restart in [`ShardTable::restarts_total`].
@@ -194,8 +171,8 @@ impl ShardTable {
         s.phase = ShardPhase::Down;
         ShardAction::Respawn {
             delay: backoff_schedule(
-                self.config.backoff_base,
-                self.config.backoff_cap,
+                SHARD_BACKOFF_BASE,
+                SHARD_BACKOFF_CAP,
                 &format!("shard-{shard}"),
                 deaths_in_window,
             ),
@@ -247,8 +224,6 @@ mod tests {
 
     fn config(limit: u32, window_ms: u64) -> SupervisorConfig {
         SupervisorConfig {
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_millis(400),
             crash_limit: limit,
             crash_window: Duration::from_millis(window_ms),
         }
@@ -270,7 +245,7 @@ mod tests {
         let t0 = Instant::now();
         match table.record_death(1, t0) {
             ShardAction::Respawn { delay } => {
-                assert!(delay >= Duration::from_millis(50), "at least the base");
+                assert!(delay >= SHARD_BACKOFF_BASE, "at least the base");
             }
             ShardAction::Quarantine => panic!("first death must respawn"),
         }
@@ -328,22 +303,20 @@ mod tests {
 
     #[test]
     fn consecutive_deaths_back_off_exponentially_until_capped() {
-        let cfg = config(u32::MAX, 60_000);
-        let mut table = ShardTable::new(1, cfg.clone());
+        let mut table = ShardTable::new(1, config(u32::MAX, 60_000));
         let t0 = Instant::now();
         let mut prev_floor = Duration::ZERO;
-        for attempt in 1..=6u32 {
+        for attempt in 1..=8u32 {
             let action = table.record_death(0, t0 + Duration::from_millis(u64::from(attempt)));
             let ShardAction::Respawn { delay } = action else {
                 panic!("no quarantine with an unbounded limit");
             };
-            let floor = cfg
-                .backoff_base
+            let floor = SHARD_BACKOFF_BASE
                 .saturating_mul(1u32 << (attempt - 1))
-                .min(cfg.backoff_cap);
+                .min(SHARD_BACKOFF_CAP);
             assert!(delay >= floor, "attempt {attempt}: {delay:?} < {floor:?}");
             assert!(
-                delay <= cfg.backoff_cap + cfg.backoff_cap / 4,
+                delay <= SHARD_BACKOFF_CAP + SHARD_BACKOFF_CAP / 4,
                 "attempt {attempt}: {delay:?} over the jittered cap"
             );
             assert!(floor >= prev_floor, "the floor grows monotonically");

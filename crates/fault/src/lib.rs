@@ -416,6 +416,16 @@ pub fn fire_hard(site: &str) {
     }
 }
 
+/// A fault point guarding a step the caller can do without: fires
+/// `site` once, then runs `f`. Returns `None` when the site fires (any
+/// kind, panic included) or when `f` panics, so the step degrades
+/// instead of failing whatever it serves.
+pub fn survive<T>(site: &str, f: impl FnOnce() -> T) -> Option<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fire(site).is_none().then(f)))
+        .ok()
+        .flatten()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,6 +459,13 @@ mod tests {
             let spec: FaultSpec = format!("{site}:1:error").parse().unwrap();
             assert_eq!(spec.site, *site);
         }
+    }
+
+    #[test]
+    fn survive_runs_a_quiet_step_and_swallows_its_panic() {
+        assert_eq!(survive("serve.cache", || 7), Some(7));
+        let panicked: Option<()> = survive("serve.cache", || panic!("step failed"));
+        assert_eq!(panicked, None);
     }
 
     #[cfg(not(feature = "fault-injection"))]
@@ -526,6 +543,26 @@ mod tests {
             let payload = std::panic::catch_unwind(|| fire_hard("place.gravity")).unwrap_err();
             let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains("garbage-output"), "{msg}");
+            disarm_all();
+        }
+
+        #[test]
+        fn survive_gives_none_for_every_fired_kind_and_fires_once_per_call() {
+            let _g = guard();
+            for kind in ["panic", "error", "budget-exhaust", "garbage-output"] {
+                disarm_all();
+                arm(&format!("obs.flight:2:{kind}")).unwrap();
+                let ran = std::cell::Cell::new(0);
+                let step = || {
+                    ran.set(ran.get() + 1);
+                    ran.get()
+                };
+                assert_eq!(survive("obs.flight", step), Some(1), "{kind}: first hit is quiet");
+                assert_eq!(survive("obs.flight", step), None, "{kind}: second hit fires");
+                assert_eq!(ran.get(), 1, "{kind}: a fired site skips the step");
+                assert_eq!(survive("obs.flight", step), Some(2), "{kind}: one-shot");
+                assert_eq!(fired(), vec![format!("obs.flight:2:{kind}")]);
+            }
             disarm_all();
         }
 

@@ -14,6 +14,21 @@ pub enum NetOrder {
     FewestPinsFirst,
 }
 
+impl std::str::FromStr for NetOrder {
+    type Err = String;
+
+    /// Parses the `def|most|few` spelling of the command line and of
+    /// `netart serve` requests.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "def" => Ok(NetOrder::Definition),
+            "most" => Ok(NetOrder::MostPinsFirst),
+            "few" => Ok(NetOrder::FewestPinsFirst),
+            other => Err(format!("unknown net order `{other}` (expected def, most or few)")),
+        }
+    }
+}
+
 use crate::{Budget, CancelToken};
 
 /// Routing options, mirroring the `eureka` command line of Appendix F.
@@ -197,5 +212,13 @@ mod tests {
         assert_eq!(RouteConfig::new().order, NetOrder::Definition);
         let c = RouteConfig::new().with_order(NetOrder::MostPinsFirst);
         assert_eq!(c.order, NetOrder::MostPinsFirst);
+    }
+
+    #[test]
+    fn net_order_parses_def_most_few() {
+        assert_eq!("def".parse(), Ok(NetOrder::Definition));
+        assert_eq!("most".parse(), Ok(NetOrder::MostPinsFirst));
+        assert_eq!("few".parse(), Ok(NetOrder::FewestPinsFirst));
+        assert!("fifo".parse::<NetOrder>().is_err());
     }
 }

@@ -11,9 +11,7 @@
 //! * [`life::network`] — the game-of-LIFE circuit of figures 6.6/6.7
 //!   (27 modules, 222 nets) together with its natural hand placement,
 //! * [`random_network`] — seeded random netlists for property tests
-//!   and scaling sweeps,
-//! * [`random_maze`] — seeded random two-point routing mazes for the
-//!   router comparisons and guarantee tests.
+//!   and scaling sweeps.
 //!
 //! All builders are deterministic: the same parameters (and seed)
 //! always produce identical networks.
@@ -22,11 +20,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod life;
-mod maze;
 mod random;
 pub mod text;
 
-pub use maze::{random_maze, Maze, MazeSpec};
 pub use random::{random_network, RandomSpec};
 
 use netart_netlist::{Library, ModuleId, Network, NetworkBuilder, Template, TermType};
