@@ -805,7 +805,6 @@ fn eureka(session: &Session) -> Result<RunOutput, CliError> {
         report.routed.len(),
         report.routed.len() + report.failed.len()
     );
-    summary.push_str(&salvage_summary(&outcome.diagram, report));
     let out = args.value("o").unwrap_or("eureka_out");
     let artifacts = emit_artifacts(
         &outcome,
@@ -816,38 +815,12 @@ fn eureka(session: &Session) -> Result<RunOutput, CliError> {
         &mut cli_degs,
     )?;
     let files = write_diagram_files(out, &artifacts.escher, &artifacts.svg)?;
-    push_warnings(&mut summary, &cli_degs);
+    push_warnings(&mut summary, &artifacts.report.degradations);
     session.write_stream("report-json", || artifacts.report.to_json_string())?;
     Ok(RunOutput::new(
         format!("{summary}\n{}\n{files}", artifacts.metrics),
-        !outcome.is_clean() || !cli_degs.is_empty(),
+        !artifacts.report.degradations.is_empty(),
     ))
-}
-
-/// Warning lines for nets that needed the salvage cascade or stayed
-/// unroutable.
-fn salvage_summary(diagram: &Diagram, report: &netart::route::RouteReport) -> String {
-    use netart::route::SalvageStep;
-    let mut out = String::new();
-    for record in &report.salvaged {
-        let name = diagram.network().net(record.net).name();
-        let how = match record.step {
-            SalvageStep::RipUpRetry => "salvaged by rip-up and retry",
-            SalvageStep::LeeFallback => "salvaged by the Lee fallback router",
-            SalvageStep::GhostWire => "unroutable; drawn as a ghost wire",
-        };
-        out.push_str(&format!("\nwarning: net `{name}` {how}"));
-    }
-    for &n in &report.failed {
-        if report.salvaged.iter().any(|r| r.net == n) {
-            continue;
-        }
-        out.push_str(&format!(
-            "\nwarning: net `{}` is unroutable",
-            diagram.network().net(n).name()
-        ));
-    }
-    out
 }
 
 /// `netart [-p n] [-b n] [-c n] [-e n] [-i n] [-s n] [-m margin]
@@ -920,32 +893,12 @@ fn netart(session: &Session) -> Result<RunOutput, CliError> {
         outcome.route_time,
         artifacts.metrics,
     );
-    summary.push_str(&salvage_summary(diagram, &outcome.report));
-    for d in &outcome.degradations {
-        match d {
-            netart::Degradation::PlacementRecovered(msg) => {
-                summary.push_str(&format!(
-                    "\nwarning: placer crashed ({msg}); used a fallback grid placement"
-                ));
-            }
-            netart::Degradation::RoutingAborted(msg) => {
-                summary.push_str(&format!(
-                    "\nwarning: router crashed ({msg}); diagram has no wires"
-                ));
-            }
-            // Per-net degradations already covered by salvage_summary.
-            netart::Degradation::NetSalvaged { .. } | netart::Degradation::NetUnrouted(_) => {}
-        }
-    }
-    push_warnings(&mut summary, &cli_degs);
+    push_warnings(&mut summary, &artifacts.report.degradations);
     if args.has("art") {
         summary.push('\n');
         summary.push_str(&netart::diagram::ascii::render(diagram));
     }
-    Ok(RunOutput::new(
-        summary,
-        !outcome.is_clean() || !cli_degs.is_empty(),
-    ))
+    Ok(RunOutput::new(summary, !artifacts.report.degradations.is_empty()))
 }
 
 /// `quinto [-L libdir] [--input-policy strict|repair|best-effort]

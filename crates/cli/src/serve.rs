@@ -793,37 +793,52 @@ fn route_request(state: &Arc<ServerState>, method: &str, path: &str, body: &[u8]
                 )
             }
         }
-        ("POST", "/v1/diagram") => {
-            let rid = format!(
-                "{}{:06}",
-                state.rid_prefix,
-                state.seq.fetch_add(1, Ordering::Relaxed)
-            );
-            let span = tracing::span!(tracing::Level::INFO, "serve.request", rid = rid.as_str());
-            let started = Instant::now();
-            let mut acc = AccessRecord::new(rid);
-            let reply = span.in_scope(|| handle_diagram(state, body, &mut acc));
-            acc.http_status = u32::from(reply.status);
-            acc.latency_ns = ns(started.elapsed());
-            record_telemetry(&state.telemetry, |t| {
-                t.inc(M_REQUESTS, &[("outcome", &acc.outcome)], 1);
-                if acc.cache != "none" {
-                    t.inc(M_CACHE, &[("result", &acc.cache)], 1);
-                }
-                if acc.deadline_cancelled {
-                    t.inc(M_DEADLINE, &[], 1);
-                }
-                t.observe(M_LATENCY, acc.latency_ns);
-            });
-            write_access_log(state, &acc);
-            reply
-        }
+        ("POST", "/v1/diagram") => diagram_request(state, |acc| handle_diagram(state, body, acc)),
         (_, "/healthz" | "/readyz" | "/stats" | "/metrics" | "/debug/flight" | "/v1/diagram") => HttpReply::report(
             405,
             &ServeReport::failure(format!("{method} is not supported on {path}")),
         ),
         _ => HttpReply::report(404, &ServeReport::failure(format!("no such endpoint {path}"))),
     }
+}
+
+/// One diagram request under a fresh rid: `handle` resolves it inside
+/// the request's span, filling `acc`; then its
+/// `netart_serve_requests_total` sample, its latency and its access-log
+/// line are recorded.
+fn diagram_request(
+    state: &ServerState,
+    handle: impl FnOnce(&mut AccessRecord) -> HttpReply,
+) -> HttpReply {
+    let rid = format!("{}{:06}", state.rid_prefix, state.seq.fetch_add(1, Ordering::Relaxed));
+    let span = tracing::span!(tracing::Level::INFO, "serve.request", rid = rid.as_str());
+    let started = Instant::now();
+    let mut acc = AccessRecord::new(rid);
+    let reply = span.in_scope(|| handle(&mut acc));
+    acc.http_status = u32::from(reply.status);
+    acc.latency_ns = ns(started.elapsed());
+    record_telemetry(&state.telemetry, |t| {
+        t.inc(M_REQUESTS, &[("outcome", &acc.outcome)], 1);
+        if acc.cache != "none" {
+            t.inc(M_CACHE, &[("result", &acc.cache)], 1);
+        }
+        if acc.deadline_cancelled {
+            t.inc(M_DEADLINE, &[], 1);
+        }
+        t.observe(M_LATENCY, acc.latency_ns);
+    });
+    write_access_log(state, &acc);
+    reply
+}
+
+/// A body the memory governor refused at admission, answered as a
+/// diagram request of its own (the only endpoint that takes a body)
+/// whose fate is `mem_reject`.
+fn refuse_admission(state: &ServerState, message: String) -> HttpReply {
+    diagram_request(state, |acc| {
+        acc.outcome = Fate::MemReject.label().to_owned();
+        answer(state, Fate::MemReject, &ServeReport::failure(message))
+    })
 }
 
 /// One connection, one request, one response. Runs on its own thread,
@@ -836,7 +851,8 @@ fn route_request(state: &Arc<ServerState>, method: &str, path: &str, body: &[u8]
 /// `413` (a verdict on the input), over the memory governor's
 /// remaining room is `503 Retry-After` (a verdict on the moment). A
 /// body that fits leases its bytes on the governor until the response
-/// is framed.
+/// is framed; a lease that loses the race to a concurrent request is
+/// refused the same way.
 fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let budget_room = usize::try_from(state.mem_budget.remaining()).unwrap_or(usize::MAX);
@@ -845,11 +861,7 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
             let body_lease = request.body.len() as u64;
             match state.mem_budget.try_charge("serve admission", body_lease) {
                 // Lost the admission race to a concurrent request.
-                Err(x) => answer(
-                    state,
-                    Fate::MemReject,
-                    &ServeReport::failure(format!("over memory budget: {x}")),
-                ),
+                Err(x) => refuse_admission(state, format!("over memory budget: {x}")),
                 Ok(()) => {
                     let reply = match catch_unwind(AssertUnwindSafe(|| {
                         route_request(state, &request.method, &request.path, &request.body)
@@ -882,13 +894,12 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
                 )),
             )
         }
-        Err(RequestError::BodyTooLarge { declared, limit }) => answer(
+        Err(RequestError::BodyTooLarge { declared, limit }) => refuse_admission(
             state,
-            Fate::MemReject,
-            &ServeReport::failure(format!(
+            format!(
                 "declared body of {declared} bytes exceeds the memory budget's remaining \
                  {limit} byte(s); retry shortly"
-            )),
+            ),
         ),
         Err(RequestError::Malformed(message)) => {
             HttpReply::report(400, &ServeReport::failure(message))

@@ -142,7 +142,29 @@ pub fn finish(tool: &str, result: Result<RunOutput, CliError>) -> ExitCode {
 pub(crate) fn push_warnings(message: &mut String, degs: &[DegradationReport]) {
     for d in degs {
         message.push_str("\nwarning: ");
-        message.push_str(d.detail.as_deref().unwrap_or(&d.kind));
+        message.push_str(&warning(d));
+    }
+}
+
+/// The text of a degradation's `warning:` line: a sentence for the
+/// pipeline's own kinds, the detail (else the kind) for the rest.
+fn warning(d: &DegradationReport) -> String {
+    let detail = d.detail.as_deref().unwrap_or(&d.kind);
+    let net = d.net.as_deref().unwrap_or_default();
+    match (d.kind.as_str(), d.stage.as_deref()) {
+        ("placement_recovered", _) => {
+            format!("placer crashed ({detail}); used a fallback grid placement")
+        }
+        ("routing_aborted", _) => format!("router crashed ({detail}); diagram has no wires"),
+        ("net_salvaged", Some("rip_up_retry")) => {
+            format!("net `{net}` salvaged by rip-up and retry")
+        }
+        ("net_salvaged", Some("lee_fallback")) => {
+            format!("net `{net}` salvaged by the Lee fallback router")
+        }
+        ("net_salvaged", _) => format!("net `{net}` unroutable; drawn as a ghost wire"),
+        ("net_unrouted", _) => format!("net `{net}` is unroutable"),
+        _ => detail.to_owned(),
     }
 }
 
@@ -353,4 +375,48 @@ pub(crate) fn arm_faults(args: &ParsedArgs) -> Result<(), CliError> {
     }
     netart_fault::arm_from_env().map_err(CliError::Other)?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_degradation_kind_prints_its_warning_line() {
+        let deg = |kind: &str, net: Option<&str>, stage: Option<&str>, detail: Option<&str>| {
+            DegradationReport {
+                kind: kind.to_owned(),
+                net: net.map(str::to_owned),
+                stage: stage.map(str::to_owned),
+                routed: None,
+                over_budget: None,
+                nodes_expanded: None,
+                detail: detail.map(str::to_owned),
+            }
+        };
+        let salvaged = |step| deg("net_salvaged", Some("clk"), Some(step), None);
+        let cases = [
+            (
+                deg("placement_recovered", None, None, Some("boom")),
+                "placer crashed (boom); used a fallback grid placement",
+            ),
+            (
+                deg("routing_aborted", None, None, Some("boom")),
+                "router crashed (boom); diagram has no wires",
+            ),
+            (salvaged("rip_up_retry"), "net `clk` salvaged by rip-up and retry"),
+            (salvaged("lee_fallback"), "net `clk` salvaged by the Lee fallback router"),
+            (salvaged("ghost_wire"), "net `clk` unroutable; drawn as a ghost wire"),
+            (deg("net_unrouted", Some("clk"), None, None), "net `clk` is unroutable"),
+            (
+                deg("doctor_repair", None, Some("ND004"), Some("design.net: ND004 fixed")),
+                "design.net: ND004 fixed",
+            ),
+        ];
+        for (d, line) in cases {
+            let mut message = String::from("summary");
+            push_warnings(&mut message, &[d]);
+            assert_eq!(message, format!("summary\nwarning: {line}"));
+        }
+    }
 }

@@ -24,7 +24,7 @@ use std::sync::Mutex;
 use netart::diagram::escher;
 use netart::netlist::doctor::{self, InputPolicy};
 use netart::netlist::Library;
-use netart::obs::{BatchManifest, JobStatus, Json, ServeReport};
+use netart::obs::{BatchManifest, JobStatus, Json, RunReport, ServeReport};
 use netart_cli::{run_batch, run_netart};
 
 /// Serialises cases: the fault registry is process-global.
@@ -78,8 +78,9 @@ fn reference_network() -> netart::netlist::Network {
 }
 
 /// Runs one `netart` invocation with `spec` armed and asserts every
-/// chaos invariant. `site` is the site expected to have fired.
-fn case(spec: &str, site: &str) {
+/// chaos invariant. `site` is the site expected to have fired. Returns
+/// the run report the invocation wrote.
+fn case(spec: &str, site: &str) -> RunReport {
     let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
     netart_fault::disarm_all();
     let tag = spec.replace([':', '.', ','], "-");
@@ -134,6 +135,7 @@ fn case(spec: &str, site: &str) {
     let check = diagram.check();
     assert!(check.is_ok(), "{spec}: structural check failed");
     let _ = fs::remove_dir_all(dir);
+    RunReport::from_json(&Json::parse(&doc).expect("report is JSON")).expect("report reads back")
 }
 
 #[test]
@@ -166,7 +168,23 @@ fn chaos_place_sites() {
 #[test]
 fn chaos_route_net_site() {
     for kind in KINDS {
-        case(&format!("route.net:1:{kind}"), "route.net");
+        let report = case(&format!("route.net:1:{kind}"), "route.net");
+        if kind == "panic" {
+            // The aborted router leaves no per-net records: the phase
+            // recovery comes first, then every net unrouted with null
+            // effort.
+            assert!(!report.is_clean);
+            let (aborted, nets) = report.degradations.split_first().expect("degradations");
+            assert_eq!(aborted.kind, "routing_aborted");
+            let network = reference_network();
+            let names: Vec<&str> = network.nets().map(|n| network.net(n).name()).collect();
+            assert_eq!(nets.len(), names.len(), "{:?}", report.degradations);
+            for (d, name) in nets.iter().zip(names) {
+                assert_eq!(d.kind, "net_unrouted");
+                assert_eq!(d.net.as_deref(), Some(name));
+                assert_eq!((d.over_budget, d.nodes_expanded), (None, None), "{d:?}");
+            }
+        }
     }
 }
 

@@ -758,10 +758,15 @@ fn deadline_breach_leaves_a_blackbox_naming_the_request() {
 
 #[test]
 fn memory_budget_rejects_over_budget_submissions_and_recovers() {
+    use std::io::{Read, Write};
     let dir = scratch("membudget");
+    let log = dir.join("access.jsonl");
     let server = ServeProc::start(
         &write_lib(&dir),
-        &["--workers", "1", "--max-body", "1048576", "--memory-budget", "128k"],
+        &[
+            "--workers", "1", "--max-body", "1048576", "--memory-budget", "128k",
+            "--access-log", &log.to_string_lossy(),
+        ],
     );
 
     // An in-budget request computes normally.
@@ -784,7 +789,6 @@ fn memory_budget_rejects_over_budget_submissions_and_recovers() {
     // not --max-body) is bounced at admission, before buffering — the
     // verdict arrives off the headers, so only headers are sent here.
     {
-        use std::io::{Read, Write};
         let mut stream = std::net::TcpStream::connect(&server.addr).expect("connect");
         stream
             .write_all(
@@ -797,7 +801,38 @@ fn memory_budget_rejects_over_budget_submissions_and_recovers() {
         assert!(raw.to_ascii_lowercase().contains("retry-after:"), "{raw}");
     }
 
-    // Both refusals surface on the mem-rejection counter.
+    // A body that fit the room when its connection opened, but whose
+    // lease loses the race to a request admitted meanwhile: `late`
+    // declares 80 KiB against a free 128 KiB budget, then a 64 KiB
+    // request is admitted and computes while `late` sends its body.
+    {
+        let mut late = std::net::TcpStream::connect(&server.addr).expect("connect");
+        let late_len = 80 * 1024;
+        let head = format!(
+            "POST /v1/diagram HTTP/1.1\r\nHost: netart\r\nContent-Length: {late_len}\r\n\r\n"
+        );
+        late.write_all(head.as_bytes()).expect("write headers");
+        std::thread::sleep(Duration::from_millis(200));
+        let (net, cal, io) = chain_inputs(100);
+        let busy = diagram_request(&net, &cal, Some(&io)).render_pretty();
+        let busy = format!("{busy}{}", " ".repeat(64 * 1024 - busy.len()));
+        std::thread::scope(|scope| {
+            let admitted = scope.spawn(|| server.exchange("POST", "/v1/diagram", Some(&busy)));
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while stats(&server).in_flight == 0 {
+                assert!(Instant::now() < deadline, "the 64 KiB request never started");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            late.write_all(&vec![b' '; late_len]).expect("write body");
+            let mut raw = String::new();
+            late.read_to_string(&mut raw).expect("read admission verdict");
+            assert!(raw.starts_with("HTTP/1.1 503"), "{raw}");
+            assert!(raw.contains("over memory budget"), "{raw}");
+            assert_eq!(admitted.join().expect("client thread").status, 200);
+        });
+    }
+
+    // All three refusals surface on the mem-rejection counter.
     let scrape = server.exchange("GET", "/metrics", None);
     assert_eq!(scrape.status, 200);
     let (series, types) = parse_exposition(&scrape.body);
@@ -809,6 +844,18 @@ fn memory_budget_rejects_over_budget_submissions_and_recovers() {
         series.get("netart_serve_mem_rejections_total").copied().unwrap_or(0) >= 2,
         "rejections counted: {series:?}"
     );
+    // ... and each is a request of its own: a sample of the request
+    // counter and one access-log line.
+    assert_eq!(
+        series.get("netart_serve_mem_rejections_total"),
+        series.get("netart_serve_requests_total{outcome=\"mem_reject\"}"),
+        "{series:?}"
+    );
+    let logged = std::fs::read_to_string(&log).expect("access log written");
+    let refused: Vec<&str> =
+        logged.lines().filter(|l| l.contains("\"outcome\":\"mem_reject\"")).collect();
+    assert_eq!(refused.len(), 3, "{logged}");
+    assert!(refused.iter().all(|l| l.contains("\"http_status\":503")), "{logged}");
 
     // The lease died with the refused requests: fresh in-budget work
     // still computes.

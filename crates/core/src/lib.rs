@@ -95,9 +95,9 @@ pub use netart_place::PlaceConfig as Placing;
 pub use netart_route::RouteConfig as Routing;
 
 /// A hard failure of the pipeline: the run could not produce a usable
-/// diagram at all. Soft failures — individual nets degraded or lost —
-/// are reported as [`Degradation`]s on a successful [`Outcome`]
-/// instead.
+/// diagram at all. Soft failures are reported on a successful
+/// [`Outcome`] instead: a phase that recovered as a [`Degradation`], a
+/// net salvaged or lost in its [`route::NetRouteStats`] record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PipelineError {
     /// The placement handed to [`Generator::route_only`] leaves modules
@@ -123,8 +123,9 @@ impl std::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// A soft failure recorded on an [`Outcome`]: the run finished, but
-/// some part of the result is degraded relative to a clean run.
+/// A phase of the pipeline that recovered from a panic: the run
+/// finished, but its diagram is degraded relative to a clean run. How
+/// each net ended is the router's record, not a degradation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Degradation {
     /// The placer panicked; a plain fallback grid placement was used
@@ -133,27 +134,13 @@ pub enum Degradation {
     /// The router panicked; the diagram keeps its placement but has no
     /// routes. The payload is the panic message.
     RoutingAborted(String),
-    /// A net needed the salvage cascade. `routed` tells whether the
-    /// salvage produced a real route (rip-up retry or Lee fallback) or
-    /// only a ghost-wire placeholder.
-    NetSalvaged {
-        /// The net that failed its regular routing passes.
-        net: NetId,
-        /// The cascade step that settled it.
-        step: SalvageStep,
-        /// `true` for a real (if suboptimal) route, `false` for a
-        /// ghost wire.
-        routed: bool,
-    },
-    /// A net could not be routed and salvage was disabled, so it has
-    /// neither a route nor a ghost wire.
-    NetUnrouted(NetId),
 }
 
 /// Everything a generator run produces: the finished diagram, the
 /// routing report, the phase timings (the quantities of the paper's
-/// table 6.1), and any [`Degradation`]s the run had to accept. The
-/// run's metrics are derived from these in [`Outcome::run_report`].
+/// table 6.1), and any phase [`Degradation`]s the run had to accept.
+/// The run's metrics and its degradations are derived from these in
+/// [`Outcome::run_report`].
 #[derive(Debug)]
 pub struct Outcome {
     /// The generated schematic diagram.
@@ -164,8 +151,7 @@ pub struct Outcome {
     pub place_time: Duration,
     /// Wall-clock time of the routing phase.
     pub route_time: Duration,
-    /// Everything that went wrong without stopping the run, in the
-    /// order it happened. Empty on a clean run.
+    /// The phases that recovered from a panic, in the order they ran.
     pub degradations: Vec<Degradation>,
 }
 
@@ -174,11 +160,15 @@ impl Outcome {
     /// by the regular passes and no phase misbehaved.
     pub fn is_clean(&self) -> bool {
         self.degradations.is_empty()
+            && self.report.salvaged.is_empty()
+            && self.report.failed.is_empty()
     }
 
     /// Freezes the run into its machine-readable [`RunReport`]:
     /// network size, `place`/`route` phase timings, per-net router
-    /// effort, per-degradation context, §4.4 quality metrics and the
+    /// effort, the run's degradations (each phase recovery, then each
+    /// salvaged net in salvage order, then each net left failed without
+    /// salvage in net-id order), §4.4 quality metrics and the
     /// run's [`MetricsSnapshot`], all derived here with one
     /// [`Diagram::metrics`] call. Callers (the CLIs, the bench harness)
     /// may add their own phases around the pipeline's with
@@ -191,6 +181,7 @@ impl Outcome {
     /// caller that needs them too and has measured them already.
     pub fn run_report_with(&self, tool: &str, q: &DiagramMetrics) -> RunReport {
         let network = self.diagram.network();
+        let degradations = self.degradation_reports();
         let mut report = RunReport {
             tool: tool.to_owned(),
             network: NetworkReport {
@@ -208,8 +199,9 @@ impl Outcome {
                 bounding_area: q.bounding_area,
                 completion: q.completion(),
             },
-            metrics: self.metrics(q),
+            metrics: self.metrics(q, degradations.len()),
             is_clean: self.is_clean(),
+            degradations,
             ..RunReport::default()
         };
         if self.place_time > Duration::ZERO {
@@ -228,20 +220,18 @@ impl Outcome {
                 ripup_victims: s.ripup_victims,
             });
         }
-        for d in &self.degradations {
-            report.degradations.push(self.degradation_report(d));
-        }
         report.attach_phase_quantiles();
         report
     }
 
-    /// The run's metrics, derived from the outcome and its quality
-    /// metrics `q`. Counters get only deterministic quantities; the
-    /// wall-clock phase times go into histograms.
-    fn metrics(&self, q: &DiagramMetrics) -> MetricsSnapshot {
+    /// The run's metrics, derived from the outcome, its quality metrics
+    /// `q` and its count of `degradations`. Counters get only
+    /// deterministic quantities; the wall-clock phase times go into
+    /// histograms.
+    fn metrics(&self, q: &DiagramMetrics, degradations: usize) -> MetricsSnapshot {
         let report = &self.report;
         let nets = || report.net_stats.iter();
-        let salvaged = |step| report.salvaged.iter().filter(|s| s.step == step).count() as u64;
+        let salvaged = |step| nets().filter(|s| s.salvage == Some(step)).count() as u64;
         let degraded = |is: fn(&Degradation) -> bool| {
             self.degradations.iter().filter(|d| is(d)).count() as u64
         };
@@ -256,7 +246,7 @@ impl Outcome {
             ("route.ripup_victims", nets().map(|s| u64::from(s.ripup_victims)).sum()),
             ("route.ghost_wires", salvaged(SalvageStep::GhostWire)),
             ("route.lee_fallbacks", salvaged(SalvageStep::LeeFallback)),
-            ("degradations", self.degradations.len() as u64),
+            ("degradations", degradations as u64),
             ("place.fallback", degraded(|d| matches!(d, Degradation::PlacementRecovered(_)))),
             ("route.aborted", degraded(|d| matches!(d, Degradation::RoutingAborted(_)))),
             ("quality.routed_nets", q.routed_nets as u64),
@@ -278,53 +268,42 @@ impl Outcome {
         metrics
     }
 
-    /// One degradation with the context the report schema wants: the
-    /// net's name and, where the router recorded them, the budget state
-    /// and search effort at the point of failure.
-    fn degradation_report(&self, d: &Degradation) -> DegradationReport {
-        let network = self.diagram.network();
-        let stats_of = |net: NetId| self.report.net_stats.iter().find(|s| s.net == net);
-        match d {
-            Degradation::PlacementRecovered(msg) => DegradationReport {
-                kind: "placement_recovered".into(),
-                net: None,
-                stage: None,
-                routed: None,
-                over_budget: None,
-                nodes_expanded: None,
-                detail: Some(msg.clone()),
-            },
-            Degradation::RoutingAborted(msg) => DegradationReport {
-                kind: "routing_aborted".into(),
-                net: None,
-                stage: None,
-                routed: None,
-                over_budget: None,
-                nodes_expanded: None,
-                detail: Some(msg.clone()),
-            },
-            Degradation::NetSalvaged { net, step, routed } => {
-                let record = self.report.salvaged.iter().find(|s| s.net == *net);
-                DegradationReport {
-                    kind: "net_salvaged".into(),
-                    net: Some(network.net(*net).name().to_owned()),
-                    stage: Some(step.as_str().to_owned()),
-                    routed: Some(*routed),
-                    over_budget: record.map(|r| r.over_budget),
-                    nodes_expanded: stats_of(*net).map(|s| s.nodes_expanded),
-                    detail: None,
-                }
-            }
-            Degradation::NetUnrouted(net) => DegradationReport {
-                kind: "net_unrouted".into(),
-                net: Some(network.net(*net).name().to_owned()),
-                stage: None,
-                routed: Some(false),
-                over_budget: stats_of(*net).map(|s| s.over_budget),
-                nodes_expanded: stats_of(*net).map(|s| s.nodes_expanded),
+    /// The run's degradations with the context the report schema
+    /// wants: each phase recovery with its panic message, then each
+    /// salvaged net and each net left failed without salvage, with the
+    /// budget state and search effort of its record. A routing panic
+    /// leaves no records, so its nets report null effort.
+    fn degradation_reports(&self) -> Vec<DegradationReport> {
+        let report = &self.report;
+        let phase = |kind: &str, msg: &String| DegradationReport {
+            kind: kind.into(),
+            net: None,
+            stage: None,
+            routed: None,
+            over_budget: None,
+            nodes_expanded: None,
+            detail: Some(msg.clone()),
+        };
+        let net = |kind: &str, n: NetId| {
+            let stats = report.net_stats.get(n.index());
+            DegradationReport {
+                kind: kind.into(),
+                net: Some(self.diagram.network().net(n).name().to_owned()),
+                stage: stats.and_then(|s| s.salvage).map(|step| step.as_str().to_owned()),
+                routed: Some(stats.is_some_and(|s| s.routed)),
+                over_budget: stats.map(|s| s.over_budget),
+                nodes_expanded: stats.map(|s| s.nodes_expanded),
                 detail: None,
-            },
-        }
+            }
+        };
+        let phases = self.degradations.iter().map(|d| match d {
+            Degradation::PlacementRecovered(msg) => phase("placement_recovered", msg),
+            Degradation::RoutingAborted(msg) => phase("routing_aborted", msg),
+        });
+        phases
+            .chain(report.salvaged.iter().map(|&n| net("net_salvaged", n)))
+            .chain(unsalvaged(report).map(|n| net("net_unrouted", n)))
+            .collect()
     }
 }
 
@@ -333,31 +312,23 @@ fn duration_ns(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-/// Degradations implied by a routing report: one entry per salvaged
-/// net, one per net that stayed unrouted without even a ghost.
-fn route_degradations(network: &Network, report: &RouteReport) -> Vec<Degradation> {
-    let mut out: Vec<Degradation> = report
-        .salvaged
-        .iter()
-        .map(|s| Degradation::NetSalvaged {
-            net: s.net,
-            step: s.step,
-            routed: !matches!(s.step, SalvageStep::GhostWire),
-        })
-        .collect();
-    for &n in &report.failed {
-        if !report.salvaged.iter().any(|s| s.net == n) {
-            let stats = report.net_stats.iter().find(|s| s.net == n);
-            warn!(
-                "net unrouted",
-                net = network.net(n).name(),
-                over_budget = stats.is_some_and(|s| s.over_budget),
-                nodes = stats.map_or(0, |s| s.nodes_expanded),
-            );
-            out.push(Degradation::NetUnrouted(n));
-        }
+/// The nets a routing report leaves failed without salvage, in net-id
+/// order: neither a route nor a ghost wire.
+fn unsalvaged(report: &RouteReport) -> impl Iterator<Item = NetId> + '_ {
+    report.failed.iter().copied().filter(|n| !report.salvaged.contains(n))
+}
+
+/// Logs each net a routing report leaves failed without salvage.
+fn warn_unrouted(network: &Network, report: &RouteReport) {
+    for n in unsalvaged(report) {
+        let stats = report.net_stats.get(n.index());
+        warn!(
+            "net unrouted",
+            net = network.net(n).name(),
+            over_budget = stats.is_some_and(|s| s.over_budget),
+            nodes = stats.map_or(0, |s| s.nodes_expanded),
+        );
     }
-    out
 }
 
 /// The placement of last resort: every unplaced module on a plain grid
@@ -527,12 +498,13 @@ impl Generator {
             }
         };
         let route_time = t1.elapsed();
-        degradations.extend(route_degradations(diagram.network(), &report));
+        warn_unrouted(diagram.network(), &report);
         info!(
             "pipeline finished",
             routed = report.routed.len() as u64,
             failed = report.failed.len() as u64,
-            degradations = degradations.len() as u64,
+            degradations =
+                (degradations.len() + report.salvaged.len() + unsalvaged(&report).count()) as u64,
         );
 
         Outcome {
@@ -591,13 +563,13 @@ impl Generator {
             .map_err(|payload| PipelineError::RoutingPanicked(panic_message(payload.as_ref())))?
         };
         let route_time = t1.elapsed();
-        let degradations = route_degradations(diagram.network(), &report);
+        warn_unrouted(diagram.network(), &report);
         Ok(Outcome {
             diagram,
             report,
             place_time: Duration::ZERO,
             route_time,
-            degradations,
+            degradations: Vec::new(),
         })
     }
 }
@@ -670,25 +642,48 @@ mod tests {
     fn salvaged_nets_surface_as_degradations() {
         let net = network();
         assert!(net.nets().count() >= 3, "test needs three nets");
-        let report = RouteReport {
-            routed: vec![NetId::from_index(0)],
-            failed: vec![NetId::from_index(1), NetId::from_index(2)],
-            salvaged: vec![netart_route::SalvageRecord {
-                net: NetId::from_index(1),
-                step: SalvageStep::GhostWire,
-                over_budget: true,
-                nodes_spent: 12,
-                ripup_victims: 0,
-            }],
-            net_stats: Vec::new(),
+        let [n0, n1, n2] = [0, 1, 2].map(NetId::from_index);
+        let stats = |net, routed, salvage| netart_route::NetRouteStats {
+            net,
+            routed,
+            prerouted: false,
+            nodes_expanded: 12,
+            over_budget: true,
+            retried: true,
+            salvage,
+            ripup_victims: 0,
+            search_bbox: None,
         };
-        let degradations = route_degradations(&net, &report);
-        assert_eq!(degradations.len(), 2);
-        assert!(matches!(
-            degradations[0],
-            Degradation::NetSalvaged { step: SalvageStep::GhostWire, routed: false, .. }
-        ));
-        assert!(matches!(degradations[1], Degradation::NetUnrouted(n) if n.index() == 2));
+        let outcome = Outcome {
+            diagram: Diagram::new(net.clone(), Placement::new(&net)),
+            report: RouteReport {
+                routed: vec![n0],
+                failed: vec![n1, n2],
+                salvaged: vec![n1],
+                net_stats: vec![
+                    stats(n0, true, None),
+                    stats(n1, false, Some(SalvageStep::GhostWire)),
+                    stats(n2, false, None),
+                ],
+            },
+            place_time: Duration::ZERO,
+            route_time: Duration::ZERO,
+            degradations: vec![Degradation::PlacementRecovered("boom".into())],
+        };
+        assert!(!outcome.is_clean());
+        let run = outcome.run_report_with("t", &DiagramMetrics::default());
+        let kinds: Vec<&str> = run.degradations.iter().map(|d| d.kind.as_str()).collect();
+        assert_eq!(kinds, ["placement_recovered", "net_salvaged", "net_unrouted"]);
+        assert_eq!(run.metrics.counters["degradations"], 3);
+        let (salvaged, unrouted) = (&run.degradations[1], &run.degradations[2]);
+        assert_eq!(salvaged.net.as_deref(), Some(net.net(n1).name()));
+        assert_eq!(salvaged.stage.as_deref(), Some("ghost_wire"));
+        assert_eq!(
+            (salvaged.routed, salvaged.over_budget, salvaged.nodes_expanded),
+            (Some(false), Some(true), Some(12))
+        );
+        assert_eq!(unrouted.net.as_deref(), Some(net.net(n2).name()));
+        assert_eq!(unrouted.stage, None);
     }
 
     #[test]

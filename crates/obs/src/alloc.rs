@@ -5,10 +5,10 @@
 //! wrapper around the system allocator attributes every allocation to
 //! the pipeline phase that is *current* on the allocating thread. The
 //! current phase is a `const`-initialized thread-local tag, set
-//! either by the [`PhaseTagSubscriber`] when the existing
-//! `netart.place`/`netart.route` (and pass-level) spans are entered
-//! and closed, or directly by the CLI around its own parse/emit
-//! sections via [`enter_phase`]. The allocator itself touches only
+//! either by the `PhaseTagSubscriber` (a feature-only type) when the
+//! existing `netart.place`/`netart.route` (and pass-level) spans are
+//! entered and closed, or directly by the CLI around its own
+//! parse/emit sections via [`enter_phase`]. The allocator itself touches only
 //! that tag and a handful of relaxed atomics — no allocation, no
 //! locks — so the profiled binary stays usable for timing work too.
 //!

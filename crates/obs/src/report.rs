@@ -84,7 +84,7 @@ json_record! {
     pub struct DegradationReport {
         /// Kind: `placement_recovered`, `routing_aborted`, `net_salvaged`,
         /// `net_unrouted`, `doctor_repair`, `parse_recovered`,
-        /// `emit_retried`.
+        /// `emit_retried`, `deadline_cancelled`, `flight_dump_failed`.
         pub kind: String,
         /// The net involved, for per-net kinds.
         pub net: Option<String>,

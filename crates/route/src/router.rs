@@ -41,23 +41,6 @@ pub enum SalvageStep {
     GhostWire,
 }
 
-/// Record of one net that went through the salvage cascade.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SalvageRecord {
-    /// The net that the main passes could not route.
-    pub net: NetId,
-    /// The step that finally handled it.
-    pub step: SalvageStep,
-    /// `true` when the original failure was a budget breach rather
-    /// than an exhausted search.
-    pub over_budget: bool,
-    /// Search nodes the cascade itself expanded for this net (escalated
-    /// retries, victim reroutes and the Lee fallback combined).
-    pub nodes_spent: u64,
-    /// Routed nets ripped up while trying to make room.
-    pub ripup_victims: u32,
-}
-
 impl SalvageStep {
     /// Stable lowercase name, used in reports and events.
     pub fn as_str(&self) -> &'static str {
@@ -140,23 +123,10 @@ pub struct RouteReport {
     /// example 3. With salvage enabled these nets carry a ghost wire.
     pub failed: Vec<NetId>,
     /// Nets that needed the salvage cascade, in the order they were
-    /// salvaged, and how each one ended.
-    pub salvaged: Vec<SalvageRecord>,
+    /// salvaged; how each one ended is its [`NetRouteStats`] record.
+    pub salvaged: Vec<NetId>,
     /// Per-net effort counters, in net-id order.
     pub net_stats: Vec<NetRouteStats>,
-}
-
-impl RouteReport {
-    /// Fraction of attempted nets that were routed; `1.0` when nothing
-    /// was attempted.
-    pub fn completion(&self) -> f64 {
-        let total = self.routed.len() + self.failed.len();
-        if total == 0 {
-            1.0
-        } else {
-            self.routed.len() as f64 / total as f64
-        }
-    }
 }
 
 /// The routing phase of the generator: the `eureka` program of
@@ -331,7 +301,7 @@ struct Run<'a> {
     border: Rect,
     ws: Workspace,
     stats: Vec<NetRouteStats>,
-    salvaged: Vec<SalvageRecord>,
+    salvaged: Vec<NetId>,
     /// Fault injection (inert unless the `fault-injection` feature is
     /// on): the net the `route.net` site poisoned and how. The poison
     /// persists through the retry pass, so the fault must surface via
@@ -478,21 +448,20 @@ impl<'a> Run<'a> {
             }
             let net_span = span!(Level::DEBUG, "eureka.salvage", net = self.network.net(n).name());
             let _guard = net_span.enter();
-            let salvaged = self.salvage_net(n);
+            let before = self.stats[n.index()].nodes_expanded;
+            let step = self.salvage_net(n);
+            let record = &mut self.stats[n.index()];
+            record.salvage = Some(step);
+            record.routed = step != SalvageStep::GhostWire;
             warn!(
                 "net salvaged",
                 net = self.network.net(n).name(),
-                step = salvaged.step.as_str(),
-                over_budget = salvaged.over_budget,
-                nodes = salvaged.nodes_spent,
-                victims = salvaged.ripup_victims,
+                step = step.as_str(),
+                over_budget = record.over_budget,
+                nodes = record.nodes_expanded - before,
+                victims = record.ripup_victims,
             );
-            self.salvaged.push(salvaged);
-            let record = &mut self.stats[n.index()];
-            record.nodes_expanded += salvaged.nodes_spent;
-            record.salvage = Some(salvaged.step);
-            record.ripup_victims = salvaged.ripup_victims;
-            record.routed = salvaged.step != SalvageStep::GhostWire;
+            self.salvaged.push(n);
         }
     }
 
@@ -735,17 +704,14 @@ impl<'a> Run<'a> {
     /// escalated-budget retry, then the Lee fallback, then emits a
     /// ghost wire. Rip-up is all-or-nothing: if the net or any victim
     /// cannot be rerouted, every route is restored before moving on.
-    fn salvage_net(&mut self, net: NetId) -> SalvageRecord {
+    /// Returns the step that settled the net; the nodes the cascade
+    /// expands (escalated retries, victim reroutes and the Lee fallback
+    /// combined) and the victims it picks go on the net's record.
+    fn salvage_net(&mut self, net: NetId) -> SalvageStep {
         let over_budget = self.stats[net.index()].over_budget;
         let escalated = self.router.config.budget.scaled(ESCALATION_FACTOR);
         let victims = self.pick_victims(net);
-        let mut record = SalvageRecord {
-            net,
-            step: SalvageStep::GhostWire,
-            over_budget,
-            nodes_spent: 0,
-            ripup_victims: victims.len() as u32,
-        };
+        self.stats[net.index()].ripup_victims = victims.len() as u32;
         // Fault sites for the two salvage stages (inert by default):
         // see `fault_budget`; a `panic` unwinds to the phase boundary
         // in the core generator.
@@ -771,15 +737,14 @@ impl<'a> Run<'a> {
                 if ok {
                     let mut meter = self.router.meter(budget);
                     ok = self.route_net(n, &mut meter, &mut None, false);
-                    record.nodes_spent += meter.spent();
+                    self.stats[net.index()].nodes_expanded += meter.spent();
                 }
                 if !ok {
                     break;
                 }
             }
             if ok {
-                record.step = SalvageStep::RipUpRetry;
-                return record;
+                return SalvageStep::RipUpRetry;
             }
             // Roll back: drop whatever the retry added, restore the
             // net's own prior (pre)route and every victim.
@@ -803,10 +768,9 @@ impl<'a> Run<'a> {
         // another escalated maze search.
         if let Some(budget) = lee_budget.filter(|_| !self.router.cancelled()) {
             let (ok, nodes) = self.lee_fallback(net, budget);
-            record.nodes_spent += nodes;
+            self.stats[net.index()].nodes_expanded += nodes;
             if ok {
-                record.step = SalvageStep::LeeFallback;
-                return record;
+                return SalvageStep::LeeFallback;
             }
         }
 
@@ -818,7 +782,7 @@ impl<'a> Run<'a> {
             .map(|(&(first, _), rest)| rest.iter().map(|&(p, _)| (first, p)).collect())
             .unwrap_or_default();
         self.diagram.set_ghost(net, GhostWire { lines });
-        record
+        SalvageStep::GhostWire
     }
 
     /// Routes a failed net with the Lee maze router, pin pair by pin
@@ -965,7 +929,7 @@ mod tests {
         let report = Eureka::new(RouteConfig::default()).route(&mut d);
         assert!(report.failed.is_empty());
         assert_eq!(report.routed, vec![n]);
-        assert_eq!(report.completion(), 1.0);
+        assert!(report.net_stats[n.index()].routed && report.salvaged.is_empty());
         let path = d.route(n).unwrap();
         assert_eq!(path.bends(), 0, "{:?}", path.segments());
         assert!(d.check().is_ok(), "{}", d.check());
@@ -1428,9 +1392,8 @@ mod tests {
         let (mut d, n) = enclosed_pin();
         let report = Eureka::new(RouteConfig::default()).route(&mut d);
         assert_eq!(report.failed, vec![n]);
-        assert_eq!(report.salvaged.len(), 1);
-        assert_eq!(report.salvaged[0].step, SalvageStep::GhostWire);
-        assert!(report.salvaged[0].net == n);
+        assert_eq!(report.salvaged, vec![n]);
+        assert_eq!(report.net_stats[n.index()].salvage, Some(SalvageStep::GhostWire));
         let ghost = d.ghost(n).expect("ghost wire recorded");
         assert_eq!(ghost.lines, vec![(Point::new(4, 11), Point::new(20, 11))]);
         assert!(d.route(n).is_none(), "ghosted net must not carry wires");
@@ -1542,15 +1505,34 @@ mod tests {
         pre
     }
 
-    /// Everything a routing run returns, as text.
-    fn outcome(d: &Diagram, report: &RouteReport) -> String {
+    /// Everything a routing run returns, as text. Each salvaged net
+    /// prints as one cascade record: its step, budget state and
+    /// victims, and the nodes the cascade alone spent on it, its count
+    /// less the one in `pre_salvage` (the same run without the cascade,
+    /// which runs last).
+    fn outcome(d: &Diagram, report: &RouteReport, pre_salvage: &[NetRouteStats]) -> String {
+        let salvaged: Vec<String> = report
+            .salvaged
+            .iter()
+            .map(|&n| {
+                let s = report.net_stats[n.index()];
+                format!(
+                    "SalvageRecord {{ net: {n:?}, step: {:?}, over_budget: {}, nodes_spent: {}, \
+                     ripup_victims: {} }}",
+                    s.salvage.expect("salvaged net has a step"),
+                    s.over_budget,
+                    s.nodes_expanded - pre_salvage[n.index()].nodes_expanded,
+                    s.ripup_victims,
+                )
+            })
+            .collect();
         format!(
-            "{}{}{:?} {:?} {:?}\n{:?}",
+            "{}{}{:?} {:?} [{}]\n{:?}",
             netart_diagram::escher::write_diagram("d", d),
             netart_diagram::svg::render(d),
             report.routed,
             report.failed,
-            report.salvaged,
+            salvaged.join(", "),
             report.net_stats,
         )
     }
@@ -1636,18 +1618,22 @@ mod tests {
         for (name, config, _) in &grid {
             for (shuffle, digests) in [(None, &mut digests), (Some(0x5eed), &mut shuffled)] {
                 let router = Eureka { shuffle, ..Eureka::new(config.clone()) };
+                let bare = Eureka { shuffle, ..Eureka::new(config.clone().without_salvage()) };
                 let mut digest = 0xcbf2_9ce4_8422_2325;
                 for mut d in golden_diagrams() {
+                    let pre_salvage = bare.route(&mut d.clone()).net_stats;
                     let report = router.route(&mut d);
-                    for s in &report.salvaged {
-                        steps.push(s.step);
-                        rolled_back |= s.ripup_victims > 0 && s.step != SalvageStep::RipUpRetry;
+                    for s in &report.net_stats {
+                        if let Some(step) = s.salvage {
+                            steps.push(step);
+                            rolled_back |= s.ripup_victims > 0 && step != SalvageStep::RipUpRetry;
+                        }
                     }
                     retried |= report
                         .net_stats
                         .iter()
                         .any(|s| s.retried && s.routed && s.salvage.is_none());
-                    digest = fnv1a(digest, &outcome(&d, &report));
+                    digest = fnv1a(digest, &outcome(&d, &report, &pre_salvage));
                 }
                 digests.push((*name, digest));
             }
@@ -1708,7 +1694,9 @@ mod tests {
             let runs = [false, true].map(|old_bookkeeping| {
                 let mut d = diagram.clone();
                 let report = Eureka { old_bookkeeping, ..Eureka::new(config.clone()) }.route(&mut d);
-                outcome(&d, &report)
+                // Both sides print the cascade's nodes as zero; their
+                // totals are in `net_stats`.
+                outcome(&d, &report, &report.net_stats)
             });
             prop_assert_eq!(&runs[0], &runs[1]);
         }

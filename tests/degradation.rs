@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use netart::route::{Budget, SalvageStep};
-use netart::{Degradation, Generator, Routing};
+use netart::{Generator, Routing};
 use netart_workloads::{random_network, string_chain, RandomSpec};
 
 /// Every net must end the run either routed or carrying a ghost wire,
@@ -19,16 +19,16 @@ fn assert_degraded_but_sound(outcome: &netart::Outcome) {
     }
     let check = outcome.diagram.check();
     assert!(check.is_ok(), "routed subset must stay sound: {check}");
-    // The report and the degradation list agree.
+    // The report and the run report's degradations agree.
     let report = &outcome.report;
-    for record in &report.salvaged {
+    let degradations = outcome.run_report("t").degradations;
+    for &n in &report.salvaged {
+        let name = outcome.diagram.network().net(n).name();
         assert!(
-            outcome.degradations.iter().any(|d| matches!(
-                d,
-                Degradation::NetSalvaged { net, .. } if *net == record.net
-            )),
-            "salvage record for {:?} missing from degradations",
-            record.net
+            degradations
+                .iter()
+                .any(|d| d.kind == "net_salvaged" && d.net.as_deref() == Some(name)),
+            "salvaged net {n:?} missing from degradations"
         );
     }
     for &n in &report.failed {
@@ -54,7 +54,7 @@ fn tight_budget_on_congested_network_degrades_gracefully() {
     // A 6-node budget cannot route a congested network cleanly: the
     // salvage cascade must have fired, and every fallback is recorded.
     assert!(
-        !outcome.degradations.is_empty(),
+        !outcome.run_report("t").degradations.is_empty(),
         "expected degradations under a 6-node budget, report: {:?}",
         outcome.report
     );
@@ -89,23 +89,24 @@ fn salvage_steps_are_reported_in_cascade_order() {
     let outcome = Generator::strings()
         .with_routing(Routing::new().with_budget(Budget::new().with_node_limit(6)))
         .generate(network);
-    for record in &outcome.report.salvaged {
-        match record.step {
+    for &n in &outcome.report.salvaged {
+        let record = outcome.report.net_stats[n.index()];
+        match record.salvage.expect("a salvaged net records its step") {
             // A rip-up or Lee salvage means the net really routed.
             SalvageStep::RipUpRetry | SalvageStep::LeeFallback => {
                 assert!(
-                    outcome.diagram.route(record.net).is_some(),
+                    outcome.diagram.route(n).is_some(),
                     "{record:?} claims a route that does not exist"
                 );
-                assert!(outcome.report.routed.contains(&record.net));
+                assert!(outcome.report.routed.contains(&n));
             }
             SalvageStep::GhostWire => {
-                assert!(outcome.diagram.route(record.net).is_none());
+                assert!(outcome.diagram.route(n).is_none());
                 assert!(
-                    outcome.diagram.ghost(record.net).is_some(),
+                    outcome.diagram.ghost(n).is_some(),
                     "{record:?} claims a ghost that does not exist"
                 );
-                assert!(outcome.report.failed.contains(&record.net));
+                assert!(outcome.report.failed.contains(&n));
             }
         }
     }
@@ -122,15 +123,16 @@ fn disabling_salvage_leaves_failures_bare() {
         )
         .generate(network);
     assert!(outcome.report.salvaged.is_empty());
+    let degradations = outcome.run_report("t").degradations;
     for &n in &outcome.report.failed {
         assert!(
             outcome.diagram.ghost(n).is_none(),
             "no ghosts without salvage"
         );
-        assert!(outcome
-            .degradations
+        let name = outcome.diagram.network().net(n).name();
+        assert!(degradations
             .iter()
-            .any(|d| matches!(d, Degradation::NetUnrouted(m) if *m == n)));
+            .any(|d| d.kind == "net_unrouted" && d.net.as_deref() == Some(name)));
     }
 }
 
