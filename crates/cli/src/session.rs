@@ -18,6 +18,7 @@ use netart::obs::{
     DegradationReport, FanoutSubscriber, JsonLinesSubscriber, TextSubscriber, TraceBuffer,
     TraceEventSubscriber,
 };
+use netart::route::SalvageStep;
 use netart_govern::MemBudget;
 
 use crate::commands::{parse_bytes, write, CliError};
@@ -151,19 +152,22 @@ pub(crate) fn push_warnings(message: &mut String, degs: &[DegradationReport]) {
 fn warning(d: &DegradationReport) -> String {
     let detail = d.detail.as_deref().unwrap_or(&d.kind);
     let net = d.net.as_deref().unwrap_or_default();
-    match (d.kind.as_str(), d.stage.as_deref()) {
-        ("placement_recovered", _) => {
+    let step = |step: SalvageStep| d.stage.as_deref() == Some(step.as_str());
+    match d.kind.as_str() {
+        "placement_recovered" => {
             format!("placer crashed ({detail}); used a fallback grid placement")
         }
-        ("routing_aborted", _) => format!("router crashed ({detail}); diagram has no wires"),
-        ("net_salvaged", Some("rip_up_retry")) => {
+        "routing_aborted" => format!("router crashed ({detail}); diagram has no wires"),
+        "net_salvaged" if step(SalvageStep::RipUpRetry) => {
             format!("net `{net}` salvaged by rip-up and retry")
         }
-        ("net_salvaged", Some("lee_fallback")) => {
+        "net_salvaged" if step(SalvageStep::LeeFallback) => {
             format!("net `{net}` salvaged by the Lee fallback router")
         }
-        ("net_salvaged", _) => format!("net `{net}` unroutable; drawn as a ghost wire"),
-        ("net_unrouted", _) => format!("net `{net}` is unroutable"),
+        "net_salvaged" if step(SalvageStep::GhostWire) => {
+            format!("net `{net}` unroutable; drawn as a ghost wire")
+        }
+        "net_unrouted" => format!("net `{net}` is unroutable"),
         _ => detail.to_owned(),
     }
 }
@@ -407,6 +411,8 @@ mod tests {
             (salvaged("rip_up_retry"), "net `clk` salvaged by rip-up and retry"),
             (salvaged("lee_fallback"), "net `clk` salvaged by the Lee fallback router"),
             (salvaged("ghost_wire"), "net `clk` unroutable; drawn as a ghost wire"),
+            // A step this formatter does not know prints as its kind.
+            (salvaged("unknown"), "net_salvaged"),
             (deg("net_unrouted", Some("clk"), None, None), "net `clk` is unroutable"),
             (
                 deg("doctor_repair", None, Some("ND004"), Some("design.net: ND004 fixed")),

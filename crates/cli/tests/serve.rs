@@ -803,24 +803,31 @@ fn memory_budget_rejects_over_budget_submissions_and_recovers() {
 
     // A body that fit the room when its connection opened, but whose
     // lease loses the race to a request admitted meanwhile: `late`
-    // declares 80 KiB against a free 128 KiB budget, then a 64 KiB
+    // declares 112 KiB against a free 128 KiB budget, then a 24 KiB
     // request is admitted and computes while `late` sends its body.
+    // Routing the admitted chain of 200 takes over half a second even
+    // in a release build (seconds in a debug one, cut at its 2 s
+    // deadline), so it holds its lease far past `late`'s admission.
     {
         let mut late = std::net::TcpStream::connect(&server.addr).expect("connect");
-        let late_len = 80 * 1024;
+        let late_len = 112 * 1024;
         let head = format!(
             "POST /v1/diagram HTTP/1.1\r\nHost: netart\r\nContent-Length: {late_len}\r\n\r\n"
         );
         late.write_all(head.as_bytes()).expect("write headers");
         std::thread::sleep(Duration::from_millis(200));
-        let (net, cal, io) = chain_inputs(100);
-        let busy = diagram_request(&net, &cal, Some(&io)).render_pretty();
-        let busy = format!("{busy}{}", " ".repeat(64 * 1024 - busy.len()));
+        let (net, cal, io) = chain_inputs(200);
+        let busy = diagram_request(&net, &cal, Some(&io))
+            .with("options", Json::obj().with("timeout_ms", 2000u64))
+            .render_pretty();
+        let busy = format!("{busy}{}", " ".repeat(24 * 1024 - busy.len()));
         std::thread::scope(|scope| {
             let admitted = scope.spawn(|| server.exchange("POST", "/v1/diagram", Some(&busy)));
-            let deadline = Instant::now() + Duration::from_secs(20);
             while stats(&server).in_flight == 0 {
-                assert!(Instant::now() < deadline, "the 64 KiB request never started");
+                if admitted.is_finished() {
+                    let r = admitted.join().expect("client thread");
+                    panic!("the 24 KiB request ended unseen: {} {}", r.status, r.body);
+                }
                 std::thread::sleep(Duration::from_millis(5));
             }
             late.write_all(&vec![b' '; late_len]).expect("write body");

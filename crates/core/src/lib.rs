@@ -159,9 +159,12 @@ impl Outcome {
     /// `true` when the run needed no fallbacks at all: every net routed
     /// by the regular passes and no phase misbehaved.
     pub fn is_clean(&self) -> bool {
-        self.degradations.is_empty()
-            && self.report.salvaged.is_empty()
-            && self.report.failed.is_empty()
+        self.degradation_count() == 0
+    }
+
+    /// How many entries the run report's degradations list holds.
+    fn degradation_count(&self) -> usize {
+        self.degradations.len() + net_verdicts(&self.report).count()
     }
 
     /// Freezes the run into its machine-readable [`RunReport`]:
@@ -199,7 +202,7 @@ impl Outcome {
                 bounding_area: q.bounding_area,
                 completion: q.completion(),
             },
-            metrics: self.metrics(q, degradations.len()),
+            metrics: self.metrics(q),
             is_clean: self.is_clean(),
             degradations,
             ..RunReport::default()
@@ -224,11 +227,10 @@ impl Outcome {
         report
     }
 
-    /// The run's metrics, derived from the outcome, its quality metrics
-    /// `q` and its count of `degradations`. Counters get only
-    /// deterministic quantities; the wall-clock phase times go into
-    /// histograms.
-    fn metrics(&self, q: &DiagramMetrics, degradations: usize) -> MetricsSnapshot {
+    /// The run's metrics, derived from the outcome and its quality
+    /// metrics `q`. Counters get only deterministic quantities; the
+    /// wall-clock phase times go into histograms.
+    fn metrics(&self, q: &DiagramMetrics) -> MetricsSnapshot {
         let report = &self.report;
         let nets = || report.net_stats.iter();
         let salvaged = |step| nets().filter(|s| s.salvage == Some(step)).count() as u64;
@@ -246,7 +248,7 @@ impl Outcome {
             ("route.ripup_victims", nets().map(|s| u64::from(s.ripup_victims)).sum()),
             ("route.ghost_wires", salvaged(SalvageStep::GhostWire)),
             ("route.lee_fallbacks", salvaged(SalvageStep::LeeFallback)),
-            ("degradations", degradations as u64),
+            ("degradations", self.degradation_count() as u64),
             ("place.fallback", degraded(|d| matches!(d, Degradation::PlacementRecovered(_)))),
             ("route.aborted", degraded(|d| matches!(d, Degradation::RoutingAborted(_)))),
             ("quality.routed_nets", q.routed_nets as u64),
@@ -300,16 +302,21 @@ impl Outcome {
             Degradation::PlacementRecovered(msg) => phase("placement_recovered", msg),
             Degradation::RoutingAborted(msg) => phase("routing_aborted", msg),
         });
-        phases
-            .chain(report.salvaged.iter().map(|&n| net("net_salvaged", n)))
-            .chain(unsalvaged(report).map(|n| net("net_unrouted", n)))
-            .collect()
+        phases.chain(net_verdicts(report).map(|(kind, n)| net(kind, n))).collect()
     }
 }
 
 /// Nanoseconds of a duration, saturating at `u64::MAX`.
 fn duration_ns(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
+}
+
+/// The run report's degradation kind of each net that did not route
+/// cleanly: each salvaged net in salvage order, then each net left
+/// failed without salvage.
+fn net_verdicts(report: &RouteReport) -> impl Iterator<Item = (&'static str, NetId)> + '_ {
+    let salvaged = report.salvaged.iter().map(|&n| ("net_salvaged", n));
+    salvaged.chain(unsalvaged(report).map(|n| ("net_unrouted", n)))
 }
 
 /// The nets a routing report leaves failed without salvage, in net-id
@@ -499,21 +506,20 @@ impl Generator {
         };
         let route_time = t1.elapsed();
         warn_unrouted(diagram.network(), &report);
-        info!(
-            "pipeline finished",
-            routed = report.routed.len() as u64,
-            failed = report.failed.len() as u64,
-            degradations =
-                (degradations.len() + report.salvaged.len() + unsalvaged(&report).count()) as u64,
-        );
-
-        Outcome {
+        let outcome = Outcome {
             diagram,
             report,
             place_time,
             route_time,
             degradations,
-        }
+        };
+        info!(
+            "pipeline finished",
+            routed = outcome.report.routed.len() as u64,
+            failed = outcome.report.failed.len() as u64,
+            degradations = outcome.degradation_count() as u64,
+        );
+        outcome
     }
 
     /// Routes an existing placement without running the placer: the
