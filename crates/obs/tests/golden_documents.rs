@@ -262,6 +262,12 @@ stats {"schema_version":0} => unsupported schema_version 0 (this build reads 1)
 profile {"schema_version":1,"kind":"report"} => document kind is not "profile"
 blackbox {"reason":"panic"} => missing schema_version
 run [] => report is not a JSON object
+batch [] => manifest is not a JSON object
+serve [] => serve report is not a JSON object
+stats [] => serve stats is not a JSON object
+blackbox [] => blackbox dump is not a JSON object
+profile [] => profile is not a JSON object
+profile {"schema_version":1} => document kind is not "profile"
 "#;
 
 #[test]
