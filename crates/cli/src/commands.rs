@@ -546,8 +546,12 @@ pub(crate) fn emit_artifacts(
 ) -> Result<Artifacts, CliError> {
     let t_emit = Instant::now();
     let emit_tag = netart::obs::enter_phase("emit");
-    let escher = checked_escher(name, &outcome.diagram, degs)?;
-    let svg = svg::render_with_structure(&outcome.diagram);
+    let mut escher = checked_escher(name, &outcome.diagram, degs)?;
+    let mut svg = svg::render_with_structure(&outcome.diagram);
+    // Both texts grew by doubling; drop the slack, so a cached or
+    // queued artifact holds only its bytes.
+    escher.shrink_to_fit();
+    svg.shrink_to_fit();
     drop(emit_tag);
     let metrics = outcome.diagram.metrics();
     let mut report = outcome.run_report_with(tool, &metrics);

@@ -84,7 +84,7 @@ const READ_TIMEOUT: Duration = Duration::from_secs(10);
 const ACCEPT_TICK: Duration = Duration::from_millis(5);
 
 /// Fixed per-entry overhead charged to the cache budget on top of the
-/// artifact bytes (key, map entry, report structure).
+/// artifact buffers and the key (map entry, report structure).
 const CACHE_ENTRY_OVERHEAD: usize = 512;
 
 /// Diagram requests by final outcome (`outcome` ∈ clean, degraded,
@@ -477,10 +477,17 @@ fn cache_get(state: &ServerState, key: &str) -> Option<Arc<Computed>> {
 /// A `put` that survives an injected `serve.cache` fault: the insert
 /// is skipped, the response already computed is unaffected.
 fn cache_put(state: &ServerState, key: String, computed: &Arc<Computed>) {
-    let report = &computed.report;
-    let bytes = report.escher.len() + report.svg.len() + key.len() + CACHE_ENTRY_OVERHEAD;
+    let bytes = cache_charge(&key, computed);
     let value = Arc::clone(computed);
     netart_fault::survive(netart_fault::sites::SERVE_CACHE, || state.cache.put(key, value, bytes));
+}
+
+/// What a cache entry costs the `--cache-bytes` budget: the buffers its
+/// artifact strings hold, slack included, plus the key and a fixed
+/// overhead.
+fn cache_charge(key: &str, computed: &Computed) -> usize {
+    let report = &computed.report;
+    report.escher.capacity() + report.svg.capacity() + key.len() + CACHE_ENTRY_OVERHEAD
 }
 
 /// Runs a telemetry-recording block under the `serve.telemetry` fault
@@ -1281,6 +1288,28 @@ mod tests {
                 "{fate:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_cache_entry_is_charged_at_least_the_buffers_it_holds() {
+        let outcome = netart::Generator::new().generate(netart_workloads::controller_cluster());
+        let (alloc_base, mut degs) = (AllocSnapshot::capture(), Vec::new());
+        let artifacts =
+            emit_artifacts(&outcome, "netart serve", "t", ("doctor", 0), &alloc_base, &mut degs);
+        let artifacts = artifacts.unwrap();
+        let computed = Computed {
+            fate: Fate::Clean,
+            report: ServeReport {
+                escher: artifacts.escher,
+                svg: artifacts.svg,
+                ..ServeReport::failure("")
+            },
+            deadline_cancelled: false,
+        };
+        let report = &computed.report;
+        let held = report.escher.capacity() + report.svg.capacity();
+        let charge = cache_charge("0123456789abcdef", &computed);
+        assert!(charge >= held, "charged {charge} B for {held} B of artifact buffers");
     }
 
     #[test]

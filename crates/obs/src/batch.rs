@@ -12,7 +12,7 @@
 //! compared byte-for-byte once [`BatchManifest::normalized`] has
 //! stripped the wall-clock quantities.
 
-use crate::json::{expect_schema_version, json_enum, json_record, Json};
+use crate::json::{json_enum, json_record};
 use crate::report::RunReport;
 
 /// Version of the manifest shape. Bump when members are renamed,
@@ -97,7 +97,12 @@ json_record! {
         pub duration_ns: u64,
     }
 
-    document
+    document(
+        version: BATCH_SCHEMA_VERSION,
+        oldest: BATCH_SCHEMA_VERSION,
+        noun: "manifest",
+        then: BatchManifest::recounted,
+    )
     /// Everything one batch run reports, in a stable JSON shape.
     #[derive(Debug, Clone, PartialEq, Default)]
     pub struct BatchManifest {
@@ -154,31 +159,13 @@ impl BatchManifest {
         }
     }
 
-    /// The manifest as a JSON tree.
-    pub fn to_json(&self) -> Json {
-        let mut json = Json::obj().with("schema_version", BATCH_SCHEMA_VERSION);
-        self.write_members(&mut json);
-        json
-    }
-
-    /// The pretty-printed JSON document (what `netart batch
-    /// --report-json` writes).
-    pub fn to_json_string(&self) -> String {
-        self.to_json().render_pretty()
-    }
-
-    /// Reads a manifest back from its [`BatchManifest::to_json`]
-    /// shape, with the same error discipline as
-    /// [`RunReport::from_json`]. The summary counts are recomputed
-    /// from the jobs; only its duration is taken from the document.
-    pub fn from_json(json: &Json) -> Result<BatchManifest, String> {
-        json.as_obj().ok_or("manifest is not a JSON object")?;
-        expect_schema_version(json, BATCH_SCHEMA_VERSION, BATCH_SCHEMA_VERSION)?;
-        let read = Self::read_members(json)?;
+    /// A manifest as read back: the summary counts recomputed from the
+    /// jobs, only its duration taken from the document.
+    fn recounted(read: BatchManifest) -> BatchManifest {
         let mut manifest =
             BatchManifest::new(&read.tool, read.jobs_in_flight, read.drained, read.jobs);
         manifest.summary.duration_ns = read.summary.duration_ns;
-        Ok(manifest)
+        manifest
     }
 
     /// The manifest with every wall-clock quantity zeroed — job and
@@ -200,6 +187,7 @@ impl BatchManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn sample() -> BatchManifest {
         BatchManifest::new(

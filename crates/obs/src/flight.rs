@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use tracing::{Event, Level, SpanRecord, Subscriber};
 
-use crate::json::{expect_schema_version, json_record, Json, JsonField};
+use crate::json::{json_record, Json, JsonField};
 use crate::subscribe::fields_json;
 
 /// Version of the blackbox dump shape. Bump when members are renamed,
@@ -243,7 +243,11 @@ impl Subscriber for FlightRecorder {
 }
 
 json_record! {
-    document
+    document(
+        version: BLACKBOX_SCHEMA_VERSION,
+        oldest: BLACKBOX_SCHEMA_VERSION,
+        noun: "blackbox dump",
+    )
     /// A frozen flight ring: what `blackbox.json` holds.
     #[derive(Debug, Clone, PartialEq)]
     pub struct BlackboxDump {
@@ -266,30 +270,6 @@ json_record! {
 }
 
 impl BlackboxDump {
-    /// The dump as a JSON tree.
-    pub fn to_json(&self) -> Json {
-        let mut json = Json::obj().with("schema_version", BLACKBOX_SCHEMA_VERSION);
-        self.write_members(&mut json);
-        json
-    }
-
-    /// The pretty-printed dump document (what `blackbox.json` holds).
-    pub fn to_json_string(&self) -> String {
-        self.to_json().render_pretty()
-    }
-
-    /// Reads a dump back from its [`BlackboxDump::to_json`] shape.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the problem when the document is not an
-    /// object or carries an unsupported `schema_version`.
-    pub fn from_json(json: &Json) -> Result<BlackboxDump, String> {
-        json.as_obj().ok_or("blackbox dump is not a JSON object")?;
-        expect_schema_version(json, BLACKBOX_SCHEMA_VERSION, BLACKBOX_SCHEMA_VERSION)?;
-        Self::read_members(json)
-    }
-
     /// Renders the dump as a human-readable timeline (what `netart
     /// blackbox <dump>` prints): a header naming trigger and request,
     /// then one aligned line per record, oldest first.

@@ -708,10 +708,76 @@ impl<T: JsonField> JsonField for BTreeMap<String, T> {
 ///
 /// A plain record also implements [`JsonField`] as an object: anything
 /// else reads as absent, and an absent record reads with every member
-/// absent. A struct prefixed with `document` is a top-level schema; its
-/// own public `to_json`/`from_json` add and check `schema_version`.
+/// absent.
+///
+/// A struct prefixed with `document(version: V, oldest: O, noun: "…")`
+/// is a top-level schema with its own codec:
+///
+/// * `to_json` writes `schema_version` (`V`), then `kind` when the
+///   document has one, then the members;
+/// * `to_json_string` is that tree pretty-printed, newline-terminated;
+/// * `from_json` rejects a non-object as `<noun> is not a JSON object`,
+///   reads schema versions `O..=V` only ([`expect_schema_version`]),
+///   checks `kind`, then reads the members;
+/// * its [`JsonField`] impl embeds the document in another one with its
+///   own `schema_version`, and reads it back through `from_json`.
+///
+/// Two optional facts follow the noun: `kind: K` fixes a `kind` member
+/// (a document without it reads as `document kind is not "K"`), and
+/// `then: f` passes what `read_members` returns through `f(Self) ->
+/// Self` (a summary recomputed from the members it summarises).
 macro_rules! json_record {
     () => {};
+    (@document $name:ident (
+        version: $version:expr, oldest: $oldest:expr, noun: $noun:literal
+        $(, kind: $kind:expr)? $(, then: $then:expr)? $(,)?
+    )) => {
+        impl $name {
+            /// The document as a JSON tree: `schema_version`, the fixed
+            /// `kind` if it has one, then its members.
+            pub fn to_json(&self) -> $crate::json::Json {
+                let mut json = $crate::json::Json::obj().with("schema_version", $version);
+                $(json.set("kind", $kind);)?
+                self.write_members(&mut json);
+                json
+            }
+
+            /// The pretty-printed JSON document, newline-terminated.
+            pub fn to_json_string(&self) -> String {
+                self.to_json().render_pretty()
+            }
+
+            #[doc = concat!("Reads the ", $noun, " back from its `to_json` shape.")]
+            ///
+            /// # Errors
+            ///
+            /// A message naming the problem: a non-object document, a
+            /// missing or unsupported `schema_version`, a wrong `kind`,
+            /// or a member that cannot be read.
+            pub fn from_json(json: &$crate::json::Json) -> Result<Self, String> {
+                json.as_obj().ok_or(concat!($noun, " is not a JSON object"))?;
+                $crate::json::expect_schema_version(json, $oldest, $version)?;
+                $(if json.get("kind").and_then($crate::json::Json::as_str) != Some($kind) {
+                    return Err(format!("document kind is not {:?}", $kind));
+                })?
+                Self::read_members(json)$(.map($then))?
+            }
+        }
+
+        impl $crate::json::JsonField for $name {
+            fn to_json(&self) -> $crate::json::Json {
+                $name::to_json(self)
+            }
+
+            fn read(json: &$crate::json::Json) -> Result<Option<Self>, String> {
+                $name::from_json(json).map(Some)
+            }
+
+            fn absent() -> Result<Self, String> {
+                Self::read_members(&$crate::json::Json::obj())
+            }
+        }
+    };
     (@struct $(#[$meta:meta])* $vis:vis struct $name:ident {
         $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty),* $(,)?
     }) => {
@@ -732,8 +798,9 @@ macro_rules! json_record {
             }
         }
     };
-    (document $(#[$meta:meta])* $vis:vis struct $name:ident $body:tt $($rest:tt)*) => {
+    (document $facts:tt $(#[$meta:meta])* $vis:vis struct $name:ident $body:tt $($rest:tt)*) => {
         $crate::json::json_record!(@struct $(#[$meta])* $vis struct $name $body);
+        $crate::json::json_record!(@document $name $facts);
         $crate::json::json_record!($($rest)*);
     };
     ($(#[$meta:meta])* $vis:vis struct $name:ident $body:tt $($rest:tt)*) => {

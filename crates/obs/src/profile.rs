@@ -14,7 +14,7 @@
 //! semantics of [`ReportDiff`](crate::ReportDiff), and a self-diff is
 //! empty.
 
-use crate::json::{expect_schema_version, json_record, read_member, Json, JsonField};
+use crate::json::{json_record, read_member, Json, JsonField};
 use crate::report::{NetworkReport, RunReport};
 
 /// Version of the profile shape. Bump when members are renamed,
@@ -59,7 +59,12 @@ json_record! {
         pub salvaged: u64,
     }
 
-    document
+    document(
+        version: PROFILE_SCHEMA_VERSION,
+        oldest: PROFILE_SCHEMA_VERSION,
+        noun: "profile",
+        kind: PROFILE_KIND,
+    )
     /// A spatial congestion profile of one routing run.
     #[derive(Debug, Clone, PartialEq, Default)]
     pub struct ProfileReport {
@@ -80,34 +85,10 @@ json_record! {
 }
 
 impl ProfileReport {
-    /// The profile as a JSON tree.
-    pub fn to_json(&self) -> Json {
-        let mut json = Json::obj()
-            .with("schema_version", PROFILE_SCHEMA_VERSION)
-            .with("kind", PROFILE_KIND);
-        self.write_members(&mut json);
-        json
-    }
-
-    /// The pretty-printed JSON document (what `--heat-json` writes).
-    pub fn to_json_string(&self) -> String {
-        self.to_json().render_pretty()
-    }
-
     /// Whether a parsed document is a profile (as opposed to a run
     /// report) — the discriminator `report diff` keys on.
     pub fn is_profile_json(json: &Json) -> bool {
         json.get("kind").and_then(Json::as_str) == Some(PROFILE_KIND)
-    }
-
-    /// Reads a profile back from its [`ProfileReport::to_json`] shape.
-    pub fn from_json(json: &Json) -> Result<ProfileReport, String> {
-        json.as_obj().ok_or("profile is not a JSON object")?;
-        expect_schema_version(json, PROFILE_SCHEMA_VERSION, PROFILE_SCHEMA_VERSION)?;
-        if !Self::is_profile_json(json) {
-            return Err("document kind is not \"profile\"".to_owned());
-        }
-        Self::read_members(json)
     }
 
     /// The heat map as ASCII art: one character per cell on an

@@ -7,7 +7,7 @@
 //! adding members is allowed within a version, renaming or removing
 //! them requires a bump.
 
-use crate::json::{expect_schema_version, json_record, Json, JsonField};
+use crate::json::json_record;
 use crate::metrics::MetricsSnapshot;
 
 /// Version of the report shape. Bump when members are renamed,
@@ -18,6 +18,8 @@ use crate::metrics::MetricsSnapshot;
 /// summaries gained `p90`; **3** — phase entries carry allocation
 /// attribution (`alloc_count`/`alloc_bytes`/`peak_bytes`, `null`
 /// unless the binary was built with the `alloc-profile` feature).
+/// [`RunReport::from_json`] reads every version from 1 up: older
+/// reports simply lack the later members.
 pub const SCHEMA_VERSION: u32 = 3;
 
 json_record! {
@@ -122,7 +124,7 @@ json_record! {
         pub completion: f64,
     }
 
-    document
+    document(version: SCHEMA_VERSION, oldest: 1, noun: "report")
     /// Everything one pipeline run reports, in a stable JSON shape.
     #[derive(Debug, Clone, PartialEq, Default)]
     pub struct RunReport {
@@ -198,31 +200,6 @@ impl RunReport {
         self.phases.iter().find(|p| p.name == name).map(|p| p.wall_ns)
     }
 
-    /// The report as a JSON tree.
-    pub fn to_json(&self) -> Json {
-        let mut json = Json::obj().with("schema_version", SCHEMA_VERSION);
-        self.write_members(&mut json);
-        json
-    }
-
-    /// The pretty-printed JSON document (what `--report-json` writes).
-    pub fn to_json_string(&self) -> String {
-        self.to_json().render_pretty()
-    }
-
-    /// Reads a report back from its [`RunReport::to_json`] shape.
-    ///
-    /// Accepts schema versions 1 through [`SCHEMA_VERSION`] (older
-    /// reports simply lack the later members). Anything else — or a
-    /// document that is not an object — is an error naming what was
-    /// wrong, so the `report diff` CLI can point at the offending
-    /// file.
-    pub fn from_json(json: &Json) -> Result<RunReport, String> {
-        json.as_obj().ok_or("report is not a JSON object")?;
-        expect_schema_version(json, 1, SCHEMA_VERSION)?;
-        Self::read_members(json)
-    }
-
     /// The report with every wall-clock quantity zeroed: phase times
     /// and quantiles cleared and `*_ns` histograms dropped. What
     /// remains is bit-deterministic for a given input, which is what
@@ -242,25 +219,10 @@ impl RunReport {
     }
 }
 
-/// A report embedded in another document (a batch job, a serve
-/// response) keeps its own `schema_version`.
-impl JsonField for RunReport {
-    fn to_json(&self) -> Json {
-        RunReport::to_json(self)
-    }
-
-    fn read(json: &Json) -> Result<Option<Self>, String> {
-        RunReport::from_json(json).map(Some)
-    }
-
-    fn absent() -> Result<Self, String> {
-        Ok(RunReport::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn phase_helpers_keep_order() {

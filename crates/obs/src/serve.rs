@@ -13,7 +13,7 @@
 //! contained) plus point-in-time gauges. Counters are cumulative and
 //! monotone; gauges are racy snapshots.
 
-use crate::json::{expect_schema_version, json_enum, json_record, Json, JsonField};
+use crate::json::{json_enum, json_record, JsonField};
 use crate::report::RunReport;
 
 /// Version of the serve response shape. Bump when members are
@@ -50,7 +50,7 @@ json_enum! {
 }
 
 json_record! {
-    document
+    document(version: SERVE_SCHEMA_VERSION, oldest: SERVE_SCHEMA_VERSION, noun: "serve report")
     /// One diagram request's response body.
     #[derive(Debug, Clone, PartialEq)]
     pub struct ServeReport {
@@ -87,29 +87,10 @@ impl ServeReport {
             report: None,
         }
     }
-
-    /// The response as a JSON tree.
-    pub fn to_json(&self) -> Json {
-        let mut json = Json::obj().with("schema_version", SERVE_SCHEMA_VERSION);
-        self.write_members(&mut json);
-        json
-    }
-
-    /// The rendered JSON document (one response body).
-    pub fn to_json_string(&self) -> String {
-        self.to_json().render_pretty()
-    }
-
-    /// Reads a response back from its [`ServeReport::to_json`] shape.
-    pub fn from_json(json: &Json) -> Result<ServeReport, String> {
-        json.as_obj().ok_or("serve report is not a JSON object")?;
-        expect_schema_version(json, SERVE_SCHEMA_VERSION, SERVE_SCHEMA_VERSION)?;
-        Self::read_members(json)
-    }
 }
 
 json_record! {
-    document
+    document(version: SERVE_SCHEMA_VERSION, oldest: SERVE_SCHEMA_VERSION, noun: "serve stats")
     /// The `/stats` endpoint's body: lifetime counters, read back
     /// from the `/metrics` registry, and current gauges of one serve
     /// process.
@@ -161,30 +142,6 @@ json_record! {
         pub win_latency_p90_ns: u64,
         /// Windowed 99th-percentile request latency (ns).
         pub win_latency_p99_ns: u64,
-    }
-}
-
-impl ServeStats {
-    /// The stats as a JSON tree.
-    pub fn to_json(&self) -> Json {
-        let mut json = Json::obj().with("schema_version", SERVE_SCHEMA_VERSION);
-        self.write_members(&mut json);
-        json
-    }
-
-    /// The rendered JSON document (the `/stats` body).
-    pub fn to_json_string(&self) -> String {
-        self.to_json().render_pretty()
-    }
-
-    /// Reads stats back from their [`ServeStats::to_json`] shape.
-    /// The schema version must be present and supported; within a
-    /// version, missing counters read as zero so additions stay
-    /// compatible.
-    pub fn from_json(json: &Json) -> Result<ServeStats, String> {
-        json.as_obj().ok_or("serve stats is not a JSON object")?;
-        expect_schema_version(json, SERVE_SCHEMA_VERSION, SERVE_SCHEMA_VERSION)?;
-        Self::read_members(json)
     }
 }
 
@@ -266,6 +223,7 @@ impl AccessRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn sample() -> ServeReport {
         ServeReport {
